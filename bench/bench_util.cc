@@ -1,7 +1,9 @@
 #include "bench/bench_util.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,7 +17,6 @@
 #include "src/common/parallel.h"
 #include "src/common/paranoid.h"
 #include "src/faults/fault_plan.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/perf_stats.h"
 #include "src/sim/task.h"
 #include "src/telemetry/audit.h"
@@ -48,6 +49,21 @@ bool TakeFlag(const char* arg, const char* name, std::string* value) {
   }
   *value = arg + n + 1;
   return true;
+}
+
+// Parses the integer value of `--name`. A non-integer or out-of-range value
+// is a usage error: print the flag and the value and exit 2, never fall back
+// to a default the user did not ask for.
+int ParseIntFlag(const char* name, const std::string& value, long min_value) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || errno == ERANGE || v < min_value || v > INT_MAX) {
+    std::fprintf(stderr, "invalid value for %s: '%s' (expected an integer from %ld to %d)\n",
+                 name, value.c_str(), min_value, INT_MAX);
+    std::exit(2);
+  }
+  return static_cast<int>(v);
 }
 
 struct SweepPoint {
@@ -111,7 +127,6 @@ void InitBenchTelemetry(int* argc, char** argv) {
   std::string fault_plan_path;
   std::string audit_mode;
   std::string postmortem_stem;
-  std::string eventq;
   bool audit = false;
   bool flow_stats = false;
   int out = 1;
@@ -126,8 +141,7 @@ void InitBenchTelemetry(int* argc, char** argv) {
         TakeFlag(argv[i], "--threads", &threads) ||
         TakeFlag(argv[i], "--perf-out", &g_perf_out) ||
         TakeFlag(argv[i], "--fault-plan", &fault_plan_path) ||
-        TakeFlag(argv[i], "--postmortem-out", &postmortem_stem) ||
-        TakeFlag(argv[i], "--eventq", &eventq)) {
+        TakeFlag(argv[i], "--postmortem-out", &postmortem_stem)) {
       continue;  // telemetry flag: keep it away from google/benchmark
     }
     if (std::strcmp(argv[i], "--paranoid") == 0) {
@@ -146,14 +160,11 @@ void InitBenchTelemetry(int* argc, char** argv) {
     argv[out++] = argv[i];
   }
   *argc = out;
-  if (!eventq.empty()) {
-    STROM_CHECK(eventq == "heap" || eventq == "wheel")
-        << "--eventq accepts 'heap' or 'wheel', got: " << eventq;
-    SetEventQueueMode(eventq == "wheel" ? EventQueueMode::kWheel
-                                        : EventQueueMode::kHeap);
-  }
-  g_jobs = static_cast<int>(std::max(1L, std::strtol(jobs.c_str(), nullptr, 10)));
-  g_threads = static_cast<int>(std::max(0L, std::strtol(threads.c_str(), nullptr, 10)));
+  g_jobs = ParseIntFlag("--jobs", jobs, 1);
+  g_threads = ParseIntFlag("--threads", threads, 0);
+  const int sample_every = ParseIntFlag("--trace-sample", sample, 1);
+  const int capture_run_count = ParseIntFlag("--capture-runs", capture_runs, 1);
+  g_sample_interval = Us(ParseIntFlag("--sample-interval-us", sample_interval_us, 0));
 
   // Oversubscription guard: each sweep job runs its own testbed, and with
   // --threads each testbed spins up its own LP worker pool, so the process
@@ -182,11 +193,9 @@ void InitBenchTelemetry(int* argc, char** argv) {
   TestbedTelemetryDefaults& defaults = Testbed::telemetry_defaults;
   defaults.lp_threads = g_threads;
   defaults.enable_trace = !g_trace_out.empty();
-  defaults.sample_every = std::max(1L, std::strtol(sample.c_str(), nullptr, 10));
+  defaults.sample_every = sample_every;
   defaults.capture_prefix = g_capture_out;
-  defaults.capture_runs =
-      static_cast<int>(std::max(1L, std::strtol(capture_runs.c_str(), nullptr, 10)));
-  g_sample_interval = Us(std::max(0L, std::strtol(sample_interval_us.c_str(), nullptr, 10)));
+  defaults.capture_runs = capture_run_count;
   defaults.sample_interval = g_sample_interval;
   if (!g_trace_out.empty() || !g_metrics_out.empty()) {
     defaults.collector = &Collector();

@@ -58,14 +58,10 @@ namespace strom::bench {
 //                          frames.pcapng}" at teardown — and automatically on
 //                          watchdog fire, fatal log, or audit violation
 //                          (decode: stromtrace --postmortem <stem>)
-//   --eventq=heap|wheel    select the event-core layout for every simulator
-//                          built by the run (equivalent to STROM_EVENTQ):
-//                          'heap' (default) is the single indexed 4-ary heap,
-//                          'wheel' adds the hierarchical timing wheel far
-//                          tier + batched same-timestamp dispatch
-//                          (DESIGN.md §13). Same-seed simulated output is
-//                          byte-identical across the two; only wall clock
-//                          and events/sec move.
+//
+// The numeric flags (--trace-sample, --capture-runs, --sample-interval-us,
+// --jobs, --threads) must be integers in range; anything else prints the
+// flag and its value and exits 2.
 
 // Process-wide collector that testbeds and ReportLatency deposit into.
 TelemetryCollector& Collector();

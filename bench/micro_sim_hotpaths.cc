@@ -60,19 +60,12 @@ void EventQueueSameTimestampBurst(benchmark::State& state) {
 }
 BENCHMARK(EventQueueSameTimestampBurst);
 
-// --- two-tier event core (Arg 0 = heap, 1 = wheel) --------------------------
-
-EventQueueMode ModeArg(const benchmark::State& state) {
-  return state.range(0) == 0 ? EventQueueMode::kHeap : EventQueueMode::kWheel;
-}
-
 // Retransmission-timer churn: a population of timers parked ~100 us out
 // (far future relative to the ~100 ns between arms) that are re-armed and
-// cancelled long before they fire — the pattern every ACKed QP produces. In
-// heap mode each re-arm is an O(log n) remove+insert in a deep heap; in
-// wheel mode the deadline lives in a far slot and moves in O(1).
+// cancelled long before they fire — the pattern every ACKed QP produces.
+// Each re-arm is an O(log n) remove+insert in a 1k-deep heap.
 void EventCoreTimerChurn(benchmark::State& state) {
-  EventQueue q(ModeArg(state));
+  EventQueue q;
   constexpr int kTimers = 1024;
   constexpr SimTime kRto = 100'000'000;  // 100 us in ps
   std::vector<EventQueue::TimerId> timers;
@@ -98,62 +91,7 @@ void EventCoreTimerChurn(benchmark::State& state) {
   benchmark::DoNotOptimize(fired);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(EventCoreTimerChurn)->Arg(0)->Arg(1);
-
-// Wheel cascade: park a spread of far-future deadlines, then drain them all.
-// Every pop crosses the horizon, so the measured cost includes the cascade
-// of higher-level slots down into the near heap.
-void EventCoreWheelCascadeDrain(benchmark::State& state) {
-  const int n = 4096;
-  uint64_t sink = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    EventQueue q(ModeArg(state));
-    SimTime when = 1;
-    for (int i = 0; i < n; ++i) {
-      // Exponentially spread arrivals touch every wheel level.
-      when += 1 + ((SimTime(1) << (i % 36)) >> 2);
-      q.Push(when, [&sink] { ++sink; });
-    }
-    state.ResumeTiming();
-    while (!q.empty()) {
-      q.Pop().Run();
-    }
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(EventCoreWheelCascadeDrain)->Arg(0)->Arg(1);
-
-// Batched same-timestamp dispatch: a large equal-`when` run sitting on top
-// of a deep backlog — the incast ACK-storm shape. Wheel mode extracts the
-// run in one pass and Floyd-rebuilds the rest; heap mode re-heapifies per
-// pop.
-void EventCoreBatchedDispatch(benchmark::State& state) {
-  constexpr int kRun = 512;
-  constexpr int kBacklog = 2048;
-  uint64_t sink = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    EventQueue q(ModeArg(state));
-    for (int i = 0; i < kBacklog; ++i) {
-      q.Push(2000 + i, [&sink] { ++sink; });
-    }
-    for (int i = 0; i < kRun; ++i) {
-      q.Push(1000, [&sink] { ++sink; });
-    }
-    state.ResumeTiming();
-    for (int i = 0; i < kRun; ++i) {
-      q.Pop().Run();
-    }
-    state.PauseTiming();
-    q.Clear();
-    state.ResumeTiming();
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * kRun);
-}
-BENCHMARK(EventCoreBatchedDispatch)->Arg(0)->Arg(1);
+BENCHMARK(EventCoreTimerChurn);
 
 void Crc32Throughput(benchmark::State& state) {
   const ByteBuffer data = RandomBytes(static_cast<size_t>(state.range(0)), 1);

@@ -1,5 +1,5 @@
-// Distributed data shuffling example (paper §6.4) on a 3-node topology
-// behind a switch: a producer node streams 8 B tuples to two consumer nodes
+// Distributed data shuffling example (paper §6.4) on a 3-host single-switch
+// Fabric: a producer node streams 8 B tuples to two consumer nodes
 // (tuples routed by their top bit), and each consumer's NIC-resident shuffle
 // kernel radix-partitions its share into cache-sized partitions on the fly —
 // the CPU-side partitioning pass of a distributed join disappears.
@@ -7,9 +7,9 @@
 //   $ ./shuffle_pipeline
 #include <cstdio>
 
+#include "src/fabric/fabric.h"
 #include "src/kernels/shuffle.h"
 #include "src/sim/task.h"
-#include "src/testbed/testbed.h"
 #include "src/testbed/workload.h"
 
 namespace strom {
@@ -27,7 +27,7 @@ struct Consumer {
   VirtAddr resp = 0;  // status word lands back at the producer
 };
 
-Task Produce(Testbed& bed, std::vector<Consumer>& consumers,
+Task Produce(Fabric& bed, std::vector<Consumer>& consumers,
              const std::vector<uint64_t>& tuples, bool* done) {
   RoceDriver& drv = bed.node(0).driver();
 
@@ -75,7 +75,9 @@ Task Produce(Testbed& bed, std::vector<Consumer>& consumers,
 
 int main() {
   using namespace strom;
-  Testbed bed(Profile10G(), /*num_nodes=*/3);
+  FabricTopologyConfig topo;
+  topo.num_hosts = 3;
+  Fabric bed(Profile10G(), topo);
 
   std::vector<Consumer> consumers = {{1, 1}, {2, 2}};
   const KernelConfig kc{bed.profile().roce.clock_ps, bed.profile().roce.data_width};

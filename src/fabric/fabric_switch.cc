@@ -151,7 +151,9 @@ void FabricSwitch::OnFrame(int in_port, FrameBuf frame, TraceContext trace) {
   }
   MacAddr dst;
   MacAddr src;
-  // Fast path: reuse the TX encoder's memoized MACs (see EthernetSwitch).
+  // Fast path: reuse the TX encoder's memoized MACs instead of re-reading the
+  // Ethernet header on every hop. Wire bytes stay authoritative: a mutated
+  // frame has no memo and takes the byte path.
   if (const RoceFrameMemo* memo = frame.GetMemo<RoceFrameMemo>();
       memo != nullptr && !ParanoidMode()) {
     dst = memo->dst_mac;

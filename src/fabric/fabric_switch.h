@@ -1,9 +1,9 @@
 // Output-queued Ethernet switch with congestion signaling, the building block
-// of rack-scale topologies (src/fabric/fabric.h). Unlike the store-and-forward
-// EthernetSwitch — whose per-port links hide queueing inside their busy-until
-// cursors — this switch keeps an *explicit* per-port egress FIFO and releases
-// exactly one frame to the wire at a time. That makes queue depth an
-// observable quantity, which is what congestion control needs:
+// of every switched topology (src/fabric/fabric.h). Instead of hiding
+// queueing inside a link's busy-until cursor, the switch keeps an *explicit*
+// per-port egress FIFO and releases exactly one frame to the wire at a time.
+// That makes queue depth an observable quantity, which is what congestion
+// control needs:
 //
 //   * ECN: a frame enqueued while the egress queue is at or above
 //     `ecn_threshold_bytes` is CE-marked in place (if it is ECT; see

@@ -1,9 +1,6 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -15,31 +12,7 @@ namespace {
 // fan-out halves the tree depth vs a binary heap, trading a few extra
 // comparisons per level for fewer cache-missing node moves.
 constexpr size_t kArity = 4;
-
-EventQueueMode EnvEventQueueMode() {
-  const char* env = std::getenv("STROM_EVENTQ");
-  if (env != nullptr && std::strcmp(env, "wheel") == 0) {
-    return EventQueueMode::kWheel;
-  }
-  return EventQueueMode::kHeap;
-}
-
-EventQueueMode& EventQueueModeFlag() {
-  static EventQueueMode mode = EnvEventQueueMode();
-  return mode;
-}
 }  // namespace
-
-EventQueueMode GetEventQueueMode() { return EventQueueModeFlag(); }
-
-void SetEventQueueMode(EventQueueMode mode) { EventQueueModeFlag() = mode; }
-
-EventQueue::EventQueue(EventQueueMode mode)
-    : mode_(mode),
-      batched_(mode == EventQueueMode::kWheel),
-      horizon_(mode == EventQueueMode::kWheel ? kSlot0Width : INT64_MAX) {
-  bucket_.fill(kNil);
-}
 
 void EventQueue::Push(SimTime when, Callback fn) {
   uint32_t slot;
@@ -51,7 +24,7 @@ void EventQueue::Push(SimTime when, Callback fn) {
     slot = static_cast<uint32_t>(slots_.size());
     slots_.push_back(std::move(fn));
   }
-  InsertNode(when, next_seq_++, slot);
+  HeapInsert(HeapNode{when, next_seq_++, slot});
   ++size_;
 }
 
@@ -73,12 +46,12 @@ EventQueue::Timer& EventQueue::CheckedTimer(TimerId id) {
 
 void EventQueue::ArmTimer(TimerId id, SimTime when) {
   Timer& t = CheckedTimer(id);
-  if (t.state != Timer::kIdle) {
-    RemovePending(id.idx, t);
+  if (t.pending) {
+    RemoveHeapAt(t.pos);
   } else {
     ++size_;
   }
-  InsertNode(when, next_seq_++, id.idx | kTimerBit);
+  HeapInsert(HeapNode{when, next_seq_++, id.idx | kTimerBit});
 }
 
 bool EventQueue::CancelTimer(TimerId id) {
@@ -86,10 +59,11 @@ bool EventQueue::CancelTimer(TimerId id) {
     return false;
   }
   Timer& t = CheckedTimer(id);
-  if (t.state == Timer::kIdle) {
+  if (!t.pending) {
     return false;
   }
-  RemovePending(id.idx, t);
+  RemoveHeapAt(t.pos);
+  t.pending = false;
   --size_;
   return true;
 }
@@ -98,211 +72,53 @@ bool EventQueue::TimerPending(TimerId id) const {
   if (!id.valid() || id.idx >= timers_.size() || timers_[id.idx].gen != id.gen) {
     return false;
   }
-  return timers_[id.idx].state != Timer::kIdle;
+  return timers_[id.idx].pending;
 }
 
-void EventQueue::RemovePending(uint32_t idx, Timer& t) {
-  failed_probe_when_ = kProbeNone;  // heap shape changes; re-probe next pop
-  switch (t.state) {
-    case Timer::kInHeap:
-      RemoveHeapAt(t.pos);
-      break;
-    case Timer::kInWheel:
-      WheelUnlink(t.pos);
-      break;
-    case Timer::kInRun: {
-      // The deadline was already extracted into the same-timestamp run
-      // buffer (an event at this exact timestamp is cancelling it). The run
-      // is one timestamp wide, so the scan is short.
-      const uint32_t enc = idx | kTimerBit;
-      for (auto it = run_.begin(); it != run_.end(); ++it) {
-        if (it->slot == enc) {
-          run_.erase(it);
-          break;
-        }
-      }
-      break;
-    }
-    case Timer::kIdle:
-      break;
-  }
-  t.state = Timer::kIdle;
-}
-
-void EventQueue::InsertNode(SimTime when, uint64_t seq, uint32_t slot) {
-  failed_probe_when_ = kProbeNone;  // the run at the front may have grown
-  if (when >= horizon_) {  // never true in heap mode (horizon_ = INT64_MAX)
-    WheelInsert(when, seq, slot);
-    return;
-  }
-  HeapInsert(HeapNode{when, seq, slot});
-}
-
-SimTime EventQueue::NextTime() {
-  if (!run_.empty()) {
-    return run_.back().when;
-  }
-  EnsureNearTier();
+SimTime EventQueue::NextTime() const {
   STROM_CHECK(!heap_.empty());
   return heap_.front().when;
 }
 
-void EventQueue::EnsureNearTier() {
-  if (heap_.empty() && wheel_size_ > 0) {
-    AdvanceWheel();
-  }
-}
-
 EventQueue::Event EventQueue::Pop() {
-  if (run_.empty()) {
-    EnsureNearTier();
-    STROM_CHECK(!heap_.empty());
-    if (batched_) {
-      MaybeExtractRun();
-    }
-    if (run_.empty()) {
-      const HeapNode top = heap_.front();
-      const HeapNode back = heap_.back();
-      heap_.pop_back();
-      if (!heap_.empty()) {
-        PlaceNode(0, back);
-        SiftDown(0);
-      }
-      return Materialize(top);
-    }
+  STROM_CHECK(!heap_.empty());
+  const HeapNode top = heap_.front();
+  const HeapNode back = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    PlaceNode(0, back);
+    SiftDown(0);
   }
-  const HeapNode node = run_.back();
-  run_.pop_back();
-  return Materialize(node);
-}
-
-EventQueue::Event EventQueue::Materialize(const HeapNode& node) {
   Event out;
-  out.when = node.when;
-  out.seq = node.seq;
-  if (node.slot & kTimerBit) {
-    Timer& t = timers_[node.slot & ~kTimerBit];
+  out.when = top.when;
+  out.seq = top.seq;
+  if (top.slot & kTimerBit) {
+    Timer& t = timers_[top.slot & ~kTimerBit];
     // Idle before the callback runs, so the callback can re-arm itself.
-    t.state = Timer::kIdle;
+    t.pending = false;
     out.timer_fn = &t.fn;
   } else {
-    out.fn = std::move(slots_[node.slot]);
-    free_slots_.push_back(node.slot);
+    out.fn = std::move(slots_[top.slot]);
+    free_slots_.push_back(top.slot);
   }
   --size_;
   return out;
-}
-
-void EventQueue::MaybeExtractRun() {
-  const size_t n = heap_.size();
-  if (n < 2) {
-    return;
-  }
-  const SimTime t = heap_.front().when;
-  if (failed_probe_when_ == t) {
-    return;  // already probed this timestamp; pops cannot grow the run
-  }
-  // All nodes at the minimum timestamp form a root-connected subtree (a
-  // min-valued node's ancestors are also min-valued). Count them with an
-  // early-exit DFS; batch extraction only pays when the run is a sizable
-  // fraction of the heap (ACK storms, same-tick fan-out), so bail to the
-  // plain pop path for scattered small runs.
-  const size_t threshold = std::max<size_t>(4, n / 4);
-  size_t count = 0;
-  scratch_.clear();
-  scratch_.push_back(0);
-  while (!scratch_.empty() && count < threshold) {
-    const size_t i = scratch_.back();
-    scratch_.pop_back();
-    if (heap_[i].when != t) {
-      continue;
-    }
-    ++count;
-    const size_t first = kArity * i + 1;
-    const size_t last = std::min(first + kArity, n);
-    for (size_t c = first; c < last; ++c) {
-      scratch_.push_back(c);
-    }
-  }
-  if (count < threshold) {
-    failed_probe_when_ = t;
-    return;
-  }
-  // Extract the whole run in one pass and Floyd-rebuild the survivors: O(n)
-  // total for a run of >= n/4 events vs O(run * log n) repeated pops.
-  size_t out = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const HeapNode node = heap_[i];
-    if (node.when == t) {
-      if (node.slot & kTimerBit) {
-        timers_[node.slot & ~kTimerBit].state = Timer::kInRun;
-      }
-      run_.push_back(node);
-    } else {
-      PlaceNode(out++, node);
-    }
-  }
-  heap_.resize(out);
-  for (size_t i = out / 2 + 1; i-- > 0;) {
-    if (i < heap_.size()) {
-      SiftDown(i);
-    }
-  }
-  // Reverse seq order: Pop serves from the back, preserving FIFO ties.
-  std::sort(run_.begin(), run_.end(),
-            [](const HeapNode& a, const HeapNode& b) { return a.seq > b.seq; });
 }
 
 void EventQueue::Clear() {
   heap_.clear();
   slots_.clear();
   free_slots_.clear();
-  run_.clear();
-  wnodes_.clear();
-  free_wnodes_.clear();
-  bucket_.fill(kNil);
-  std::memset(occ_, 0, sizeof(occ_));
-  occ_levels_ = 0;
   timers_.clear();
-  wheel_size_ = 0;
   size_ = 0;
-  base_ = 0;
-  failed_probe_when_ = kProbeNone;
-  horizon_ = mode_ == EventQueueMode::kWheel ? kSlot0Width : INT64_MAX;
-}
-
-void EventQueue::PlaceNode(size_t i, const HeapNode& node) {
-  heap_[i] = node;
-  if (node.slot & kTimerBit) {
-    timers_[node.slot & ~kTimerBit].pos = static_cast<uint32_t>(i);
-  }
 }
 
 void EventQueue::HeapInsert(const HeapNode& node) {
   if (node.slot & kTimerBit) {
-    timers_[node.slot & ~kTimerBit].state = Timer::kInHeap;
+    timers_[node.slot & ~kTimerBit].pending = true;
   }
   heap_.push_back(node);
   SiftUp(heap_.size() - 1);  // final PlaceNode records a timer's position
-}
-
-void EventQueue::HeapAppend(const HeapNode& node) {
-  heap_.push_back(node);
-  if (node.slot & kTimerBit) {
-    Timer& t = timers_[node.slot & ~kTimerBit];
-    t.state = Timer::kInHeap;
-    t.pos = static_cast<uint32_t>(heap_.size() - 1);
-  }
-}
-
-void EventQueue::BuildHeap() {
-  const size_t n = heap_.size();
-  if (n < 2) {
-    return;
-  }
-  for (size_t i = (n - 2) / kArity + 1; i-- > 0;) {
-    SiftDown(i);
-  }
 }
 
 void EventQueue::RemoveHeapAt(size_t pos) {
@@ -317,123 +133,6 @@ void EventQueue::RemoveHeapAt(size_t pos) {
     SiftUp(pos);
   } else {
     SiftDown(pos);
-  }
-}
-
-void EventQueue::WheelInsert(SimTime when, uint64_t seq, uint32_t slot) {
-  uint32_t idx;
-  if (!free_wnodes_.empty()) {
-    idx = free_wnodes_.back();
-    free_wnodes_.pop_back();
-  } else {
-    idx = static_cast<uint32_t>(wnodes_.size());
-    wnodes_.emplace_back();
-  }
-  // Level = highest byte (above the slot width) in which `when` differs from
-  // base_; nonzero because when >= horizon_ = base_ + slot width and base_ is
-  // slot-aligned. Events beyond a level's lap land one level up, so every
-  // occupied slot is within the current lap of its level.
-  const uint64_t x = (static_cast<uint64_t>(when) ^ static_cast<uint64_t>(base_)) >>
-                     kWheelShift;
-  const int level = (63 - std::countl_zero(x)) >> 3;
-  const int s = static_cast<int>(
-      (static_cast<uint64_t>(when) >> (kWheelShift + 8 * level)) & (kWheelSlots - 1));
-  const uint32_t b = static_cast<uint32_t>(level * kWheelSlots + s);
-  WheelNode& node = wnodes_[idx];
-  node.when = when;
-  node.seq = seq;
-  node.slot = slot;
-  node.prev = kNil;
-  node.next = bucket_[b];
-  node.bucket = b;
-  if (bucket_[b] != kNil) {
-    wnodes_[bucket_[b]].prev = idx;
-  }
-  bucket_[b] = idx;
-  occ_[level][s >> 6] |= uint64_t{1} << (s & 63);
-  occ_levels_ |= 1u << level;
-  ++wheel_size_;
-  if (slot & kTimerBit) {
-    Timer& t = timers_[slot & ~kTimerBit];
-    t.state = Timer::kInWheel;
-    t.pos = idx;
-  }
-}
-
-void EventQueue::WheelUnlink(uint32_t node_idx) {
-  const WheelNode& node = wnodes_[node_idx];
-  if (node.prev != kNil) {
-    wnodes_[node.prev].next = node.next;
-  } else {
-    bucket_[node.bucket] = node.next;
-  }
-  if (node.next != kNil) {
-    wnodes_[node.next].prev = node.prev;
-  }
-  if (bucket_[node.bucket] == kNil) {
-    const int level = static_cast<int>(node.bucket) / kWheelSlots;
-    const int s = static_cast<int>(node.bucket) % kWheelSlots;
-    occ_[level][s >> 6] &= ~(uint64_t{1} << (s & 63));
-    if ((occ_[level][0] | occ_[level][1] | occ_[level][2] | occ_[level][3]) == 0) {
-      occ_levels_ &= ~(1u << level);
-    }
-  }
-  free_wnodes_.push_back(node_idx);
-  --wheel_size_;
-}
-
-void EventQueue::AdvanceWheel() {
-  STROM_CHECK_GT(wheel_size_, 0u);
-  failed_probe_when_ = kProbeNone;  // the cascade refills the near heap
-  for (;;) {
-    // Lowest occupied level holds the earliest events: its future slots all
-    // share base_'s higher bytes, while higher levels differ further up.
-    STROM_CHECK_NE(occ_levels_, 0u);
-    const int level = std::countr_zero(occ_levels_);
-    int s = 0;
-    for (int w = 0; w < kWheelSlots / 64; ++w) {
-      if (occ_[level][w] != 0) {
-        s = w * 64 + std::countr_zero(occ_[level][w]);
-        break;
-      }
-    }
-    // Advance the wheel origin to the start of that slot.
-    const int shift = kWheelShift + 8 * level;
-    uint64_t hi = 0;
-    if (level + 1 < kWheelLevels) {
-      hi = (static_cast<uint64_t>(base_) >> (shift + 8)) << (shift + 8);
-    }
-    const SimTime nb = static_cast<SimTime>(hi | (static_cast<uint64_t>(s) << shift));
-    STROM_CHECK_GE(nb, base_) << "wheel cascade moved backwards";
-    base_ = nb;
-    horizon_ = base_ + kSlot0Width;
-    // Detach the slot list and push it down: a level-0 slot empties straight
-    // into the heap, a higher slot re-scatters at least one level lower.
-    const uint32_t b = static_cast<uint32_t>(level * kWheelSlots + s);
-    uint32_t n = bucket_[b];
-    bucket_[b] = kNil;
-    occ_[level][s >> 6] &= ~(uint64_t{1} << (s & 63));
-    if ((occ_[level][0] | occ_[level][1] | occ_[level][2] | occ_[level][3]) == 0) {
-      occ_levels_ &= ~(1u << level);
-    }
-    // The heap is empty here (cascade precondition, re-checked per lap), so
-    // the nodes landing near are bulk-appended and Floyd-built in O(k)
-    // instead of k sift-ups.
-    while (n != kNil) {
-      const WheelNode node = wnodes_[n];
-      free_wnodes_.push_back(n);
-      --wheel_size_;
-      if (node.when < horizon_) {
-        HeapAppend(HeapNode{node.when, node.seq, node.slot});
-      } else {
-        WheelInsert(node.when, node.seq, node.slot);
-      }
-      n = node.next;
-    }
-    if (!heap_.empty()) {
-      BuildHeap();
-      return;
-    }
   }
 }
 

@@ -39,7 +39,7 @@ void LpScheduler::NoteLinkLookahead(SimTime propagation) {
   }
 }
 
-SimTime LpScheduler::NextEventTimeGlobal() {
+SimTime LpScheduler::NextEventTimeGlobal() const {
   SimTime t = Simulator::kNoEvent;
   for (Simulator* lp : lps_) {
     t = std::min(t, lp->NextEventTime());

@@ -104,8 +104,7 @@ class LpScheduler {
   uint64_t parallel_windows() const { return parallel_windows_; }
 
  private:
-  // Non-const: NextEventTime may lazily cascade an LP's timing wheel.
-  SimTime NextEventTimeGlobal();
+  SimTime NextEventTimeGlobal() const;
   void DrainChannels();
   // Runs every LP up to `horizon`, in parallel unless serialized.
   void ExecuteWindow(SimTime horizon);

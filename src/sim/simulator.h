@@ -86,11 +86,8 @@ class Simulator {
   void SetLpScheduler(LpScheduler* scheduler) { lp_ = scheduler; }
   LpScheduler* lp_scheduler() const { return lp_; }
 
-  // Timestamp of the earliest queued event, kNoEvent when idle. Non-const:
-  // in wheel mode the lookup may lazily cascade far-tier slots into the
-  // near heap (still O(1) amortized — each event descends at most once per
-  // wheel level over its lifetime).
-  SimTime NextEventTime() { return queue_.empty() ? kNoEvent : queue_.NextTime(); }
+  // Timestamp of the earliest queued event, kNoEvent when idle.
+  SimTime NextEventTime() const { return queue_.empty() ? kNoEvent : queue_.NextTime(); }
 
   // Scheduler internals: these never delegate.
   // Runs queued events with when < horizon (strict); the clock stays at the

@@ -14,7 +14,7 @@
 #include <memory>
 
 #include "src/cpu/cpu_model.h"
-#include "src/netsim/switch.h"
+#include "src/netsim/arp_table.h"
 #include "src/sim/simulator.h"
 #include "src/tcp/segment.h"
 

@@ -10,7 +10,7 @@
 #include "src/faults/fault_plan.h"
 #include "src/host/controller.h"
 #include "src/host/driver.h"
-#include "src/netsim/switch.h"
+#include "src/netsim/arp_table.h"
 #include "src/pcie/dma_engine.h"
 #include "src/pcie/host_memory.h"
 #include "src/pcie/tlb.h"

@@ -10,6 +10,8 @@ namespace strom {
 
 namespace {
 
+constexpr int kNumNodes = 2;  // the paper's two machines on one cable
+
 MacAddr MacForIndex(int i) {
   return MacAddr{0x02, 0x00, 0x00, 0x00, 0x00, static_cast<uint8_t>(i + 1)};
 }
@@ -33,36 +35,26 @@ void AuditLinkConservation(Auditor& auditor, const std::string& name,
 TestbedTelemetryDefaults Testbed::telemetry_defaults;
 thread_local int64_t Testbed::run_ordinal = -1;
 
-Testbed::Testbed(const Profile& profile, int num_nodes)
+Testbed::Testbed(const Profile& profile)
     : profile_(profile), telemetry_(std::make_unique<Telemetry>()) {
-  STROM_CHECK_GE(num_nodes, 2);
   if (telemetry_defaults.enable_trace) {
     telemetry_->tracer.Enable(telemetry_defaults.sample_every);
   }
 
   // Conservative-parallel partition: node 0 stays on sim_ (so Testbed::sim()
   // keeps working as the run-loop entry point), node 1 gets its own LP, and
-  // the cable between them carries cross-LP traffic. Only the paper's 2-node
-  // topology partitions; the N-node EthernetSwitch variant falls back to the
-  // legacy single-queue simulator.
+  // the cable between them carries cross-LP traffic.
   if (telemetry_defaults.lp_threads > 0) {
-    if (num_nodes == 2) {
-      scheduler_ = std::make_unique<LpScheduler>(telemetry_defaults.lp_threads);
-      scheduler_->AddLp(&sim_);
-      lp_peer_sim_ = std::make_unique<Simulator>();
-      scheduler_->AddLp(lp_peer_sim_.get());
-    } else {
-      STROM_LOG(kWarning) << "--threads: " << num_nodes
-                          << "-node switched Testbed runs single-threaded "
-                             "(use Fabric for a partitioned topology)";
-    }
+    scheduler_ = std::make_unique<LpScheduler>(telemetry_defaults.lp_threads);
+    scheduler_->AddLp(&sim_);
+    lp_peer_sim_ = std::make_unique<Simulator>();
+    scheduler_->AddLp(lp_peer_sim_.get());
   }
 
-  for (int i = 0; i < num_nodes; ++i) {
-    const Ipv4Addr ip = MakeIp(10, 0, 0, static_cast<uint8_t>(i + 1));
-    arp_.Add(ip, MacForIndex(i));
+  for (int i = 0; i < kNumNodes; ++i) {
+    arp_.Add(MakeIp(10, 0, 0, static_cast<uint8_t>(i + 1)), MacForIndex(i));
   }
-  for (int i = 0; i < num_nodes; ++i) {
+  for (int i = 0; i < kNumNodes; ++i) {
     const Ipv4Addr ip = MakeIp(10, 0, 0, static_cast<uint8_t>(i + 1));
     Simulator& node_sim =
         (i == 1 && lp_peer_sim_ != nullptr) ? *lp_peer_sim_ : sim_;
@@ -71,42 +63,20 @@ Testbed::Testbed(const Profile& profile, int num_nodes)
     nodes_.back()->AttachTelemetry(telemetry_.get(), i);
   }
 
-  if (num_nodes == 2) {
-    link_ = std::make_unique<PointToPointLink>(sim_, profile.link);
-    if (scheduler_ != nullptr) {
-      link_->BindLp(&sim_, lp_peer_sim_.get(), scheduler_.get());
-    }
-    link_->AttachTelemetry(telemetry_.get(), "network");
-    for (int i = 0; i < 2; ++i) {
-      Node* node = nodes_[i].get();
-      link_->Attach(i, [node](FrameBuf frame, TraceContext trace) {
-        node->OnFrame(std::move(frame), trace);
-      });
-      PointToPointLink* link = link_.get();
-      node->SetFrameSender([link, i](FrameBuf frame, TraceContext trace) {
-        link->Send(i, std::move(frame), trace);
-      });
-    }
-    InitObservability();
-    return;
+  link_ = std::make_unique<PointToPointLink>(sim_, profile.link);
+  if (scheduler_ != nullptr) {
+    link_->BindLp(&sim_, lp_peer_sim_.get(), scheduler_.get());
   }
-
-  SwitchConfig sc;
-  sc.port_rate_bps = profile.link.rate_bps;
-  sc.ip_mtu = profile.link.ip_mtu;
-  switch_ = std::make_unique<EthernetSwitch>(sim_, sc);
-  for (int i = 0; i < num_nodes; ++i) {
-    const int port = switch_->AddPort();
-    PointToPointLink& link = switch_->PortLink(port);
-    link.AttachTelemetry(telemetry_.get(), "port" + std::to_string(i));
+  link_->AttachTelemetry(telemetry_.get(), "network");
+  for (int i = 0; i < kNumNodes; ++i) {
     Node* node = nodes_[i].get();
-    link.Attach(0, [node](FrameBuf frame, TraceContext trace) {
+    link_->Attach(i, [node](FrameBuf frame, TraceContext trace) {
       node->OnFrame(std::move(frame), trace);
     });
-    node->SetFrameSender([&link](FrameBuf frame, TraceContext trace) {
-      link.Send(0, std::move(frame), trace);
+    PointToPointLink* link = link_.get();
+    node->SetFrameSender([link, i](FrameBuf frame, TraceContext trace) {
+      link->Send(i, std::move(frame), trace);
     });
-    switch_->AddStaticRoute(MacForIndex(i), port);
   }
   InitObservability();
 }
@@ -175,15 +145,7 @@ void Testbed::ApplyFaultPlan(std::shared_ptr<const FaultPlan> plan) {
     scheduler_->SetSerializeEpochs(true);
   }
   fault_engine_ = std::make_unique<FaultEngine>(sim_, std::move(plan));
-  if (link_ != nullptr) {
-    fault_engine_->AttachLink(*link_, 0);
-  } else if (switch_ != nullptr) {
-    // Port link i gets global side indices 2i (node side) and 2i+1 (switch
-    // side), so plans can target individual hops of the switched topology.
-    for (int i = 0; i < num_nodes(); ++i) {
-      fault_engine_->AttachLink(switch_->PortLink(i), 2 * i);
-    }
-  }
+  fault_engine_->AttachLink(*link_, 0);
   for (int i = 0; i < num_nodes(); ++i) {
     fault_engine_->AttachDma(i, nodes_[i]->dma());
   }
@@ -260,11 +222,7 @@ std::vector<std::string> Testbed::EnableCapture(const std::string& prefix) {
     paths.push_back(path);
     return captures_.back().get();
   };
-  if (link_ != nullptr) {
-    link_->AttachCapture(add(prefix + ".wire.pcapng"), "wire");
-  } else if (switch_ != nullptr) {
-    switch_->AttachCapture(add(prefix + ".switch.pcapng"));
-  }
+  link_->AttachCapture(add(prefix + ".wire.pcapng"), "wire");
   for (int i = 0; i < num_nodes(); ++i) {
     nodes_[i]->AttachCapture(add(prefix + ".node" + std::to_string(i) + ".nic.pcapng"), i);
   }
@@ -286,13 +244,7 @@ void Testbed::StartSampling(SimTime interval) {
   for (int i = 0; i < num_nodes(); ++i) {
     nodes_[i]->AttachSampler(telemetry_.get(), i);
   }
-  if (link_ != nullptr) {
-    link_->AttachSampler(telemetry_.get(), "network");
-  } else if (switch_ != nullptr) {
-    for (int i = 0; i < num_nodes(); ++i) {
-      switch_->PortLink(i).AttachSampler(telemetry_.get(), "port" + std::to_string(i));
-    }
-  }
+  link_->AttachSampler(telemetry_.get(), "network");
   ScheduleSample(interval);
 }
 
@@ -313,14 +265,7 @@ void Testbed::ScheduleSample(SimTime interval) {
 
 void Testbed::RunTeardownAudits() {
   Auditor& auditor = *telemetry_defaults.auditor;
-  if (link_ != nullptr) {
-    AuditLinkConservation(auditor, "network", *link_);
-  } else if (switch_ != nullptr) {
-    for (int i = 0; i < num_nodes(); ++i) {
-      AuditLinkConservation(auditor, "port" + std::to_string(i),
-                            switch_->PortLink(i));
-    }
-  }
+  AuditLinkConservation(auditor, "network", *link_);
   // CE => BECN => CNP ladder: a BECN echo consumes a pending CE mark, so per
   // host echoes never exceed marks seen; globally, CNPs received never
   // exceed echoes sent (duplicated frames may inflate the receive side).

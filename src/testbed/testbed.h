@@ -1,5 +1,5 @@
-// Testbed topologies: two nodes on a direct cable (the paper's setup) or N
-// nodes behind a store-and-forward switch (multi-node examples).
+// The paper's testbed: two nodes on a direct cable. Topologies with more
+// hosts or a switch tier use Fabric (src/fabric/fabric.h).
 #ifndef SRC_TESTBED_TESTBED_H_
 #define SRC_TESTBED_TESTBED_H_
 
@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "src/faults/fault_engine.h"
+#include "src/netsim/arp_table.h"
 #include "src/netsim/link.h"
-#include "src/netsim/switch.h"
 #include "src/telemetry/pcap_writer.h"
 #include "src/telemetry/telemetry.h"
 #include "src/testbed/node.h"
@@ -34,7 +34,7 @@ struct TestbedTelemetryDefaults {
   TelemetryCollector* collector = nullptr;
   // When non-empty, the first `capture_runs` constructed Testbeds tap their
   // wire and NIC boundaries into pcapng files named "<capture_prefix>[.runN]
-  // .{wire,switch,node<i>.nic}.pcapng". Benches build one Testbed per
+  // .{wire,fabric,node<i>.nic}.pcapng". Benches build one Testbed per
   // iteration, so the default of 1 captures only the first.
   std::string capture_prefix;
   int capture_runs = 1;
@@ -84,9 +84,7 @@ using CrashListener = std::function<void(const FaultEpisode&, bool restarted)>;
 
 class Testbed {
  public:
-  // num_nodes == 2 builds the paper's direct-cable topology; > 2 inserts a
-  // switch with one port per node.
-  explicit Testbed(const Profile& profile, int num_nodes = 2);
+  explicit Testbed(const Profile& profile);
   ~Testbed();
 
   static TestbedTelemetryDefaults telemetry_defaults;
@@ -105,7 +103,7 @@ class Testbed {
   // In conservative-parallel mode this is node 0's logical process; its run
   // loops delegate to the LP scheduler and drive both LPs.
   Simulator& sim() { return sim_; }
-  // Null unless telemetry_defaults.lp_threads > 0 and num_nodes == 2.
+  // Null unless telemetry_defaults.lp_threads > 0.
   LpScheduler* scheduler() { return scheduler_.get(); }
   Node& node(int i) { return *nodes_.at(i); }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
@@ -133,9 +131,9 @@ class Testbed {
     crash_listeners_.push_back(std::move(listener));
   }
 
-  // Taps the wire (direct link or every switch port) and each node's NIC
-  // boundary into pcapng files under `prefix`. Returns the created file
-  // paths. Call before generating traffic (interfaces precede packets).
+  // Taps the wire and each node's NIC boundary into pcapng files under
+  // `prefix`. Returns the created file paths. Call before generating traffic
+  // (interfaces precede packets).
   std::vector<std::string> EnableCapture(const std::string& prefix);
 
   // Registers every component's sampler probes and starts a periodic
@@ -156,16 +154,15 @@ class Testbed {
 
   Profile profile_;
   Simulator sim_;  // node 0's LP in parallel mode; the only sim otherwise
-  // Conservative-parallel members, populated only for the 2-node topology
-  // with lp_threads > 0. Declared before nodes_ so the components die first
-  // and before scheduler_ so workers are joined while both sims are alive.
+  // Conservative-parallel members, populated only with lp_threads > 0.
+  // Declared before nodes_ so the components die first and before
+  // scheduler_ so workers are joined while both sims are alive.
   std::unique_ptr<Simulator> lp_peer_sim_;  // node 1's LP
   std::unique_ptr<LpScheduler> scheduler_;
   ArpTable arp_;
   std::unique_ptr<Telemetry> telemetry_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::unique_ptr<PointToPointLink> link_;          // 2-node topology
-  std::unique_ptr<EthernetSwitch> switch_;          // N-node topology
+  std::unique_ptr<PointToPointLink> link_;
   std::unique_ptr<FaultEngine> fault_engine_;
   std::unique_ptr<FlowStats> flow_stats_;
   std::unique_ptr<FlightRecorder> flight_recorder_;

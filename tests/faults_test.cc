@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/fabric/fabric.h"
 #include "src/faults/fault_engine.h"
 #include "src/faults/fault_plan.h"
 #include "src/netsim/link.h"
@@ -373,16 +374,18 @@ TEST(FaultE2e, RetryExhaustionErrorsQpAndReconnectResumesTraffic) {
 }
 
 TEST(FaultE2e, PlanAppliedToSwitchTopologyTargetsPerPortSides) {
-  // In a 3-node switch topology, link targets address global side indices
-  // 2*port (node side) / 2*port+1 (switch side). Downing only node 2's
-  // sides must leave node0 <-> node1 traffic untouched.
+  // In a 3-host single-leaf fabric, link k (host k's cable) is global sides
+  // 2k (host side) / 2k+1 (switch side). Downing only host 2's sides must
+  // leave host0 <-> host1 traffic untouched.
   Result<FaultPlan> plan = FaultPlan::Parse(
       "seed 1\n"
       "link4 down 0us -\n"
       "link5 down 0us -\n");
   ASSERT_TRUE(plan.ok()) << plan.status();
 
-  Testbed bed(Profile10G(), 3);
+  FabricTopologyConfig topo;
+  topo.num_hosts = 3;
+  Fabric bed(Profile10G(), topo);
   bed.ApplyFaultPlan(std::make_shared<const FaultPlan>(std::move(*plan)));
   bed.ConnectQp(0, kQp, 1, kQp);
   const VirtAddr local = bed.node(0).driver().AllocBuffer(MiB(1))->addr;

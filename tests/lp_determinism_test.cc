@@ -5,6 +5,8 @@
 // counts — in every configuration:
 //   * a clean 2-node testbed WRITE/READ stream (parallel windows),
 //   * a 4-host rack running the YCSB engine (parallel windows),
+//   * the same rack under a crash-restart plan with the recovery stack armed
+//     (serialized epochs),
 //   * a 2-node testbed under a randomized fault plan with abort-mode
 //     conservation auditors attached (serialized epochs; the serialization
 //     itself must be thread-count independent).
@@ -23,6 +25,7 @@
 
 #include "src/fabric/fabric.h"
 #include "src/faults/fault_plan.h"
+#include "src/host/liveness.h"
 #include "src/sim/lp_scheduler.h"
 #include "src/telemetry/audit.h"
 #include "src/telemetry/telemetry.h"
@@ -157,15 +160,19 @@ TrialOutput RunPingTrial(int threads, const std::string& tag, bool faults, bool 
 
 // ---------------------------------------------------------------------------
 // Trial 2: 4-host single-switch rack under the YCSB engine — every host and
-// the switch on its own LP, traffic crossing LP boundaries both ways.
+// the switch on its own LP, traffic crossing LP boundaries both ways. With
+// `crash`, a crash-restart plan runs with the full recovery stack armed
+// (leases, backoff reconnects, epoch fencing): crashes mass-cancel slab
+// timers and restarts re-arm them.
 // ---------------------------------------------------------------------------
 
-TrialOutput RunYcsbTrial(int threads, const std::string& tag) {
+TrialOutput RunYcsbTrial(int threads, const std::string& tag, bool crash) {
   DefaultsGuard guard;
   TelemetryCollector collector;
   Testbed::telemetry_defaults = TestbedTelemetryDefaults{};
   Testbed::telemetry_defaults.lp_threads = threads;
   Testbed::telemetry_defaults.collector = &collector;
+  Testbed::telemetry_defaults.dump_on_crash = false;  // crashes are the point here
 
   YcsbConfig cfg;
   cfg.sessions_per_host = 1000;
@@ -184,12 +191,26 @@ TrialOutput RunYcsbTrial(int threads, const std::string& tag) {
   {
     std::optional<Fabric> fabric(std::in_place, profile, topo);
     HashCaptures(fabric->EnableCapture(prefix), prefix, &out);
+    if (crash) {
+      fabric->ApplyFaultPlan(
+          std::make_shared<const FaultPlan>(MakeCrashPlan(11, Us(300), 4, 1)));
+    }
     YcsbEngine engine(*fabric, cfg);
     engine.Setup();
+    if (crash) {
+      LivenessConfig liveness;
+      liveness.lease_interval = Us(10);
+      liveness.backoff_initial = Us(5);
+      liveness.backoff_max = Us(80);
+      engine.EnableCrashRecovery(liveness);
+    }
     const YcsbReport report = engine.Run();
-    EXPECT_FALSE(report.deadline_hit);
+    EXPECT_FALSE(report.deadline_hit) << tag;
+    EXPECT_EQ(report.ops_arrived,
+              report.ops_completed + report.ops_failed + report.ops_fenced)
+        << tag << ": every op must reach exactly one terminal state";
     out.ok = report.ops_completed;
-    out.errored = report.ops_failed;
+    out.errored = report.ops_failed + report.ops_fenced;
     out.end_time = fabric->sim().now();
     if (report.all.count() > 0) {
       // Fold the latency distribution into the comparison: identical sample
@@ -242,12 +263,27 @@ TEST(LpDeterminism, TestbedStreamIsByteIdenticalAcrossThreadCounts) {
 TEST(LpDeterminism, YcsbRackIsByteIdenticalAcrossThreadCounts) {
   std::optional<TrialOutput> base;
   for (const int t : kThreadCounts) {
-    const TrialOutput out = RunYcsbTrial(t, "ycsb_t" + std::to_string(t));
+    const TrialOutput out = RunYcsbTrial(t, "ycsb_t" + std::to_string(t), /*crash=*/false);
     EXPECT_GT(out.ok, 0u);
     EXPECT_FALSE(out.capture_digests.empty());
     if (t > 1) {
       EXPECT_GT(out.lp_parallel_windows, 0u) << "no parallel windows at threads=" << t;
     }
+    if (!base) {
+      base = out;
+    } else {
+      ExpectIdentical(*base, out, t);
+    }
+  }
+}
+
+TEST(LpDeterminism, YcsbRackWithCrashPlanIsByteIdenticalAcrossThreadCounts) {
+  std::optional<TrialOutput> base;
+  for (const int t : kThreadCounts) {
+    const TrialOutput out = RunYcsbTrial(t, "crash_t" + std::to_string(t), /*crash=*/true);
+    EXPECT_GT(out.ok, 0u);
+    EXPECT_FALSE(out.capture_digests.empty());
+    EXPECT_EQ(out.lp_parallel_windows, 0u);  // a fault plan serializes epochs
     if (!base) {
       base = out;
     } else {

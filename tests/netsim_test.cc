@@ -2,8 +2,9 @@
 // propagation, loss/corruption injection, and MAC learning.
 #include <gtest/gtest.h>
 
+#include "src/fabric/fabric_switch.h"
+#include "src/netsim/arp_table.h"
 #include "src/netsim/link.h"
-#include "src/netsim/switch.h"
 #include "src/sim/simulator.h"
 
 namespace strom {
@@ -224,7 +225,7 @@ ByteBuffer FrameTo(const MacAddr& dst, const MacAddr& src) {
 
 TEST(Switch, ForwardsByStaticRoute) {
   Simulator sim;
-  EthernetSwitch sw(sim, SwitchConfig{});
+  FabricSwitch sw(sim, FabricSwitchConfig{});
   const int p0 = sw.AddPort();
   const int p1 = sw.AddPort();
   const int p2 = sw.AddPort();
@@ -250,7 +251,7 @@ TEST(Switch, ForwardsByStaticRoute) {
 
 TEST(Switch, FloodsUnknownAndLearnsSource) {
   Simulator sim;
-  EthernetSwitch sw(sim, SwitchConfig{});
+  FabricSwitch sw(sim, FabricSwitchConfig{});
   const int p0 = sw.AddPort();
   const int p1 = sw.AddPort();
   const int p2 = sw.AddPort();

@@ -3,18 +3,24 @@
 // machines — before transmission, with MTU-size per-target buffering.
 #include <gtest/gtest.h>
 
+#include "src/fabric/fabric.h"
 #include "src/kernels/send_shuffle.h"
-#include "src/testbed/testbed.h"
 #include "src/testbed/workload.h"
 
 namespace strom {
 namespace {
 
-// 3-node topology: node 0 holds the data and the kernel; nodes 1 and 2 are
-// the receivers, one QP each.
+// 3-host single-switch rack: host 0 holds the data and the kernel; hosts 1
+// and 2 are the receivers, one QP each.
+FabricTopologyConfig ThreeHosts() {
+  FabricTopologyConfig topo;
+  topo.num_hosts = 3;
+  return topo;
+}
+
 class SendShuffleTest : public ::testing::Test {
  protected:
-  SendShuffleTest() : bed_(Profile10G(), /*num_nodes=*/3) {
+  SendShuffleTest() : bed_(Profile10G(), ThreeHosts()) {
     bed_.ConnectQp(0, 1, 1, 1);
     bed_.ConnectQp(0, 2, 2, 2);
     const KernelConfig kc{bed_.profile().roce.clock_ps, bed_.profile().roce.data_width};
@@ -49,7 +55,7 @@ class SendShuffleTest : public ::testing::Test {
     return status;
   }
 
-  Testbed bed_;
+  Fabric bed_;
   SendShuffleKernel* kernel_ = nullptr;
   VirtAddr source_ = 0;
   VirtAddr status_ = 0;

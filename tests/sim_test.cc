@@ -1,8 +1,12 @@
 // Unit tests for the discrete-event simulator, coroutine tasks, and FIFOs.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+#include <tuple>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/fifo.h"
 #include "src/sim/simulator.h"
@@ -82,6 +86,189 @@ TEST(EventQueue, PopReturnsMonotoneSeqForSameTimestamp) {
     prev_seq = ev.seq;
   }
   EXPECT_TRUE(q.empty());
+}
+
+// Cancellation stress: randomized arm/cancel/re-arm/pop churn against a
+// reference model (an ordered set of (when, seq, label) triples). Deadlines
+// mix near, mid and far horizons (up to 2^14, 2^22 and 2^38 ps out), and
+// every fire is compared label-for-label.
+void CancellationStress(uint64_t seed) {
+  EventQueue q;
+  Rng rng(seed);
+
+  constexpr int kTimers = 64;
+  std::vector<int> fired;  // labels in fire order, compared against the model
+  std::vector<EventQueue::TimerId> timers;
+  for (int i = 0; i < kTimers; ++i) {
+    timers.push_back(q.CreateTimer([&fired, i] { fired.push_back(i); }));
+  }
+
+  // Reference model: (when, seq, label) for every live entry; one-shot
+  // labels are kTimers + slot-independent counter.
+  using Key = std::tuple<SimTime, uint64_t, int>;
+  std::set<Key> model;
+  std::vector<std::optional<Key>> pending(kTimers);  // timer -> live key
+  std::vector<int> model_fired;
+  uint64_t next_seq = 0;
+  int next_oneshot = kTimers;
+  SimTime now = 0;
+
+  auto random_when = [&]() -> SimTime {
+    switch (rng.Below(3)) {
+      case 0:
+        return now + 1 + SimTime(rng.Below(1 << 14));
+      case 1:
+        return now + 1 + SimTime(rng.Below(1 << 22));
+      default:
+        return now + 1 + SimTime(rng.Below(uint64_t{1} << 38));
+    }
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    switch (rng.Below(10)) {
+      case 0:
+      case 1:
+      case 2: {  // arm / re-arm a random timer
+        const int i = static_cast<int>(rng.Below(kTimers));
+        const SimTime when = random_when();
+        if (pending[i]) {
+          model.erase(*pending[i]);
+        }
+        pending[i] = Key{when, next_seq, i};
+        model.insert(*pending[i]);
+        q.ArmTimer(timers[i], when);
+        ++next_seq;
+        break;
+      }
+      case 3: {  // cancel a random timer
+        const int i = static_cast<int>(rng.Below(kTimers));
+        const bool was_pending = pending[i].has_value();
+        if (was_pending) {
+          model.erase(*pending[i]);
+          pending[i].reset();
+        }
+        EXPECT_EQ(q.CancelTimer(timers[i]), was_pending);
+        break;
+      }
+      case 4:
+      case 5: {  // one-shot push
+        const SimTime when = random_when();
+        const int label = next_oneshot++;
+        model.insert(Key{when, next_seq, label});
+        q.Push(when, [&fired, label] { fired.push_back(label); });
+        ++next_seq;
+        break;
+      }
+      default: {  // pop
+        ASSERT_EQ(q.empty(), model.empty());
+        if (model.empty()) {
+          break;
+        }
+        const Key expect = *model.begin();
+        ASSERT_EQ(q.NextTime(), std::get<0>(expect));
+        EventQueue::Event ev = q.Pop();
+        ASSERT_EQ(ev.when, std::get<0>(expect));
+        ASSERT_EQ(ev.seq, std::get<1>(expect));
+        model.erase(model.begin());
+        const int label = std::get<2>(expect);
+        if (label < kTimers) {
+          pending[label].reset();
+        }
+        model_fired.push_back(label);
+        now = ev.when;
+        ev.Run();
+        ASSERT_EQ(fired.size(), model_fired.size());
+        ASSERT_EQ(fired.back(), model_fired.back());
+        break;
+      }
+    }
+    ASSERT_EQ(q.size(), model.size());
+  }
+  // Drain: every remaining entry fires in model order.
+  while (!model.empty()) {
+    const Key expect = *model.begin();
+    model.erase(model.begin());
+    EventQueue::Event ev = q.Pop();
+    ASSERT_EQ(ev.when, std::get<0>(expect));
+    ASSERT_EQ(ev.seq, std::get<1>(expect));
+    ev.Run();
+    ASSERT_EQ(fired.back(), std::get<2>(expect));
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventCoreCancellation, StressMatchesReferenceModelHeap) {
+  CancellationStress(17);
+  CancellationStress(4242);
+}
+
+// A long equal-`when` run must fire in insertion order, interleaved
+// one-shots and timers alike.
+TEST(EventCoreBatching, SameTimestampFifoHeap) {
+  EventQueue q;
+  std::vector<int> order;
+  constexpr SimTime kT = 5000;
+  constexpr int kRun = 64;
+
+  std::vector<EventQueue::TimerId> timers;
+  for (int i = 0; i < kRun; ++i) {
+    if (i % 3 == 1) {
+      timers.push_back(q.CreateTimer([&order, i] { order.push_back(i); }));
+      q.ArmTimer(timers.back(), kT);
+    } else {
+      q.Push(kT, [&order, i] { order.push_back(i); });
+    }
+  }
+  // A few stragglers behind the run keep the heap non-trivial.
+  q.Push(kT + 1, [&order] { order.push_back(1000); });
+  q.Push(kT + 2, [&order] { order.push_back(1001); });
+
+  while (!q.empty()) {
+    q.Pop().Run();
+  }
+  ASSERT_EQ(order.size(), size_t{kRun + 2});
+  for (int i = 0; i < kRun; ++i) {
+    EXPECT_EQ(order[i], i) << "same-timestamp events must fire in insertion order";
+  }
+  EXPECT_EQ(order[kRun], 1000);
+  EXPECT_EQ(order[kRun + 1], 1001);
+}
+
+TEST(EventCoreBatching, CancelInsideSameTimestampRun) {
+  // Event 0 (at T) cancels a timer also scheduled at T that has not fired
+  // yet: the timer must not fire, the pop count must stay exact, and the
+  // remaining events keep FIFO order.
+  EventQueue q;
+  std::vector<int> order;
+  constexpr SimTime kT = 777;
+
+  EventQueue::TimerId victim = q.CreateTimer([&order] { order.push_back(-1); });
+  EventQueue::TimerId mover = q.CreateTimer([&order] { order.push_back(-2); });
+  q.Push(kT, [&] {
+    order.push_back(0);
+    EXPECT_TRUE(q.CancelTimer(victim));
+    q.ArmTimer(mover, kT + 50);  // re-arm out of the live run
+  });
+  q.ArmTimer(victim, kT);
+  q.ArmTimer(mover, kT);
+  for (int i = 1; i <= 24; ++i) {  // bulk up the equal-when run
+    q.Push(kT, [&order, i] { order.push_back(i); });
+  }
+
+  uint64_t pops = 0;
+  while (!q.empty()) {
+    q.Pop().Run();
+    ++pops;
+  }
+  // 1 canceller + 24 one-shots + the moved timer; the victim never fires.
+  EXPECT_EQ(pops, 26u);
+  ASSERT_EQ(order.size(), 26u);
+  EXPECT_EQ(order[0], 0);
+  for (int i = 1; i <= 24; ++i) {
+    EXPECT_EQ(order[i], i);
+  }
+  EXPECT_EQ(order[25], -2);  // the rescheduled timer fires at kT + 50
+  EXPECT_FALSE(q.TimerPending(victim));
 }
 
 TEST(Simulator, TiesBreakByInsertionOrder) {
