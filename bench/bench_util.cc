@@ -4,13 +4,12 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
-#include <thread>
-
 #include <memory>
+#include <string>
 
 #include "src/common/frame_buf.h"
 #include "src/common/logging.h"
@@ -34,7 +33,6 @@ std::string g_capture_out;
 std::string g_perf_out;
 SimTime g_sample_interval = 0;
 int g_jobs = 1;
-int g_threads = 0;  // --threads: LP scheduler workers per testbed (0 = legacy)
 std::unique_ptr<Auditor> g_auditor;
 FlowStatsSink g_flow_sink;
 std::vector<std::pair<std::string, double>> g_perf_extras;
@@ -49,21 +47,6 @@ bool TakeFlag(const char* arg, const char* name, std::string* value) {
   }
   *value = arg + n + 1;
   return true;
-}
-
-// Parses the integer value of `--name`. A non-integer or out-of-range value
-// is a usage error: print the flag and the value and exit 2, never fall back
-// to a default the user did not ask for.
-int ParseIntFlag(const char* name, const std::string& value, long min_value) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || *end != '\0' || errno == ERANGE || v < min_value || v > INT_MAX) {
-    std::fprintf(stderr, "invalid value for %s: '%s' (expected an integer from %ld to %d)\n",
-                 name, value.c_str(), min_value, INT_MAX);
-    std::exit(2);
-  }
-  return static_cast<int>(v);
 }
 
 struct SweepPoint {
@@ -82,6 +65,30 @@ std::vector<SweepPoint>& SweepPoints() {
 TelemetryCollector& Collector() {
   static TelemetryCollector collector;
   return collector;
+}
+
+int ParseIntFlag(const char* name, const std::string& value, long min_value) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || errno == ERANGE || v < min_value || v > INT_MAX) {
+    std::fprintf(stderr, "invalid value for %s: '%s' (expected an integer from %ld to %d)\n",
+                 name, value.c_str(), min_value, INT_MAX);
+    std::exit(2);
+  }
+  return static_cast<int>(v);
+}
+
+double ParseDoubleFlag(const char* name, const std::string& value, double min_value) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || errno == ERANGE || !std::isfinite(v) || v < min_value) {
+    std::fprintf(stderr, "invalid value for %s: '%s' (expected a number >= %g)\n", name,
+                 value.c_str(), min_value);
+    std::exit(2);
+  }
+  return v;
 }
 
 int SweepJobs() { return g_jobs; }
@@ -123,7 +130,6 @@ void InitBenchTelemetry(int* argc, char** argv) {
   std::string capture_runs = "1";
   std::string sample_interval_us = "0";
   std::string jobs = "1";
-  std::string threads = "0";
   std::string fault_plan_path;
   std::string audit_mode;
   std::string postmortem_stem;
@@ -138,7 +144,6 @@ void InitBenchTelemetry(int* argc, char** argv) {
         TakeFlag(argv[i], "--capture-runs", &capture_runs) ||
         TakeFlag(argv[i], "--sample-interval-us", &sample_interval_us) ||
         TakeFlag(argv[i], "--jobs", &jobs) ||
-        TakeFlag(argv[i], "--threads", &threads) ||
         TakeFlag(argv[i], "--perf-out", &g_perf_out) ||
         TakeFlag(argv[i], "--fault-plan", &fault_plan_path) ||
         TakeFlag(argv[i], "--postmortem-out", &postmortem_stem)) {
@@ -161,37 +166,11 @@ void InitBenchTelemetry(int* argc, char** argv) {
   }
   *argc = out;
   g_jobs = ParseIntFlag("--jobs", jobs, 1);
-  g_threads = ParseIntFlag("--threads", threads, 0);
   const int sample_every = ParseIntFlag("--trace-sample", sample, 1);
   const int capture_run_count = ParseIntFlag("--capture-runs", capture_runs, 1);
   g_sample_interval = Us(ParseIntFlag("--sample-interval-us", sample_interval_us, 0));
 
-  // Oversubscription guard: each sweep job runs its own testbed, and with
-  // --threads each testbed spins up its own LP worker pool, so the process
-  // wants jobs x threads runnable threads. Clamp --jobs first (sweep points
-  // are independent, so fewer jobs only serializes them); an explicit
-  // --threads above the hardware budget is honored — output is byte-identical
-  // at any thread count, only wall clock suffers — but warned about.
-  const int hw = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  const int per_point = std::max(1, g_threads);
-  if (g_jobs * per_point > hw) {
-    const int clamped = std::max(1, hw / per_point);
-    if (clamped < g_jobs) {
-      STROM_LOG(kWarning) << "--jobs=" << g_jobs << " x --threads=" << per_point
-                          << " oversubscribes " << hw
-                          << " hardware thread(s); clamping --jobs to " << clamped;
-      g_jobs = clamped;
-    }
-    if (g_jobs * per_point > hw) {
-      STROM_LOG(kWarning) << "--threads=" << per_point
-                          << " exceeds hardware concurrency (" << hw
-                          << "); honoring it (results are identical at any "
-                             "thread count) but wall clock will suffer";
-    }
-  }
-
   TestbedTelemetryDefaults& defaults = Testbed::telemetry_defaults;
-  defaults.lp_threads = g_threads;
   defaults.enable_trace = !g_trace_out.empty();
   defaults.sample_every = sample_every;
   defaults.capture_prefix = g_capture_out;
@@ -242,21 +221,14 @@ int WritePerfReport(const std::string& path) {
   std::fprintf(f,
                "{\n"
                "  \"jobs\": %d,\n"
-               "  \"threads\": %d,\n"
                "  \"wall_seconds\": %.3f,\n"
                "  \"sweep_wall_seconds\": %.3f,\n"
                "  \"events_processed\": %.0f,\n"
                "  \"frames_sent\": %.0f,\n"
                "  \"events_per_sec\": %.0f,\n"
                "  \"frames_per_sec\": %.0f",
-               g_jobs, g_threads, wall, g_sweep_wall_seconds, events, frames,
+               g_jobs, wall, g_sweep_wall_seconds, events, frames,
                wall > 0 ? events / wall : 0.0, wall > 0 ? frames / wall : 0.0);
-  // Scaling-curve key: the same run at --threads=N lands under a distinct
-  // name, so merged reports carry events_per_sec_t{1,2,4,8} side by side and
-  // perfdiff can gate each point of the curve (t1 doubles as the legacy
-  // single-queue key when --threads is absent).
-  std::fprintf(f, ",\n  \"events_per_sec_t%d\": %.0f", std::max(1, g_threads),
-               wall > 0 ? events / wall : 0.0);
   for (const auto& [key, value] : g_perf_extras) {
     std::fprintf(f, ",\n  \"%s\": %.3f", key.c_str(), value);
   }
@@ -384,15 +356,11 @@ LatencyStats MeasureWriteLatency(const Profile& profile, size_t payload, int rou
     *c.finished = true;
   };
 
-  // Start both sequence words from 0 before either side runs: in
-  // conservative-parallel mode each node's memory belongs to its own LP, so
-  // cross-node setup writes must happen here on the main thread, not inside
-  // the initiator coroutine (which executes on node 0's worker).
+  // Start both sequence words from 0 before either side runs.
   bed.node(1).driver().WriteHostU64(ping + payload - 8, 0);
   bed.node(0).driver().WriteHostU64(pong + payload - 8, 0);
 
-  // Each side's coroutine touches only its own node's memory and driver, so
-  // spawn it on that node's simulator (= its logical process under --threads).
+  // Each side's coroutine touches only its own node's memory and driver.
   bed.node(1).sim().Spawn(responder(ctx));
   bed.node(0).sim().Spawn(initiator(ctx));
   bed.sim().RunUntil([&] { return finished; });

@@ -60,8 +60,16 @@ namespace strom::bench {
 //                          (decode: stromtrace --postmortem <stem>)
 //
 // The numeric flags (--trace-sample, --capture-runs, --sample-interval-us,
-// --jobs, --threads) must be integers in range; anything else prints the
-// flag and its value and exits 2.
+// --jobs) must be integers in range; anything else prints the flag and its
+// value and exits 2.
+
+// Checked numeric flag values, shared with scenario runners (ycsb_rack) that
+// parse their own flags. A value that is not a whole number (int) or a
+// finite number (double) at or above `min_value` — "four", "2e5x", "" — is a
+// usage error: print the flag and the value and exit 2, never fall back to a
+// default the user did not ask for. Integers are also capped at INT_MAX.
+int ParseIntFlag(const char* name, const std::string& value, long min_value);
+double ParseDoubleFlag(const char* name, const std::string& value, double min_value);
 
 // Process-wide collector that testbeds and ReportLatency deposit into.
 TelemetryCollector& Collector();
@@ -77,21 +85,12 @@ int ExportBenchTelemetry();
 // --- deterministic parallel sweep runner ------------------------------------
 // bench_main.cc also strips:
 //   --jobs=N          run registered sweep points on N worker threads
-//                     (default 1 = inline, in registration order)
-//   --threads=N       run every testbed/fabric built during the run under the
-//                     conservative-parallel LP scheduler with N worker
-//                     threads (src/sim/lp_scheduler.h). Same-seed output is
-//                     byte-identical for any N >= 1; 0 (the default) keeps
-//                     the legacy single-queue simulator. Oversubscription
-//                     guard: jobs x threads is capped at hardware
-//                     concurrency by clamping --jobs first (with a warning);
-//                     an explicit --threads above the budget is honored but
-//                     warned about.
+//                     (default 1 = inline, in registration order). This is
+//                     the only parallelism: each simulation runs on one
+//                     thread, on one event queue.
 //   --perf-out=<file> write a simulator-performance report (wall seconds,
-//                     events/sec, frames/sec, plus an events_per_sec_t<N>
-//                     scaling key for the active --threads value) after the
-//                     run; the CI perf-smoke job uploads it as
-//                     BENCH_simperf.json
+//                     events/sec, frames/sec) after the run; the CI
+//                     perf-smoke job uploads it as BENCH_simperf.json
 //
 // A sweep bench registers every (benchmark, argument) point once at
 // static-init time and reads results inside the benchmark body. The first

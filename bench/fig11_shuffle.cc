@@ -36,8 +36,7 @@ struct ShuffleBed {
   explicit ShuffleBed(size_t input_bytes) : bed(Profile10G()) {
     bed.ConnectQp(0, kQp, 1, kQp);
     const KernelConfig kc{bed.profile().roce.clock_ps, bed.profile().roce.data_width};
-    // The kernel runs on node 1's NIC, so it must live on node 1's simulator
-    // (its logical process under --threads), not node 0's.
+    // The kernel runs on node 1's NIC, so it is built on node 1's simulator.
     STROM_CHECK(bed.node(1)
                     .engine()
                     .DeployKernel(std::make_unique<ShuffleKernel>(bed.node(1).sim(), kc))

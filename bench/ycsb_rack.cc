@@ -14,11 +14,13 @@
 //             [--write-frac=0.4] [--ecn-threshold=16384] [--queue-bytes=40960]
 //             [--pfc] [--cc=0|1] [--incast] [--compare]
 //
+// Numeric flags go through bench::ParseIntFlag / ParseDoubleFlag: a value
+// that is not a number in range exits 2 and names the flag.
+//
 // --compare runs the incast scenario twice — congestion control off, then
 // ECN/DCQCN on — and reports the p999 ratio; this is the paper-style
 // "fig11-shuffle incast" stress showing DCQCN taming the tail.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -145,40 +147,40 @@ int Main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string v;
     if (ParseFlag(argv[i], "--hosts", &v)) {
-      opt.hosts = std::atoi(v.c_str());
+      opt.hosts = bench::ParseIntFlag("--hosts", v, 2);
     } else if (ParseFlag(argv[i], "--leaves", &v)) {
-      opt.leaves = std::atoi(v.c_str());
+      opt.leaves = bench::ParseIntFlag("--leaves", v, 1);
     } else if (ParseFlag(argv[i], "--spines", &v)) {
-      opt.spines = std::atoi(v.c_str());
+      opt.spines = bench::ParseIntFlag("--spines", v, 0);
     } else if (ParseFlag(argv[i], "--sessions", &v)) {
-      opt.ycsb.sessions_per_host = std::strtoull(v.c_str(), nullptr, 10);
+      opt.ycsb.sessions_per_host = bench::ParseIntFlag("--sessions", v, 1);
     } else if (ParseFlag(argv[i], "--zipf", &v)) {
-      opt.ycsb.zipf_theta = std::atof(v.c_str());
+      opt.ycsb.zipf_theta = bench::ParseDoubleFlag("--zipf", v, 0);
     } else if (ParseFlag(argv[i], "--value-bytes", &v)) {
-      opt.ycsb.value_bytes = static_cast<uint32_t>(std::atoi(v.c_str()));
+      opt.ycsb.value_bytes = bench::ParseIntFlag("--value-bytes", v, 1);
     } else if (ParseFlag(argv[i], "--qps-per-peer", &v)) {
-      opt.ycsb.qps_per_peer = static_cast<uint32_t>(std::atoi(v.c_str()));
+      opt.ycsb.qps_per_peer = bench::ParseIntFlag("--qps-per-peer", v, 1);
     } else if (ParseFlag(argv[i], "--ops-rate", &v)) {
-      opt.ycsb.ops_per_host_per_sec = std::atof(v.c_str());
+      opt.ycsb.ops_per_host_per_sec = bench::ParseDoubleFlag("--ops-rate", v, 1);
       opt.ops_rate_set = true;
     } else if (ParseFlag(argv[i], "--duration-us", &v)) {
-      opt.ycsb.duration = Us(std::strtoull(v.c_str(), nullptr, 10));
+      opt.ycsb.duration = Us(bench::ParseIntFlag("--duration-us", v, 1));
       opt.duration_set = true;
     } else if (ParseFlag(argv[i], "--outstanding", &v)) {
-      opt.ycsb.max_outstanding_per_host = static_cast<uint32_t>(std::atoi(v.c_str()));
+      opt.ycsb.max_outstanding_per_host = bench::ParseIntFlag("--outstanding", v, 1);
       opt.outstanding_set = true;
     } else if (ParseFlag(argv[i], "--seed", &v)) {
-      opt.ycsb.seed = std::strtoull(v.c_str(), nullptr, 10);
+      opt.ycsb.seed = bench::ParseIntFlag("--seed", v, 0);
     } else if (ParseFlag(argv[i], "--read-frac", &v)) {
-      opt.ycsb.read_fraction = std::atof(v.c_str());
+      opt.ycsb.read_fraction = bench::ParseDoubleFlag("--read-frac", v, 0);
     } else if (ParseFlag(argv[i], "--write-frac", &v)) {
-      opt.ycsb.write_fraction = std::atof(v.c_str());
+      opt.ycsb.write_fraction = bench::ParseDoubleFlag("--write-frac", v, 0);
     } else if (ParseFlag(argv[i], "--keys-per-server", &v)) {
-      opt.ycsb.keys_per_server = static_cast<uint32_t>(std::atoi(v.c_str()));
+      opt.ycsb.keys_per_server = bench::ParseIntFlag("--keys-per-server", v, 1);
     } else if (ParseFlag(argv[i], "--ecn-threshold", &v)) {
-      opt.ecn_threshold = std::strtoull(v.c_str(), nullptr, 10);
+      opt.ecn_threshold = bench::ParseIntFlag("--ecn-threshold", v, 0);
     } else if (ParseFlag(argv[i], "--queue-bytes", &v)) {
-      opt.queue_bytes = std::strtoull(v.c_str(), nullptr, 10);
+      opt.queue_bytes = bench::ParseIntFlag("--queue-bytes", v, 1);
     } else if (ParseFlag(argv[i], "--pfc", &v)) {
       opt.pfc = v != "0";
     } else if (ParseFlag(argv[i], "--cc", &v)) {

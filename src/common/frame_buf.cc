@@ -94,7 +94,7 @@ struct FramePool {
   void Release(FrameBlock* block) {
     auto& bucket = buckets[BucketFor(block->storage.capacity())];
     if (bucket.size() < kMaxBlocksPerBucket) {
-      block->refs.store(0, std::memory_order_relaxed);
+      block->refs = 0;
       bucket.push_back(block);
     } else {
       delete block;
@@ -108,8 +108,6 @@ FramePool& Pool() {
 }
 
 }  // namespace
-
-std::atomic<bool> g_mt_frame_mode{false};
 
 FrameBlock* AcquireFrameBlock(size_t size) {
   g_blocks_outstanding.fetch_add(1, std::memory_order_relaxed);
@@ -127,14 +125,6 @@ void ReleaseFrameBlock(FrameBlock* block) {
 }
 
 }  // namespace internal
-
-void EnableMtFrameMode() {
-  internal::g_mt_frame_mode.store(true, std::memory_order_relaxed);
-}
-
-bool MtFrameModeEnabled() {
-  return internal::g_mt_frame_mode.load(std::memory_order_relaxed);
-}
 
 FramePoolStats GetFramePoolStats() { return internal::Pool().stats; }
 

@@ -25,8 +25,6 @@
 
 namespace strom {
 
-class LpScheduler;
-
 struct FabricTopologyConfig {
   int num_hosts = 4;
   int num_leaves = 1;
@@ -41,12 +39,8 @@ class Fabric {
   Fabric(const Profile& profile, FabricTopologyConfig topo);
   ~Fabric();
 
-  // In conservative-parallel mode (TestbedTelemetryDefaults.lp_threads > 0)
-  // this is host 0's logical process; its run loops delegate to the LP
-  // scheduler and drive the whole ensemble, so callers need no changes.
+  // The one simulator every host, switch and observer schedules on.
   Simulator& sim() { return sim_; }
-  // Null unless lp_threads > 0.
-  LpScheduler* scheduler() { return scheduler_.get(); }
   Telemetry& telemetry() { return *telemetry_; }
   const Profile& profile() const { return profile_; }
 
@@ -99,16 +93,7 @@ class Fabric {
   void OnRestartEpisode(FaultTargetKind kind, int index, const FaultEpisode& ep);
 
   Profile profile_;
-  Simulator sim_;  // host 0's LP in parallel mode; the only sim otherwise
-  // Conservative-parallel partition: one LP per host (host 0 reuses sim_)
-  // and one per switch. Declared before nodes_/leaves_/spines_ so the
-  // components die first, and before scheduler_ so worker threads are joined
-  // while every simulator is still alive.
-  std::vector<std::unique_ptr<Simulator>> lp_sims_;
-  std::vector<Simulator*> host_sims_;
-  std::vector<Simulator*> leaf_sims_;
-  std::vector<Simulator*> spine_sims_;
-  std::unique_ptr<LpScheduler> scheduler_;
+  Simulator sim_;
   ArpTable arp_;
   std::unique_ptr<Telemetry> telemetry_;
   int hosts_per_leaf_ = 1;

@@ -131,7 +131,7 @@ Status FaultEngine::OnDmaCommand(int node_index, bool is_write, SimTime now) {
   return Status::Ok();
 }
 
-void FaultEngine::ArmCrashes(FaultTargetKind kind, int target_index, Simulator& sim,
+void FaultEngine::ArmCrashes(FaultTargetKind kind, int target_index,
                              std::function<void(const FaultEpisode&)> crash_cb,
                              std::function<void(const FaultEpisode&)> restart_cb) {
   for (size_t i = 0; i < plan_->episodes.size(); ++i) {
@@ -140,7 +140,7 @@ void FaultEngine::ArmCrashes(FaultTargetKind kind, int target_index, Simulator& 
         !ep.Matches(target_index)) {
       continue;
     }
-    sim.ScheduleAt(ep.start, [this, &ep, crash_cb] {
+    sim_.ScheduleAt(ep.start, [this, &ep, crash_cb] {
       switch (ep.type) {
         case FaultType::kHostCrash:
           ++counters_.hosts_crashed;
@@ -155,7 +155,7 @@ void FaultEngine::ArmCrashes(FaultTargetKind kind, int target_index, Simulator& 
       crash_cb(ep);
     });
     if (ep.restart_after >= 0 && restart_cb) {
-      sim.ScheduleAt(ep.start + ep.restart_after, [this, &ep, restart_cb] {
+      sim_.ScheduleAt(ep.start + ep.restart_after, [this, &ep, restart_cb] {
         ++counters_.restarts;
         restart_cb(ep);
       });

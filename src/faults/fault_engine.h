@@ -45,13 +45,11 @@ class FaultEngine {
   void AttachDma(int node_index, DmaEngine& dma);
 
   // Schedules crash (and, for crash-recovery episodes, restart) callbacks for
-  // every crash episode of `kind` matching `target_index`, on `sim` — which
-  // must be the LP that owns the component, so crash side effects happen in
-  // the owner's timeline and stay deterministic at any thread count. The
-  // crash callback fires at episode start; the restart callback fires
-  // `restart_after` later (never for crash-stop episodes). Crash/restart
-  // counters are maintained by the engine.
-  void ArmCrashes(FaultTargetKind kind, int target_index, Simulator& sim,
+  // every crash episode of `kind` matching `target_index`. The crash callback
+  // fires at episode start; the restart callback fires `restart_after` later
+  // (never for crash-stop episodes). Crash/restart counters are maintained by
+  // the engine.
+  void ArmCrashes(FaultTargetKind kind, int target_index,
                   std::function<void(const FaultEpisode&)> crash_cb,
                   std::function<void(const FaultEpisode&)> restart_cb);
 

@@ -15,7 +15,6 @@
 // clean-run wire traffic byte-identical (liveness adds zero frames) while
 // modeling the detection *latency* faithfully: a dead peer is noticed only
 // when the lease next expires, and recovery waits out the backoff schedule.
-// Cross-LP reads are safe because fault plans force serialized epochs.
 //
 // The reconnect closure performs the out-of-band fresh-PSN handshake
 // (Fabric::ReconnectQp) once the peer probes alive again; the monitor then

@@ -4,14 +4,13 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/sim/lp_scheduler.h"
 #include "src/sim/perf_stats.h"
 #include "src/sim/time.h"
 
 namespace strom {
 
 PointToPointLink::PointToPointLink(Simulator& sim, LinkConfig config)
-    : sim_(sim), config_(config), sims_{&sim, &sim} {}
+    : sim_(sim), config_(config) {}
 
 PointToPointLink::~PointToPointLink() {
   AddSimFramesSent(sides_[0].counters.frames_sent + sides_[1].counters.frames_sent);
@@ -82,16 +81,6 @@ void PointToPointLink::Attach(int side, RxHandler handler) {
   sides_[side].handler = std::move(handler);
 }
 
-void PointToPointLink::BindLp(Simulator* s0, Simulator* s1, LpScheduler* scheduler) {
-  sims_[0] = s0;
-  sims_[1] = s1;
-  if (s0 != s1) {
-    deliver_[0] = scheduler->AddChannel(s0);
-    deliver_[1] = scheduler->AddChannel(s1);
-    scheduler->NoteLinkLookahead(config_.propagation);
-  }
-}
-
 void PointToPointLink::Deliver(int rx_side, SimTime arrival, FrameBuf frame,
                                TraceContext trace) {
   auto handoff = [this, rx_side, f = std::move(frame), trace]() mutable {
@@ -100,32 +89,25 @@ void PointToPointLink::Deliver(int rx_side, SimTime arrival, FrameBuf frame,
       receiver.handler(std::move(f), trace);
     }
   };
-  if (deliver_[rx_side] != nullptr) {
-    deliver_[rx_side]->Push(arrival, std::move(handoff));
-  } else {
-    sims_[rx_side]->ScheduleAt(arrival, std::move(handoff));
-  }
+  sim_.ScheduleAt(arrival, std::move(handoff));
 }
 
 void PointToPointLink::Send(int side, FrameBuf frame, TraceContext trace) {
   STROM_CHECK(side == 0 || side == 1);
   Side& tx = sides_[side];
-  // Everything on the transmit path — serialization cursor, fault knobs,
-  // counters, capture — runs on the sender's LP clock.
-  Simulator& sim = *sims_[side];
 
   if (frame.size() > config_.EthMtu()) {
     ++tx.counters.frames_oversize;
     STROM_LOG(kWarning) << "dropping oversize frame: " << frame.size() << " > "
                         << config_.EthMtu();
     if (capture_ != nullptr) {
-      capture_->WritePacket(tx.capture_if, sim.now(), frame, "oversize");
+      capture_->WritePacket(tx.capture_if, sim_.now(), frame, "oversize");
     }
     return;
   }
 
   const uint64_t wire_bytes = frame.size() + kEthPhyOverhead;
-  const SimTime start = std::max(sim.now(), tx.busy_until);
+  const SimTime start = std::max(sim_.now(), tx.busy_until);
   const SimTime tx_done = start + TransferTime(wire_bytes, config_.rate_bps);
   tx.busy_until = tx_done;
   ++tx.counters.frames_sent;
@@ -142,7 +124,7 @@ void PointToPointLink::Send(int side, FrameBuf frame, TraceContext trace) {
   // frame, regardless of what the deterministic knobs decided.
   LinkFaultDecision fault;
   if (fault_hook_) {
-    fault = fault_hook_(side, sim.now());
+    fault = fault_hook_(side, sim_.now());
     drop = drop || fault.drop;
   }
   if (tx.delay_next > 0) {

@@ -41,10 +41,9 @@ class DmaEngine {
  public:
   using ReadCallback = std::function<void(Result<FrameBuf>)>;
   using WriteCallback = std::function<void(Status)>;
-  // Consulted once per command at issue time; a non-OK status fails the
-  // command (driven by FaultEngine — see src/faults/). The engine passes its
-  // own clock so fault windows are evaluated on the issuing node's logical
-  // process, not whichever simulator the hook's owner happens to hold.
+  // Consulted once per command at issue time with the current simulated
+  // time; a non-OK status fails the command (driven by FaultEngine — see
+  // src/faults/).
   using FaultHook = std::function<Status(bool is_write, SimTime now)>;
 
   DmaEngine(Simulator& sim, HostMemory& memory, Tlb& tlb, DmaConfig config);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
-#include "src/sim/lp_scheduler.h"
 #include "src/sim/perf_stats.h"
 #include "src/sim/task.h"
 
@@ -55,7 +54,7 @@ void Simulator::RescheduleAt(TimerHandle h, SimTime when) {
   queue_.ArmTimer(h, when);
 }
 
-bool Simulator::StepLocal() {
+bool Simulator::Step() {
   if (queue_.empty()) {
     return false;
   }
@@ -67,44 +66,26 @@ bool Simulator::StepLocal() {
   return true;
 }
 
-bool Simulator::Step() {
-  if (lp_ != nullptr) {
-    return lp_->StepGlobal();
-  }
-  return StepLocal();
-}
-
 void Simulator::RunUntilIdle() {
-  if (lp_ != nullptr) {
-    lp_->RunUntilIdle();
-    return;
-  }
-  while (StepLocal()) {
+  while (Step()) {
   }
   SweepTasks();
 }
 
 void Simulator::RunFor(SimTime duration) {
-  if (lp_ != nullptr) {
-    lp_->RunFor(this, duration);
-    return;
-  }
   const SimTime horizon = now_ + duration;
   while (!queue_.empty() && queue_.NextTime() <= horizon) {
-    StepLocal();
+    Step();
   }
   now_ = std::max(now_, horizon);
   SweepTasks();
 }
 
 bool Simulator::RunUntil(const std::function<bool()>& pred) {
-  if (lp_ != nullptr) {
-    return lp_->RunUntil(pred);
-  }
   if (pred()) {
     return true;
   }
-  while (StepLocal()) {
+  while (Step()) {
     if (pred()) {
       SweepTasks();
       return true;
@@ -112,22 +93,6 @@ bool Simulator::RunUntil(const std::function<bool()>& pred) {
   }
   SweepTasks();
   return false;
-}
-
-uint64_t Simulator::RunWindow(SimTime horizon) {
-  uint64_t ran = 0;
-  while (!queue_.empty() && queue_.NextTime() < horizon) {
-    StepLocal();
-    ++ran;
-  }
-  SweepTasks();
-  return ran;
-}
-
-void Simulator::AdvanceTo(SimTime t) {
-  STROM_CHECK(queue_.empty() || queue_.NextTime() >= t)
-      << "clock alignment past a pending event";
-  now_ = std::max(now_, t);
 }
 
 void Simulator::Spawn(Task task) {

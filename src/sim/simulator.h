@@ -17,14 +17,8 @@ template <typename T>
 class ValueTask;
 using Task = ValueTask<void>;
 
-class LpScheduler;
-
 class Simulator {
  public:
-  // Sentinel returned by NextEventTime() on an empty queue; sorts after
-  // every real timestamp.
-  static constexpr SimTime kNoEvent = INT64_MAX;
-
   Simulator();
   ~Simulator();
 
@@ -74,32 +68,6 @@ class Simulator {
   // drains. Returns whether the predicate was satisfied.
   bool RunUntil(const std::function<bool()>& pred);
 
-  // ---------------------------------------------------------------------
-  // Conservative-parallel hooks (src/sim/lp_scheduler.h). When this
-  // simulator is registered as a logical process, the public run loops
-  // above delegate to the scheduler and drive the whole LP ensemble, so
-  // existing call sites (benches, tests, workload drivers) need no changes.
-  // With a scheduler bound, RunUntil's predicate is evaluated at epoch
-  // barriers rather than after every event.
-  // ---------------------------------------------------------------------
-
-  void SetLpScheduler(LpScheduler* scheduler) { lp_ = scheduler; }
-  LpScheduler* lp_scheduler() const { return lp_; }
-
-  // Timestamp of the earliest queued event, kNoEvent when idle.
-  SimTime NextEventTime() const { return queue_.empty() ? kNoEvent : queue_.NextTime(); }
-
-  // Scheduler internals: these never delegate.
-  // Runs queued events with when < horizon (strict); the clock stays at the
-  // last executed event. Returns the number of events run.
-  uint64_t RunWindow(SimTime horizon);
-  // Advances the clock to `t` if it is ahead of now(). Requires every queued
-  // event to be at or past `t` (the scheduler only aligns clocks at barriers
-  // where that holds by construction).
-  void AdvanceTo(SimTime t);
-  // Step() without scheduler delegation.
-  bool StepLocal();
-
   // Takes ownership of a coroutine task and starts it. The simulator keeps
   // the task alive until it completes (finished frames are swept lazily).
   void Spawn(Task task);
@@ -120,7 +88,6 @@ class Simulator {
   EventQueue queue_;
   uint64_t events_processed_ = 0;
   std::vector<Task> tasks_;
-  LpScheduler* lp_ = nullptr;
 };
 
 }  // namespace strom

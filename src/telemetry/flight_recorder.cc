@@ -189,7 +189,7 @@ Status FlightRecorder::Dump(const std::string& stem, const std::string& reason,
 
   // Frame rings as a capture, merged back into wire order. The key
   // (time, host, per-host ordinal) is a pure function of the simulation, so
-  // the bundle is identical at any worker-thread count.
+  // the bundle is deterministic.
   {
     PcapWriter pcap(stem + ".frames.pcapng");
     std::vector<uint32_t> interfaces;

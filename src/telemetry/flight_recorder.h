@@ -5,11 +5,11 @@
 // preallocated arena — holding FrameBuf references instead would pin blocks
 // and wreck the frame pool's cache locality).
 //
-// Sharding everything by host is what keeps the recorder armed during
-// conservative-parallel windows: each ring has exactly one writer (the host's
-// logical process), the aggregate counters are relaxed atomics, and Dump()
-// merges the frame rings ordered by (time, host, per-host ordinal) so the
-// bundle is byte-identical at any worker-thread count.
+// Frames are kept per host so one chatty host cannot evict every other
+// host's recent traffic; Dump() merges the frame rings ordered by (time,
+// host, per-host ordinal), a pure function of the simulation. The dumped
+// flag and counters are atomics because the process-wide fatal hook may
+// trigger a dump from another sweep worker's thread.
 //
 // On a trigger — watchdog fire, paranoid-mode divergence (via the logging
 // fatal hook), auditor violation, or an explicit --postmortem-out — the

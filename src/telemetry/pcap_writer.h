@@ -8,7 +8,6 @@
 #ifndef SRC_TELEMETRY_PCAP_WRITER_H_
 #define SRC_TELEMETRY_PCAP_WRITER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <string>
@@ -39,16 +38,6 @@ class PcapWriter {
   // All interfaces must be added before the first packet is written.
   uint32_t AddInterface(const std::string& name);
 
-  // Deterministic-merge mode for conservative-parallel runs: WritePacket
-  // buffers records in per-interface vectors instead of streaming, and
-  // Close() emits them sorted by (timestamp, interface id, per-interface
-  // ordinal). Under the LP scheduler each interface is written by exactly
-  // one logical process, so the per-interface buffers are single-writer and
-  // the sorted output depends only on simulated time and topology — never on
-  // which worker thread flushed first. Byte-identical at any thread count.
-  // Must be called after all AddInterface() calls and before any packet.
-  void EnableDeterministicMerge();
-
   // Appends one frame captured at simulated time `at` (picoseconds). The
   // optional comment is stored verbatim as an opt_comment option. If
   // `orig_len` is nonzero the frame is a truncated snapshot: `frame` is the
@@ -56,33 +45,20 @@ class PcapWriter {
   void WritePacket(uint32_t interface_id, SimTime at, ByteSpan frame,
                    std::string_view comment = {}, uint32_t orig_len = 0);
 
-  uint64_t packets_written() const {
-    return packets_written_.load(std::memory_order_relaxed);
-  }
+  uint64_t packets_written() const { return packets_written_; }
   size_t interface_count() const { return interface_count_; }
 
   // Flushes and closes the file; further writes are dropped.
   Status Close();
 
  private:
-  struct Record {
-    SimTime at;
-    uint32_t orig_len;
-    ByteBuffer bytes;  // copied at write time; the FrameBuf gets recycled
-    std::string comment;
-  };
-
   void Append(const ByteBuffer& block);
-  void EmitPacket(uint32_t interface_id, SimTime at, ByteSpan frame,
-                  std::string_view comment, uint32_t orig_len);
 
   std::string path_;
   std::ofstream out_;
   Status status_;
   size_t interface_count_ = 0;
-  std::atomic<uint64_t> packets_written_{0};
-  bool merge_ = false;
-  std::vector<std::vector<Record>> merge_buffers_;  // [interface_id]
+  uint64_t packets_written_ = 0;
 };
 
 }  // namespace strom

@@ -20,8 +20,7 @@ class LatencyStats {
   }
   // Folds another accumulator's samples into this one. Percentiles sort, so
   // the result is independent of merge order — per-shard stats (e.g. the
-  // YCSB engine's per-host shards) fold into identical aggregates at any
-  // worker-thread count.
+  // YCSB engine's per-host shards) fold into identical aggregates.
   void Merge(const LatencyStats& other) {
     samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
     sorted_valid_ = false;

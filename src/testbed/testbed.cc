@@ -1,7 +1,6 @@
 #include "src/testbed/testbed.h"
 
 #include "src/common/logging.h"
-#include "src/sim/lp_scheduler.h"
 #include "src/telemetry/audit.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/flow_stats.h"
@@ -33,7 +32,7 @@ void AuditLinkConservation(Auditor& auditor, const std::string& name,
 }
 
 TestbedTelemetryDefaults Testbed::telemetry_defaults;
-thread_local int64_t Testbed::run_ordinal = -1;
+constinit thread_local int64_t Testbed::run_ordinal = -1;
 
 Testbed::Testbed(const Profile& profile)
     : profile_(profile), telemetry_(std::make_unique<Telemetry>()) {
@@ -41,32 +40,16 @@ Testbed::Testbed(const Profile& profile)
     telemetry_->tracer.Enable(telemetry_defaults.sample_every);
   }
 
-  // Conservative-parallel partition: node 0 stays on sim_ (so Testbed::sim()
-  // keeps working as the run-loop entry point), node 1 gets its own LP, and
-  // the cable between them carries cross-LP traffic.
-  if (telemetry_defaults.lp_threads > 0) {
-    scheduler_ = std::make_unique<LpScheduler>(telemetry_defaults.lp_threads);
-    scheduler_->AddLp(&sim_);
-    lp_peer_sim_ = std::make_unique<Simulator>();
-    scheduler_->AddLp(lp_peer_sim_.get());
-  }
-
   for (int i = 0; i < kNumNodes; ++i) {
     arp_.Add(MakeIp(10, 0, 0, static_cast<uint8_t>(i + 1)), MacForIndex(i));
   }
   for (int i = 0; i < kNumNodes; ++i) {
     const Ipv4Addr ip = MakeIp(10, 0, 0, static_cast<uint8_t>(i + 1));
-    Simulator& node_sim =
-        (i == 1 && lp_peer_sim_ != nullptr) ? *lp_peer_sim_ : sim_;
-    nodes_.push_back(
-        std::make_unique<Node>(node_sim, profile, ip, MacForIndex(i), arp_));
+    nodes_.push_back(std::make_unique<Node>(sim_, profile, ip, MacForIndex(i), arp_));
     nodes_.back()->AttachTelemetry(telemetry_.get(), i);
   }
 
   link_ = std::make_unique<PointToPointLink>(sim_, profile.link);
-  if (scheduler_ != nullptr) {
-    link_->BindLp(&sim_, lp_peer_sim_.get(), scheduler_.get());
-  }
   link_->AttachTelemetry(telemetry_.get(), "network");
   for (int i = 0; i < kNumNodes; ++i) {
     Node* node = nodes_[i].get();
@@ -128,22 +111,11 @@ void Testbed::InitObservability() {
     }
     d.auditor->set_recorder(flight_recorder_.get());
   }
-  if (scheduler_ != nullptr &&
-      (telemetry_->tracer.enabled() || d.flow_sink != nullptr)) {
-    // Trace spans and flow-stats callbacks read shared state mid-window.
-    // (StartSampling and ApplyFaultPlan serialize themselves; captures, the
-    // flight recorder and the auditor are sharded/atomic and stay parallel.)
-    scheduler_->SetSerializeEpochs(true);
-  }
 }
 
 void Testbed::ApplyFaultPlan(std::shared_ptr<const FaultPlan> plan) {
   STROM_CHECK(fault_engine_ == nullptr) << "fault plan already applied";
   STROM_CHECK(plan != nullptr);
-  if (scheduler_ != nullptr) {
-    // Fault recovery (QP reconnects) touches both stacks across the LP split.
-    scheduler_->SetSerializeEpochs(true);
-  }
   fault_engine_ = std::make_unique<FaultEngine>(sim_, std::move(plan));
   fault_engine_->AttachLink(*link_, 0);
   for (int i = 0; i < num_nodes(); ++i) {
@@ -172,7 +144,7 @@ void Testbed::ArmCrashEpisodes() {
     nodes_[i]->dma().EnableCrashFaults();
     for (FaultTargetKind kind : {FaultTargetKind::kHost, FaultTargetKind::kNic}) {
       fault_engine_->ArmCrashes(
-          kind, i, nodes_[i]->sim(),
+          kind, i,
           [this, i, kind](const FaultEpisode& ep) { OnCrashEpisode(i, kind, ep); },
           [this, i, kind](const FaultEpisode& ep) { OnRestartEpisode(i, kind, ep); });
     }
@@ -226,21 +198,11 @@ std::vector<std::string> Testbed::EnableCapture(const std::string& prefix) {
   for (int i = 0; i < num_nodes(); ++i) {
     nodes_[i]->AttachCapture(add(prefix + ".node" + std::to_string(i) + ".nic.pcapng"), i);
   }
-  if (scheduler_ != nullptr) {
-    // Each capture interface is written by exactly one LP; buffering and
-    // sorting at Close() makes the files byte-identical at any thread count.
-    for (auto& capture : captures_) {
-      capture->EnableDeterministicMerge();
-    }
-  }
   return paths;
 }
 
 void Testbed::StartSampling(SimTime interval) {
   STROM_CHECK_GT(interval, 0);
-  if (scheduler_ != nullptr) {
-    scheduler_->SetSerializeEpochs(true);  // probes read both LPs' state
-  }
   for (int i = 0; i < num_nodes(); ++i) {
     nodes_[i]->AttachSampler(telemetry_.get(), i);
   }
@@ -253,11 +215,8 @@ void Testbed::ScheduleSample(SimTime interval) {
     telemetry_->sampler.Sample(sim_.now());
     // Re-arm only while the sim has other work: the running event has been
     // popped already, so an empty queue here means everything else is done
-    // and RunUntilIdle() callers are not wedged by the sampler. With the LP
-    // scheduler, "other work" spans every LP and the in-flight channels.
-    const size_t pending = scheduler_ != nullptr ? scheduler_->pending_events()
-                                                 : sim_.pending_events();
-    if (pending > 0) {
+    // and RunUntilIdle() callers are not wedged by the sampler.
+    if (sim_.pending_events() > 0) {
       ScheduleSample(interval);
     }
   });

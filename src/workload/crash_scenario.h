@@ -13,8 +13,8 @@
 //   "frame-leak"        pooled FrameBuf blocks still outstanding after
 //                       teardown — crashed components leaked buffers.
 //
-// The run is deterministic in (config, plan): fault plans force serialized
-// LP epochs, so the classification is identical at any lp_threads.
+// The run is deterministic in (config, plan): the same pair always yields the
+// same classification.
 #ifndef SRC_WORKLOAD_CRASH_SCENARIO_H_
 #define SRC_WORKLOAD_CRASH_SCENARIO_H_
 
@@ -29,7 +29,6 @@ struct CrashScenarioConfig {
   FabricTopologyConfig topo;  // single-switch rack; Small() trims to 3 hosts
   YcsbConfig ycsb;          // duration doubles as the crash-plan horizon
   LivenessConfig liveness;
-  int lp_threads = 0;       // > 0: conservative-parallel LP scheduler
   bool use_100g = false;    // profile selection (default 10G)
 
   // A scenario sized for explorer search loops: small session count, short

@@ -14,13 +14,6 @@
 //                             arm the flight recorder; a violation dumps a
 //                             post-mortem bundle ("<prefix>.postmortem.*")
 //                             into the artifact dir and fails the test
-//   STROM_CHAOS_THREADS       > 0: run every testbed under the
-//                             conservative-parallel LP scheduler with this
-//                             many worker threads (the CI TSan job sets 4).
-//                             Same-seed soaks stay byte-identical at any
-//                             value >= 1; fault plans serialize the epochs,
-//                             but the Step() drive loop and channel machinery
-//                             still run under the scheduler
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -106,11 +99,6 @@ SoakResult RunSoak(uint64_t seed, const std::string& profile_name, const std::st
   // CI failure-upload step ships it. The auditor must outlive the Testbed
   // because the conservation sweeps run at teardown.
   TelemetryDefaultsGuard defaults_guard;
-  const int lp_threads =
-      static_cast<int>(std::strtol(EnvOr("STROM_CHAOS_THREADS", "0").c_str(), nullptr, 10));
-  if (lp_threads > 0) {
-    Testbed::telemetry_defaults.lp_threads = lp_threads;
-  }
   std::optional<Auditor> auditor;
   if (!EnvOr("STROM_CHAOS_AUDIT", "").empty()) {
     result.audited = true;

@@ -20,10 +20,17 @@ constexpr Qpn kQp = 1;
 // Parameterized payload-integrity sweep over both profiles.
 // ---------------------------------------------------------------------------
 
+// gtest prints a parameter that has no printer as its raw bytes, and that
+// printout is part of each case's listed name. The padding after use_100g is
+// therefore an explicit zeroed member, so the names are the same in every
+// build instead of showing whatever the stack held.
 struct SweepParam {
+  SweepParam(bool hundred_g, size_t bytes) : use_100g(hundred_g), payload(bytes) {}
   bool use_100g;
+  uint8_t zero_pad[7] = {};
   size_t payload;
 };
+static_assert(sizeof(SweepParam) == 8 + sizeof(size_t), "SweepParam has implicit padding");
 
 class PayloadSweep : public ::testing::TestWithParam<SweepParam> {};
 

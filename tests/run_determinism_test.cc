@@ -1,18 +1,15 @@
-// Determinism tests for the conservative-parallel DES core: the SAME run
-// (one seed, one topology) executed under the LP scheduler at worker-thread
-// counts 1, 2, 4 and 8 must produce byte-identical observable output —
-// pcapng captures (SHA-256), merged metrics dumps, simulated end time, op
-// counts — in every configuration:
-//   * a clean 2-node testbed WRITE/READ stream (parallel windows),
-//   * a 4-host rack running the YCSB engine (parallel windows),
-//   * the same rack under a crash-restart plan with the recovery stack armed
-//     (serialized epochs),
+// Same-seed rerun determinism on the single event queue: each trial runs
+// twice in one process and both runs must produce byte-identical observable
+// output — pcapng captures (SHA-256), merged metrics dumps, simulated end
+// time, op counts — in every configuration:
+//   * a clean 2-node testbed WRITE/READ stream,
+//   * a 4-host rack running the YCSB engine,
+//   * the same rack under a crash-restart plan with the recovery stack armed,
 //   * a 2-node testbed under a randomized fault plan with abort-mode
-//     conservation auditors attached (serialized epochs; the serialization
-//     itself must be thread-count independent).
-// The legacy single-queue path (lp_threads == 0) is a different event
-// interleaving and is not expected to be byte-identical to LP mode; it is
-// covered by determinism_test / qp_state_regression_test.
+//     conservation auditors attached.
+// The second run sees whatever process-wide state the first left behind (a
+// warm frame pool, global perf counters, the flight-recorder registration),
+// so any leak of that state into simulated behaviour shows up as a diff.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,7 +23,6 @@
 #include "src/fabric/fabric.h"
 #include "src/faults/fault_plan.h"
 #include "src/host/liveness.h"
-#include "src/sim/lp_scheduler.h"
 #include "src/telemetry/audit.h"
 #include "src/telemetry/telemetry.h"
 #include "src/testbed/testbed.h"
@@ -38,12 +34,10 @@ namespace strom {
 namespace {
 
 constexpr Qpn kQp = 1;
-const int kThreadCounts[] = {1, 2, 4, 8};
 
 // Saves/restores the process-wide telemetry defaults around each trial, and
 // pins the run ordinal so run labels ("run0:<profile>") do not depend on how
-// many trials this process ran before — the comparison must only see
-// differences caused by the thread count.
+// many trials this process ran before.
 struct DefaultsGuard {
   DefaultsGuard() : saved(Testbed::telemetry_defaults) { Testbed::run_ordinal = 0; }
   ~DefaultsGuard() {
@@ -61,44 +55,44 @@ struct TrialOutput {
   uint64_t ok = 0;
   uint64_t errored = 0;
   uint64_t audit_checks = 0;
-  uint64_t lp_parallel_windows = 0;
 };
 
+// Hashes the capture files once their writers are closed, keyed by the path
+// minus the per-run prefix so the two runs compare.
 void HashCaptures(const std::vector<std::string>& paths, const std::string& prefix,
                   TrialOutput* out) {
   for (const std::string& path : paths) {
-    // Key by the path minus the per-trial prefix so different trials compare.
     out->capture_digests[path.substr(prefix.size())] = Sha256File(path);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Trial 1: clean 2-node WRITE/READ stream. Node 0 drives a windowed stream
-// of WRITEs then READs against node 1; node 1 is passive but its NIC, DMA
-// engine and ACK generation all run on its own LP, so every frame crosses an
-// SPSC channel and the captures tap both sides.
+// Trial 1: 2-node WRITE/READ stream. Node 0 drives a windowed stream of
+// WRITEs then READs against node 1; the captures tap the wire and both NICs.
+// With `faults`, a randomized fault plan runs against the link and DMA
+// engines; with `audit`, abort-mode conservation auditors are attached.
 // ---------------------------------------------------------------------------
 
-TrialOutput RunPingTrial(int threads, const std::string& tag, bool faults, bool audit) {
+TrialOutput RunPingTrial(const std::string& tag, bool faults, bool audit) {
   DefaultsGuard guard;
   TelemetryCollector collector;
   Testbed::telemetry_defaults = TestbedTelemetryDefaults{};
-  Testbed::telemetry_defaults.lp_threads = threads;
   Testbed::telemetry_defaults.collector = &collector;
   std::optional<Auditor> auditor;
   if (audit) {
     // Abort mode: a conservation violation kills the process, so the trial
-    // passing at all proves the parallel run kept every frame accounted for.
+    // passing at all proves every frame stayed accounted for.
     auditor.emplace(Auditor::Mode::kAbort);
     Testbed::telemetry_defaults.auditor = &*auditor;
     Testbed::telemetry_defaults.flight_recorder = true;
   }
 
   TrialOutput out;
-  const std::string prefix = ::testing::TempDir() + "/lpdet_" + tag;
+  const std::string prefix = ::testing::TempDir() + "/rundet_" + tag;
+  std::vector<std::string> capture_paths;
   {
     std::optional<Testbed> bed(std::in_place, Profile10G());
-    HashCaptures(bed->EnableCapture(prefix), prefix, &out);
+    capture_paths = bed->EnableCapture(prefix);
     if (faults) {
       bed->ApplyFaultPlan(std::make_shared<const FaultPlan>(MakeRandomPlan(3, Ms(2))));
     }
@@ -146,10 +140,8 @@ TrialOutput RunPingTrial(int threads, const std::string& tag, bool faults, bool 
       bed->sim().RunUntilIdle();
     }
     out.end_time = bed->sim().now();
-    if (bed->scheduler() != nullptr) {
-      out.lp_parallel_windows = bed->scheduler()->parallel_windows();
-    }
   }  // teardown flushes captures, runs conservation sweeps, deposits metrics
+  HashCaptures(capture_paths, prefix, &out);
   if (auditor) {
     out.audit_checks = auditor->checks();
   }
@@ -159,18 +151,16 @@ TrialOutput RunPingTrial(int threads, const std::string& tag, bool faults, bool 
 }
 
 // ---------------------------------------------------------------------------
-// Trial 2: 4-host single-switch rack under the YCSB engine — every host and
-// the switch on its own LP, traffic crossing LP boundaries both ways. With
-// `crash`, a crash-restart plan runs with the full recovery stack armed
-// (leases, backoff reconnects, epoch fencing): crashes mass-cancel slab
-// timers and restarts re-arm them.
+// Trial 2: 4-host single-switch rack under the YCSB engine. With `crash`, a
+// crash-restart plan runs with the full recovery stack armed (leases,
+// backoff reconnects, epoch fencing): crashes mass-cancel slab timers and
+// restarts re-arm them.
 // ---------------------------------------------------------------------------
 
-TrialOutput RunYcsbTrial(int threads, const std::string& tag, bool crash) {
+TrialOutput RunYcsbTrial(const std::string& tag, bool crash) {
   DefaultsGuard guard;
   TelemetryCollector collector;
   Testbed::telemetry_defaults = TestbedTelemetryDefaults{};
-  Testbed::telemetry_defaults.lp_threads = threads;
   Testbed::telemetry_defaults.collector = &collector;
   Testbed::telemetry_defaults.dump_on_crash = false;  // crashes are the point here
 
@@ -187,10 +177,11 @@ TrialOutput RunYcsbTrial(int threads, const std::string& tag, bool crash) {
   topo.num_hosts = 4;
 
   TrialOutput out;
-  const std::string prefix = ::testing::TempDir() + "/lpdet_" + tag;
+  const std::string prefix = ::testing::TempDir() + "/rundet_" + tag;
+  std::vector<std::string> capture_paths;
   {
     std::optional<Fabric> fabric(std::in_place, profile, topo);
-    HashCaptures(fabric->EnableCapture(prefix), prefix, &out);
+    capture_paths = fabric->EnableCapture(prefix);
     if (crash) {
       fabric->ApplyFaultPlan(
           std::make_shared<const FaultPlan>(MakeCrashPlan(11, Us(300), 4, 1)));
@@ -217,10 +208,8 @@ TrialOutput RunYcsbTrial(int threads, const std::string& tag, bool crash) {
       // multisets give identical percentiles.
       out.end_time += report.all.Median() + report.all.P99();
     }
-    if (fabric->scheduler() != nullptr) {
-      out.lp_parallel_windows = fabric->scheduler()->parallel_windows();
-    }
   }
+  HashCaptures(capture_paths, prefix, &out);
   out.metrics_json = collector.MetricsJson();
   out.metrics_csv = collector.MetricsCsv();
   return out;
@@ -230,85 +219,47 @@ TrialOutput RunYcsbTrial(int threads, const std::string& tag, bool crash) {
 // The assertions
 // ---------------------------------------------------------------------------
 
-void ExpectIdentical(const TrialOutput& base, const TrialOutput& other, int threads) {
-  SCOPED_TRACE("threads=" + std::to_string(threads) + " vs threads=1");
-  EXPECT_EQ(base.capture_digests, other.capture_digests);
-  EXPECT_EQ(base.metrics_json, other.metrics_json);
-  EXPECT_EQ(base.metrics_csv, other.metrics_csv);
-  EXPECT_EQ(base.end_time, other.end_time);
-  EXPECT_EQ(base.ok, other.ok);
-  EXPECT_EQ(base.errored, other.errored);
+void ExpectIdentical(const TrialOutput& first, const TrialOutput& rerun) {
+  SCOPED_TRACE("rerun vs first run");
+  EXPECT_EQ(first.capture_digests, rerun.capture_digests);
+  EXPECT_EQ(first.metrics_json, rerun.metrics_json);
+  EXPECT_EQ(first.metrics_csv, rerun.metrics_csv);
+  EXPECT_EQ(first.end_time, rerun.end_time);
+  EXPECT_EQ(first.ok, rerun.ok);
+  EXPECT_EQ(first.errored, rerun.errored);
 }
 
-TEST(LpDeterminism, TestbedStreamIsByteIdenticalAcrossThreadCounts) {
-  std::optional<TrialOutput> base;
-  for (const int t : kThreadCounts) {
-    const TrialOutput out =
-        RunPingTrial(t, "ping_t" + std::to_string(t), /*faults=*/false, /*audit=*/false);
-    EXPECT_EQ(out.ok, 24u);
-    EXPECT_FALSE(out.capture_digests.empty());
-    if (t > 1) {
-      // The clean stream must actually exercise the parallel window path;
-      // otherwise this test proves nothing about cross-thread determinism.
-      EXPECT_GT(out.lp_parallel_windows, 0u) << "no parallel windows at threads=" << t;
-    }
-    if (!base) {
-      base = out;
-    } else {
-      ExpectIdentical(*base, out, t);
-    }
-  }
+TEST(RunDeterminism, TestbedStreamIsByteIdenticalOnRerun) {
+  const TrialOutput first = RunPingTrial("ping_run0", /*faults=*/false, /*audit=*/false);
+  const TrialOutput rerun = RunPingTrial("ping_run1", /*faults=*/false, /*audit=*/false);
+  EXPECT_EQ(first.ok, 24u);
+  EXPECT_FALSE(first.capture_digests.empty());
+  ExpectIdentical(first, rerun);
 }
 
-TEST(LpDeterminism, YcsbRackIsByteIdenticalAcrossThreadCounts) {
-  std::optional<TrialOutput> base;
-  for (const int t : kThreadCounts) {
-    const TrialOutput out = RunYcsbTrial(t, "ycsb_t" + std::to_string(t), /*crash=*/false);
-    EXPECT_GT(out.ok, 0u);
-    EXPECT_FALSE(out.capture_digests.empty());
-    if (t > 1) {
-      EXPECT_GT(out.lp_parallel_windows, 0u) << "no parallel windows at threads=" << t;
-    }
-    if (!base) {
-      base = out;
-    } else {
-      ExpectIdentical(*base, out, t);
-    }
-  }
+TEST(RunDeterminism, YcsbRackIsByteIdenticalOnRerun) {
+  const TrialOutput first = RunYcsbTrial("ycsb_run0", /*crash=*/false);
+  const TrialOutput rerun = RunYcsbTrial("ycsb_run1", /*crash=*/false);
+  EXPECT_GT(first.ok, 0u);
+  EXPECT_FALSE(first.capture_digests.empty());
+  ExpectIdentical(first, rerun);
 }
 
-TEST(LpDeterminism, YcsbRackWithCrashPlanIsByteIdenticalAcrossThreadCounts) {
-  std::optional<TrialOutput> base;
-  for (const int t : kThreadCounts) {
-    const TrialOutput out = RunYcsbTrial(t, "crash_t" + std::to_string(t), /*crash=*/true);
-    EXPECT_GT(out.ok, 0u);
-    EXPECT_FALSE(out.capture_digests.empty());
-    EXPECT_EQ(out.lp_parallel_windows, 0u);  // a fault plan serializes epochs
-    if (!base) {
-      base = out;
-    } else {
-      ExpectIdentical(*base, out, t);
-    }
-  }
+TEST(RunDeterminism, YcsbRackWithCrashPlanIsByteIdenticalOnRerun) {
+  const TrialOutput first = RunYcsbTrial("crash_run0", /*crash=*/true);
+  const TrialOutput rerun = RunYcsbTrial("crash_run1", /*crash=*/true);
+  EXPECT_GT(first.ok, 0u);
+  EXPECT_FALSE(first.capture_digests.empty());
+  ExpectIdentical(first, rerun);
 }
 
-TEST(LpDeterminism, FaultPlanWithAbortAuditIsByteIdenticalAcrossThreadCounts) {
-  std::optional<TrialOutput> base;
-  for (const int t : kThreadCounts) {
-    const TrialOutput out =
-        RunPingTrial(t, "fault_t" + std::to_string(t), /*faults=*/true, /*audit=*/true);
-    // Abort-mode auditors ran (the process would have died on a violation).
-    EXPECT_GT(out.audit_checks, 0u);
-    EXPECT_FALSE(out.capture_digests.empty());
-    // A fault plan serializes epochs: LPs run sequentially regardless of the
-    // requested thread count, which is exactly why the digests must agree.
-    EXPECT_EQ(out.lp_parallel_windows, 0u);
-    if (!base) {
-      base = out;
-    } else {
-      ExpectIdentical(*base, out, t);
-    }
-  }
+TEST(RunDeterminism, FaultPlanWithAbortAuditIsByteIdenticalOnRerun) {
+  const TrialOutput first = RunPingTrial("fault_run0", /*faults=*/true, /*audit=*/true);
+  const TrialOutput rerun = RunPingTrial("fault_run1", /*faults=*/true, /*audit=*/true);
+  // Abort-mode auditors ran (the process would have died on a violation).
+  EXPECT_GT(first.audit_checks, 0u);
+  EXPECT_FALSE(first.capture_digests.empty());
+  ExpectIdentical(first, rerun);
 }
 
 }  // namespace

@@ -2,9 +2,8 @@
 // failure domain.
 //
 //   chaosexplore [--budget N] [--seed S] [--hosts N] [--switches N]
-//                [--duration-us U] [--threads N] [--shrink-runs N]
-//                [--out reproducer.plan]
-//   chaosexplore --replay plan-file [--hosts N] [--threads N] [--duration-us U]
+//                [--duration-us U] [--shrink-runs N] [--out reproducer.plan]
+//   chaosexplore --replay plan-file [--hosts N] [--duration-us U]
 //
 // Search mode enumerates seeded crash schedules (MakeCrashPlan seeds S,
 // S+1, ...), runs each against a YCSB-under-crash-recovery rack, and on the
@@ -37,7 +36,6 @@ struct Options {
   int hosts = 3;
   int switches = 1;  // informs MakeCrashPlan; the rack itself is single-switch
   int64_t duration_us = 400;
-  int threads = 0;
   int shrink_runs = 48;
   std::string out = "chaos_reproducer.plan";
   std::string replay;
@@ -46,10 +44,8 @@ struct Options {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--budget N] [--seed S] [--hosts N] [--switches N]\n"
-               "          [--duration-us U] [--threads N] [--shrink-runs N]\n"
-               "          [--out file]\n"
-               "       %s --replay plan-file [--hosts N] [--threads N] "
-               "[--duration-us U]\n",
+               "          [--duration-us U] [--shrink-runs N] [--out file]\n"
+               "       %s --replay plan-file [--hosts N] [--duration-us U]\n",
                argv0, argv0);
 }
 
@@ -70,8 +66,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       opt->switches = std::atoi(v);
     } else if (arg == "--duration-us" && (v = next())) {
       opt->duration_us = std::atoll(v);
-    } else if (arg == "--threads" && (v = next())) {
-      opt->threads = std::atoi(v);
     } else if (arg == "--shrink-runs" && (v = next())) {
       opt->shrink_runs = std::atoi(v);
     } else if (arg == "--out" && (v = next())) {
@@ -84,7 +78,7 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     }
   }
   if (opt->budget < 1 || opt->hosts < 2 || opt->duration_us < 50 ||
-      opt->threads < 0 || opt->shrink_runs < 0) {
+      opt->shrink_runs < 0) {
     std::fprintf(stderr, "implausible option values\n");
     return false;
   }
@@ -95,7 +89,6 @@ CrashScenarioConfig ScenarioFor(const Options& opt) {
   CrashScenarioConfig config = CrashScenarioConfig::Small();
   config.topo.num_hosts = opt.hosts;
   config.ycsb.duration = Us(opt.duration_us);
-  config.lp_threads = opt.threads;
   return config;
 }
 
@@ -157,10 +150,9 @@ int Search(const Options& opt) {
     return out;
   };
 
-  std::printf("chaosexplore: budget=%d base_seed=%llu hosts=%d horizon=%lldus "
-              "threads=%d\n",
+  std::printf("chaosexplore: budget=%d base_seed=%llu hosts=%d horizon=%lldus\n",
               opt.budget, (unsigned long long)opt.seed, opt.hosts,
-              (long long)opt.duration_us, opt.threads);
+              (long long)opt.duration_us);
   const SearchResult result = ExploreSchedules(search, runner);
   if (!result.found) {
     std::printf("no violating schedule in %d run(s)\n", result.schedules_run);
