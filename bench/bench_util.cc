@@ -91,6 +91,14 @@ double ParseDoubleFlag(const char* name, const std::string& value, double min_va
   return v;
 }
 
+bool ParseBoolFlag(const char* name, const std::string& value) {
+  if (value != "0" && value != "1") {
+    std::fprintf(stderr, "invalid value for %s: '%s' (expected 0 or 1)\n", name, value.c_str());
+    std::exit(2);
+  }
+  return value == "1";
+}
+
 int SweepJobs() { return g_jobs; }
 
 void DefineSweepPoint(std::string key, std::function<std::vector<double>()> fn) {

@@ -70,6 +70,9 @@ namespace strom::bench {
 // default the user did not ask for. Integers are also capped at INT_MAX.
 int ParseIntFlag(const char* name, const std::string& value, long min_value);
 double ParseDoubleFlag(const char* name, const std::string& value, double min_value);
+// Checked on/off flag value: "1" or "0"; anything else ("off", "true", "")
+// exits 2 the same way.
+bool ParseBoolFlag(const char* name, const std::string& value);
 
 // Process-wide collector that testbeds and ReportLatency deposit into.
 TelemetryCollector& Collector();

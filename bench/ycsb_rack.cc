@@ -15,7 +15,9 @@
 //             [--pfc] [--cc=0|1] [--incast] [--compare]
 //
 // Numeric flags go through bench::ParseIntFlag / ParseDoubleFlag: a value
-// that is not a number in range exits 2 and names the flag.
+// that is not a number in range exits 2 and names the flag. The on/off flags
+// (--pfc, --cc, --incast, --compare) take 0 or 1, a bare flag meaning 1;
+// any other value (--cc=off) exits 2 the same way.
 //
 // --compare runs the incast scenario twice — congestion control off, then
 // ECN/DCQCN on — and reports the p999 ratio; this is the paper-style
@@ -182,13 +184,13 @@ int Main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--queue-bytes", &v)) {
       opt.queue_bytes = bench::ParseIntFlag("--queue-bytes", v, 1);
     } else if (ParseFlag(argv[i], "--pfc", &v)) {
-      opt.pfc = v != "0";
+      opt.pfc = bench::ParseBoolFlag("--pfc", v);
     } else if (ParseFlag(argv[i], "--cc", &v)) {
-      opt.cc = v != "0";
+      opt.cc = bench::ParseBoolFlag("--cc", v);
     } else if (ParseFlag(argv[i], "--incast", &v)) {
-      opt.ycsb.incast = v != "0";
+      opt.ycsb.incast = bench::ParseBoolFlag("--incast", v);
     } else if (ParseFlag(argv[i], "--compare", &v)) {
-      opt.compare = v != "0";
+      opt.compare = bench::ParseBoolFlag("--compare", v);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;

@@ -1,7 +1,6 @@
 #include "src/roce/stack.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -40,6 +39,16 @@ RoceStack::RoceStack(Simulator& sim, RoceConfig config, DmaEngine& dma, Ipv4Addr
              config.retransmission_timeout_max),
       pmtu_payload_(config.PayloadPerPacket()) {
   timer_.SetExpiryHandler([this](Qpn qpn) { OnTimeout(qpn); });
+}
+
+RoceStack::~RoceStack() {
+  // Unlink the send lists one WR at a time: letting a long list's head go
+  // would free it recursively, one stack frame per queued WR.
+  qps_.ForEach([](Qpn, QpState& qp) {
+    while (qp.unsent_head != nullptr) {
+      qp.unsent_head = std::move(qp.unsent_head->next_unsent);
+    }
+  });
 }
 
 void RoceStack::AttachTelemetry(Telemetry* telemetry, const std::string& process) {
@@ -112,7 +121,7 @@ void RoceStack::AttachCapture(PcapWriter* writer, const std::string& process) {
 void RoceStack::AttachSampler(Telemetry* telemetry, const std::string& process) {
   const std::string prefix = process + ".roce.";
   TimeSeriesSampler& s = telemetry->sampler;
-  s.AddProbe(prefix + "wr_queue_depth", [this](SimTime) { return double(wr_queue_.size()); });
+  s.AddProbe(prefix + "wr_queue_depth", [this](SimTime) { return double(unsent_wrs_); });
   s.AddProbe(prefix + "control_queue_depth",
              [this](SimTime) { return double(control_queue_.size()); });
   s.AddProbe(prefix + "retransmit_queue_depth",
@@ -244,9 +253,75 @@ Status RoceStack::PostRequest(WorkRequest wr) {
   pending->last_psn = PsnAdd(pending->first_psn, pending->psn_span - 1);
   st.next_psn = PsnAdd(st.next_psn, pending->psn_span);
 
-  wr_queue_.push_back(std::move(pending));
+  QueueUnsent(std::move(pending));
   PumpTx();
   return Status::Ok();
+}
+
+void RoceStack::QueueUnsent(WrPtr wr) {
+  wr->post_seq = next_post_seq_++;
+  QpState& qp = Qp(wr->req.qpn);
+  fetch_queue_.push_back(wr);
+  ++unsent_wrs_;
+  if (qp.unsent_tail == nullptr) {
+    // The newest WR of all: its QP goes to the back of the index.
+    send_heads_.push_back(SendHead{wr->post_seq, wr->req.qpn});
+    qp.unsent_tail = wr.get();
+    qp.unsent_head = std::move(wr);
+  } else {
+    qp.unsent_tail->next_unsent = wr;
+    qp.unsent_tail = wr.get();
+  }
+}
+
+RoceStack::WrPtr RoceStack::PopUnsentHead(Qpn qpn, QpState& qp) {
+  WrPtr wr = std::move(qp.unsent_head);
+  qp.unsent_head = std::move(wr->next_unsent);
+  if (qp.unsent_head == nullptr) {
+    qp.unsent_tail = nullptr;
+  }
+  --unsent_wrs_;
+  ReindexHead(qpn, wr->post_seq, qp.unsent_head.get());
+  return wr;
+}
+
+void RoceStack::EraseUnsent(const WrPtr& wr) {
+  const Qpn qpn = wr->req.qpn;
+  QpState& qp = Qp(qpn);
+  if (qp.unsent_head == nullptr) {
+    return;
+  }
+  if (qp.unsent_head == wr) {
+    PopUnsentHead(qpn, qp);
+  } else {
+    PendingWr* prev = qp.unsent_head.get();
+    while (prev->next_unsent != nullptr && prev->next_unsent != wr) {
+      prev = prev->next_unsent.get();
+    }
+    if (prev->next_unsent == nullptr) {
+      return;
+    }
+    prev->next_unsent = std::move(wr->next_unsent);
+    if (qp.unsent_tail == wr.get()) {
+      qp.unsent_tail = prev;
+    }
+    --unsent_wrs_;
+  }
+  std::erase(fetch_queue_, wr);
+}
+
+void RoceStack::ReindexHead(Qpn qpn, uint64_t old_seq, const PendingWr* new_head) {
+  const auto by_seq = [](const SendHead& h, uint64_t seq) { return h.post_seq < seq; };
+  const auto at = std::lower_bound(send_heads_.begin(), send_heads_.end(), old_seq, by_seq);
+  STROM_CHECK(at != send_heads_.end() && at->qpn == qpn);
+  if (new_head == nullptr) {
+    send_heads_.erase(at);
+    return;
+  }
+  // A younger head only moves back: shift the entries it passes forward.
+  const auto to = std::lower_bound(at + 1, send_heads_.end(), new_head->post_seq, by_seq);
+  std::move(at + 1, to, at);
+  *(to - 1) = SendHead{new_head->post_seq, qpn};
 }
 
 IbOpcode RoceStack::DataOpcode(const PendingWr& wr, uint32_t idx) const {
@@ -288,22 +363,15 @@ IbOpcode RoceStack::DataOpcode(const PendingWr& wr, uint32_t idx) const {
 }
 
 void RoceStack::FetchPayloads() {
-  // Pipeline payload fetches across queued messages so back-to-back small
-  // messages are not serialized on PCIe read latency. The cursor skips the
-  // fully fetched prefix of the queue (same fetch order as scanning from the
-  // front, since WRs ahead of the cursor have nothing left to fetch).
-  for (size_t qi = fetch_cursor_; qi < wr_queue_.size(); ++qi) {
-    WrPtr& wr = wr_queue_[qi];
-    if (wr->next_fetch >= wr->send_pkts) {
-      if (qi == fetch_cursor_) {
-        ++fetch_cursor_;
+  // Pipeline payload fetches across queued messages, in post order, so
+  // back-to-back small messages are not serialized on PCIe read latency. A
+  // WR leaves the fetch queue once its last fetch is issued.
+  while (!fetch_queue_.empty()) {
+    const WrPtr& wr = fetch_queue_.front();
+    while (wr->next_fetch < wr->send_pkts) {
+      if (fetches_in_flight_ >= config_.tx_fetch_window) {
+        return;
       }
-      continue;
-    }
-    if (fetches_in_flight_ >= config_.tx_fetch_window) {
-      return;
-    }
-    while (wr->next_fetch < wr->send_pkts && fetches_in_flight_ < config_.tx_fetch_window) {
       const uint32_t idx = wr->next_fetch++;
       if (wr->req.kind == WorkRequest::Kind::kRead) {
         wr->ready[idx] = FrameBuf{};  // read requests carry no payload
@@ -328,6 +396,7 @@ void RoceStack::FetchPayloads() {
         PumpTx();
       }, wr->req.trace);
     }
+    fetch_queue_.pop_front();
   }
 }
 
@@ -385,35 +454,30 @@ bool RoceStack::TrySendNextDataPacket() {
     return true;
   }
 
-  if (wr_queue_.empty()) {
+  if (send_heads_.empty()) {
     return false;
   }
   WrPtr wr;
   if (!config_.dcqcn.enable) {
-    // Legacy path: strict FIFO, the front WR blocks the queue until its next
-    // chunk is fetched. Byte-identical to the uncontrolled stack.
-    wr = wr_queue_.front();
+    // Legacy path: strict FIFO, the oldest unsent WR blocks the queue until
+    // its next chunk is fetched. Byte-identical to the uncontrolled stack.
+    wr = Qp(send_heads_.front().qpn).unsent_head;
     if (wr->ready.find(wr->next_send) == wr->ready.end()) {
       return false;  // waiting for the payload fetch
     }
   } else {
-    // DCQCN pacing: pick the first pacing-eligible, fetch-ready WR that is
-    // the earliest WR of its QP in the queue (per-QP PSN order preserved;
-    // rate-limited QPs no longer head-of-line-block other QPs).
+    // DCQCN pacing: pick the first pacing-eligible, fetch-ready QP head in
+    // post order (per-QP PSN order preserved; rate-limited QPs no longer
+    // head-of-line-block other QPs).
     SimTime earliest = 0;
     bool deferred = false;
-    const uint64_t scan_epoch = ++pacing_scan_epoch_;
-    for (WrPtr& cand : wr_queue_) {
-      const Qpn qpn = cand->req.qpn;
-      QpState& cand_qp = Qp(qpn);
-      if (cand_qp.pacing_scan_epoch == scan_epoch) {
-        continue;  // a WR of this QP ahead of it must go first
-      }
-      cand_qp.pacing_scan_epoch = scan_epoch;
+    for (const SendHead& head : send_heads_) {
+      QpState& cand_qp = Qp(head.qpn);
+      const WrPtr& cand = cand_qp.unsent_head;
       if (cand->ready.find(cand->next_send) == cand->ready.end()) {
         continue;  // fetch pending; let other QPs proceed
       }
-      MaybeRecoverRate(qpn, cand_qp.cc);
+      MaybeRecoverRate(head.qpn, cand_qp.cc);
       if (cand_qp.cc.next_allowed > sim_.now()) {
         deferred = true;
         if (earliest == 0 || cand_qp.cc.next_allowed < earliest) {
@@ -518,27 +582,14 @@ bool RoceStack::TrySendNextDataPacket() {
 }
 
 void RoceStack::FinishSending(const WrPtr& wr) {
-  if (config_.dcqcn.enable) {
-    // QP-aware selection may finish a WR that is not at the front; erase it
-    // in place and keep the fetched-prefix cursor consistent.
-    auto it = std::find(wr_queue_.begin(), wr_queue_.end(), wr);
-    STROM_CHECK(it != wr_queue_.end());
-    const size_t pos = static_cast<size_t>(it - wr_queue_.begin());
-    wr_queue_.erase(it);
-    if (fetch_cursor_ > pos) {
-      --fetch_cursor_;
-    }
-  } else {
-    STROM_CHECK(!wr_queue_.empty() && wr_queue_.front() == wr);
-    wr_queue_.pop_front();
-    if (fetch_cursor_ > 0) {
-      --fetch_cursor_;
-    }
-  }
+  // Both picks send only QP heads, so the finished WR is its QP's head.
+  QpState& qp = Qp(wr->req.qpn);
+  STROM_CHECK(qp.unsent_head == wr);
+  PopUnsentHead(wr->req.qpn, qp);
   if (wr->is_read_response || wr->req.kind == WorkRequest::Kind::kRead) {
     return;  // responses need no ACK; reads complete via response data
   }
-  Qp(wr->req.qpn).awaiting_ack.push_back(wr);
+  qp.awaiting_ack.push_back(wr);
 }
 
 void RoceStack::FailPayloadFetch(const WrPtr& wr, const Status& status) {
@@ -546,17 +597,13 @@ void RoceStack::FailPayloadFetch(const WrPtr& wr, const Status& status) {
     // Responder role: the response data cannot be produced. Drop the
     // response and tell the requester the operation failed fatally — no
     // retransmission can repair a failed host read.
-    auto it = std::find(wr_queue_.begin(), wr_queue_.end(), wr);
-    if (it != wr_queue_.end()) {
-      wr_queue_.erase(it);
-      fetch_cursor_ = 0;
-    }
+    EraseUnsent(wr);
     SendAck(wr->req.qpn, wr->first_psn, AckSyndrome::kNakRemoteOperationalError,
             wr->req.trace);
     return;
   }
   // Requester role: the whole QP goes to Error (the flush completes `wr`,
-  // which is still in wr_queue_, with `status`).
+  // which is still in its QP's send list, with `status`).
   ErrorQp(wr->req.qpn, status);
 }
 
@@ -925,7 +972,7 @@ void RoceStack::HandleReadRequest(const RocePacket& pkt) {
   response->send_pkts = config_.PacketsForLength(pkt.reth->dma_length);
   response->psn_span = response->send_pkts;
   response->last_psn = PsnAdd(response->first_psn, response->psn_span - 1);
-  wr_queue_.push_back(std::move(response));
+  QueueUnsent(std::move(response));
   PumpTx();
 }
 
@@ -1282,19 +1329,26 @@ void RoceStack::FlushQp(Qpn qpn, const Status& status) {
   ++retransmit_epoch_;  // orphan in-flight retransmit payload fetches
   std::erase_if(retransmit_queue_,
                 [&](const OutstandingPacket& d) { return d.wr->req.qpn == qpn; });
-  for (auto it = wr_queue_.begin(); it != wr_queue_.end();) {
-    const WrPtr& wr = *it;
-    if (wr->req.qpn != qpn) {
-      ++it;
-      continue;
+  // Unsent WRs, in post order. The whole list leaves the TX engine before
+  // any completion fires: a completion may post more work and pump, and the
+  // pump must not fetch or send for this QP. ErrorQp's completions get such
+  // a post rejected; under ResetQp the QP is still connected and the post is
+  // queued, so take the list again until it stays empty.
+  while (qp.unsent_head != nullptr) {
+    WrPtr wr = std::move(qp.unsent_head);
+    qp.unsent_tail = nullptr;
+    ReindexHead(qpn, wr->post_seq, nullptr);
+    std::erase_if(fetch_queue_, [qpn](const WrPtr& w) { return w->req.qpn == qpn; });
+    while (wr != nullptr) {
+      WrPtr next = std::move(wr->next_unsent);
+      --unsent_wrs_;
+      if (!wr->is_read_response && !wr->completed) {
+        ++counters_.wrs_flushed;
+        CompleteWr(wr, status);
+      }
+      wr = std::move(next);
     }
-    if (!wr->is_read_response && !wr->completed) {
-      ++counters_.wrs_flushed;
-      CompleteWr(wr, status);
-    }
-    it = wr_queue_.erase(it);
   }
-  fetch_cursor_ = 0;  // conservatively rescan after mid-queue erasures
 
   qp.outstanding.clear();
   for (const WrPtr& wr : qp.awaiting_ack) {
@@ -1406,17 +1460,16 @@ void RoceStack::Crash() {
     msn_table_.Entry(qpn) = MsnTableEntry{};
     qps_[qpn] = QpState{};
   }
-  // TX engine: everything still queued dies with the NIC. FlushQp erased the
-  // requester-side entries per QP; read responses being produced for remote
-  // requesters go down with the ship here.
-  wr_queue_.clear();
+  // TX engine: everything still queued dies with the NIC. FlushQp emptied
+  // every connected QP's send list (read responses included), and only
+  // connected QPs queue sends.
+  STROM_CHECK_EQ(unsent_wrs_, 0u);
   control_queue_.clear();
   retransmit_queue_.clear();
   retransmit_payload_.reset();
   ++retransmit_epoch_;
   retransmit_fetch_pending_ = false;
   fetches_in_flight_ = 0;  // their DMA completions are crash-fenced no-ops
-  fetch_cursor_ = 0;
   sim_.Cancel(pacing_timer_);  // handles stay valid for post-restart re-arm
   sim_.Cancel(pause_timer_);
   pacing_wakeup_at_ = 0;

@@ -55,6 +55,8 @@ class RoceStack {
   RoceStack(Simulator& sim, RoceConfig config, DmaEngine& dma, Ipv4Addr local_ip,
             MacAddr local_mac, const ArpTable& arp);
 
+  ~RoceStack();
+
   RoceStack(const RoceStack&) = delete;
   RoceStack& operator=(const RoceStack&) = delete;
 
@@ -160,6 +162,10 @@ class RoceStack {
     std::map<uint32_t, FrameBuf> ready;  // fetched chunks keyed by index
     bool completed = false;
     SimTime posted_at = 0;  // when PostRequest accepted the message
+    // Position in the TX engine's post order, across all QPs.
+    uint64_t post_seq = 0;
+    // Next unsent WR of the same QP (the QP's send list is singly linked).
+    std::shared_ptr<PendingWr> next_unsent;
 
     uint32_t ChunkLen(uint32_t idx, uint32_t pmtu) const;
   };
@@ -199,10 +205,17 @@ class RoceStack {
       SimTime last_cut = 0;
       SimTime last_increase = 0;
     } cc;
-    // Stamp of the last TrySendNextDataPacket pacing scan that visited this
-    // QP: later WRs of an already-scanned QP are skipped without building a
-    // per-call set (the decision order is unchanged, only the lookup is).
-    uint64_t pacing_scan_epoch = 0;
+    // Messages not yet fully sent, in post order: a list linked through
+    // PendingWr::next_unsent, so a QP with nothing queued allocates nothing.
+    WrPtr unsent_head;
+    PendingWr* unsent_tail = nullptr;
+  };
+
+  // Entry of the send-head index: a QP with unsent WRs, keyed by the post
+  // order of its oldest one.
+  struct SendHead {
+    uint64_t post_seq = 0;
+    Qpn qpn = 0;
   };
 
   // --- TX path -------------------------------------------------------------
@@ -212,7 +225,16 @@ class RoceStack {
   void SendControlPacket(RocePacket pkt);
   void EmitFrame(const RocePacket& pkt);
   IbOpcode DataOpcode(const PendingWr& wr, uint32_t idx) const;
-  void StartWr(const WrPtr& wr);
+  // Appends a message to its QP's send list and to the fetch queue.
+  void QueueUnsent(WrPtr wr);
+  // Removes and returns the QP's oldest unsent WR.
+  WrPtr PopUnsentHead(Qpn qpn, QpState& qp);
+  // Removes `wr`, if still queued, from wherever it sits in its QP's send
+  // list and from the fetch queue.
+  void EraseUnsent(const WrPtr& wr);
+  // Moves `qpn`'s index entry from `old_seq` to its new head's post order,
+  // or drops it when the QP has no unsent WR left.
+  void ReindexHead(Qpn qpn, uint64_t old_seq, const PendingWr* new_head);
   void FinishSending(const WrPtr& wr);
   void CompleteWr(const WrPtr& wr, const Status& status);
   void FailPayloadFetch(const WrPtr& wr, const Status& status);
@@ -287,8 +309,17 @@ class RoceStack {
   std::map<uint64_t, WrPtr> pending_reads_;
   uint64_t next_read_token_ = 1;
 
-  // TX engine state.
-  std::deque<WrPtr> wr_queue_;            // messages not yet fully sent
+  // TX engine state. Unsent messages live in their QP's send list
+  // (QpState::unsent_head). `send_heads_` lists the QPs that have any,
+  // sorted by the post order of each list's head: walking it meets the QPs
+  // in the order a walk of one post-order queue would first meet them, so
+  // the DCQCN pick visits each active QP once, and its front holds the
+  // oldest unsent WR (the CC-off FIFO pick). `fetch_queue_` holds, in post
+  // order, the WRs whose payload fetches are not all issued yet.
+  std::vector<SendHead> send_heads_;
+  std::deque<WrPtr> fetch_queue_;
+  size_t unsent_wrs_ = 0;  // total over all send lists (wr_queue_depth)
+  uint64_t next_post_seq_ = 0;
   std::deque<RocePacket> control_queue_;  // ACKs/NAKs (no payload, no PSN order)
   std::deque<OutstandingPacket> retransmit_queue_;
   std::optional<FrameBuf> retransmit_payload_;  // fetched for queue front
@@ -297,10 +328,6 @@ class RoceStack {
   // fetch for a previous queue front cannot be attached to a new packet.
   uint64_t retransmit_epoch_ = 0;
   uint32_t fetches_in_flight_ = 0;
-  // Index into wr_queue_ of the first WR that may still need payload fetches;
-  // everything before it is fully fetched. FetchPayloads runs on every TX
-  // pump, so without this cursor it rescans the whole queue each time.
-  size_t fetch_cursor_ = 0;
   bool tx_busy_ = false;
   // Set for the duration of Crash(): the flush loop fires user completion
   // callbacks, and nothing they trigger may pump frames out of (or issue
@@ -313,9 +340,6 @@ class RoceStack {
   // timer: lowering the deadline physically moves the one pending event.
   SimTime pacing_wakeup_at_ = 0;
   Simulator::TimerHandle pacing_timer_;
-  // Current pacing-scan stamp; bumped at the top of every DCQCN TX scan and
-  // compared against QpState::pacing_scan_epoch to dedupe per-QP work.
-  uint64_t pacing_scan_epoch_ = 0;
   // Resume wake for the 802.3x pause gate; extending a pause moves it.
   Simulator::TimerHandle pause_timer_;
   // Pipelines are FIFO: a short packet must not overtake a long one whose

@@ -3,6 +3,9 @@
 // outstanding-read limits, and bidirectional traffic.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "src/sim/task.h"
 #include "src/testbed/calibration.h"
 #include "src/testbed/testbed.h"
@@ -281,6 +284,83 @@ TEST_F(RoceStackTest, PostToUnconnectedQpFailsFast) {
   EXPECT_EQ(bed_.node(0).stack().PostRequest(std::move(wr)).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_TRUE(cb);
+}
+
+// Completions fired by a QP flush may post more work, re-entering the TX
+// engine mid-flush. Every WR must still reach exactly one completion.
+class FlushReentrancyTest : public RoceStackTest {
+ protected:
+  static constexpr Qpn kOtherQp = 2;
+  static constexpr int kQueued = 3;
+
+  FlushReentrancyTest() { bed_.ConnectQp(0, kOtherQp, 1, kOtherQp); }
+
+  Status PostWrite(Qpn qpn, std::function<void(Status)> done) {
+    WorkRequest wr;
+    wr.kind = WorkRequest::Kind::kWrite;
+    wr.qpn = qpn;
+    wr.local_addr = local_;
+    wr.remote_addr = remote_;
+    wr.length = 4096;
+    wr.on_complete = std::move(done);
+    return bed_.node(0).stack().PostRequest(std::move(wr));
+  }
+
+  // Queues kQueued writes on kQp; the first one's completion posts one
+  // write on kQp and one on kOtherQp. Nothing is sent before the flush: the
+  // payload fetches are still in flight.
+  void QueueWritesThatPostOnCompletion() {
+    for (int i = 0; i < kQueued; ++i) {
+      ASSERT_TRUE(PostWrite(kQp, [this, i](Status st) {
+                    flushed_.push_back(st);
+                    if (i == 0) {
+                      PostWrite(kQp, [this](Status s) { same_qp_.push_back(s); });
+                      PostWrite(kOtherQp, [this](Status s) { other_qp_.push_back(s); });
+                    }
+                  }).ok());
+    }
+    ASSERT_EQ(bed_.node(0).stack().counters().tx_packets, 0u);
+  }
+
+  std::vector<Status> flushed_;
+  std::vector<Status> same_qp_;
+  std::vector<Status> other_qp_;
+};
+
+TEST_F(FlushReentrancyTest, ErrorQpRejectsSameQpPostAndServesOtherQp) {
+  QueueWritesThatPostOnCompletion();
+  bed_.node(0).stack().ErrorQp(kQp, InternalError("injected"));
+  bed_.sim().RunUntilIdle();
+
+  ASSERT_EQ(flushed_.size(), size_t{kQueued});
+  for (const Status& st : flushed_) {
+    EXPECT_EQ(st.code(), StatusCode::kInternal) << st;
+  }
+  ASSERT_EQ(same_qp_.size(), 1u);
+  EXPECT_EQ(same_qp_[0].code(), StatusCode::kFailedPrecondition) << same_qp_[0];
+  ASSERT_EQ(other_qp_.size(), 1u);
+  EXPECT_TRUE(other_qp_[0].ok()) << other_qp_[0];
+  const RoceCounters& c = bed_.node(0).stack().counters();
+  EXPECT_EQ(c.wrs_flushed, uint64_t{kQueued});
+  EXPECT_EQ(c.write_messages_completed, uint64_t{kQueued} + 1);
+}
+
+TEST_F(FlushReentrancyTest, ResetQpAlsoFlushesSameQpPost) {
+  QueueWritesThatPostOnCompletion();
+  // The QP stays connected while ResetQp flushes it, so the same-QP post is
+  // accepted and then flushed with the rest.
+  ASSERT_TRUE(bed_.node(0).stack().ResetQp(kQp).ok());
+  bed_.sim().RunUntilIdle();
+
+  ASSERT_EQ(flushed_.size(), size_t{kQueued});
+  ASSERT_EQ(same_qp_.size(), 1u);
+  for (const Status& st : flushed_) {
+    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st;
+  }
+  EXPECT_EQ(same_qp_[0].code(), StatusCode::kUnavailable) << same_qp_[0];
+  ASSERT_EQ(other_qp_.size(), 1u);
+  EXPECT_TRUE(other_qp_[0].ok()) << other_qp_[0];
+  EXPECT_EQ(bed_.node(0).stack().counters().wrs_flushed, uint64_t{kQueued} + 1);
 }
 
 TEST_F(RoceStackTest, PollingSeesWrittenValue) {

@@ -15,11 +15,12 @@
 // bug a search found.
 //
 // Exit codes: 0 = no violation found, 2 = violation found (search) or
-// reproduced (replay), 1 = usage/config error. The intentionally
-// reintroducible recovery bug for demos: STROM_CHAOS_BUG=no_fence (see
-// YcsbEngine::EnableCrashRecovery).
+// reproduced (replay), 1 = usage/config error, including a numeric flag
+// that is not a whole number in range ("2x", "-1", "300abc"). The
+// intentionally reintroducible recovery bug for demos:
+// STROM_CHAOS_BUG=no_fence (see YcsbEngine::EnableCrashRecovery).
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -49,6 +50,19 @@ void Usage(const char* argv0) {
                argv0, argv0);
 }
 
+// Whole decimal number that fits in T, nothing else: no sign on an unsigned
+// T, no blanks, no trailing characters.
+template <typename T>
+bool ParseNumber(const std::string& flag, const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "invalid value for %s: '%s'\n", flag.c_str(), text);
+    return false;
+  }
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, Options* opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -56,18 +70,19 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    bool parsed = true;
     if (arg == "--budget" && (v = next())) {
-      opt->budget = std::atoi(v);
+      parsed = ParseNumber(arg, v, &opt->budget);
     } else if (arg == "--seed" && (v = next())) {
-      opt->seed = std::strtoull(v, nullptr, 10);
+      parsed = ParseNumber(arg, v, &opt->seed);
     } else if (arg == "--hosts" && (v = next())) {
-      opt->hosts = std::atoi(v);
+      parsed = ParseNumber(arg, v, &opt->hosts);
     } else if (arg == "--switches" && (v = next())) {
-      opt->switches = std::atoi(v);
+      parsed = ParseNumber(arg, v, &opt->switches);
     } else if (arg == "--duration-us" && (v = next())) {
-      opt->duration_us = std::atoll(v);
+      parsed = ParseNumber(arg, v, &opt->duration_us);
     } else if (arg == "--shrink-runs" && (v = next())) {
-      opt->shrink_runs = std::atoi(v);
+      parsed = ParseNumber(arg, v, &opt->shrink_runs);
     } else if (arg == "--out" && (v = next())) {
       opt->out = v;
     } else if (arg == "--replay" && (v = next())) {
@@ -76,9 +91,13 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       std::fprintf(stderr, "unknown or incomplete argument: %s\n", arg.c_str());
       return false;
     }
+    if (!parsed) {
+      return false;
+    }
   }
-  if (opt->budget < 1 || opt->hosts < 2 || opt->duration_us < 50 ||
-      opt->shrink_runs < 0) {
+  // The horizon becomes picoseconds: cap it well inside SimTime.
+  if (opt->budget < 1 || opt->hosts < 2 || opt->switches < 0 || opt->duration_us < 50 ||
+      opt->duration_us > 1'000'000'000 || opt->shrink_runs < 0) {
     std::fprintf(stderr, "implausible option values\n");
     return false;
   }
