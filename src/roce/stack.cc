@@ -41,16 +41,6 @@ RoceStack::RoceStack(Simulator& sim, RoceConfig config, DmaEngine& dma, Ipv4Addr
   timer_.SetExpiryHandler([this](Qpn qpn) { OnTimeout(qpn); });
 }
 
-RoceStack::~RoceStack() {
-  // Unlink the send lists one WR at a time: letting a long list's head go
-  // would free it recursively, one stack frame per queued WR.
-  qps_.ForEach([](Qpn, QpState& qp) {
-    while (qp.unsent_head != nullptr) {
-      qp.unsent_head = std::move(qp.unsent_head->next_unsent);
-    }
-  });
-}
-
 void RoceStack::AttachTelemetry(Telemetry* telemetry, const std::string& process) {
   tracer_ = &telemetry->tracer;
   tx_track_ = tracer_->RegisterTrack(process, "nic.tx");
@@ -261,50 +251,33 @@ Status RoceStack::PostRequest(WorkRequest wr) {
 void RoceStack::QueueUnsent(WrPtr wr) {
   wr->post_seq = next_post_seq_++;
   QpState& qp = Qp(wr->req.qpn);
-  fetch_queue_.push_back(wr);
-  ++unsent_wrs_;
-  if (qp.unsent_tail == nullptr) {
+  if (qp.unsent.empty()) {
     // The newest WR of all: its QP goes to the back of the index.
     send_heads_.push_back(SendHead{wr->post_seq, wr->req.qpn});
-    qp.unsent_tail = wr.get();
-    qp.unsent_head = std::move(wr);
-  } else {
-    qp.unsent_tail->next_unsent = wr;
-    qp.unsent_tail = wr.get();
   }
+  fetch_queue_.push_back(wr);
+  qp.unsent.push_back(std::move(wr));
+  ++unsent_wrs_;
 }
 
-RoceStack::WrPtr RoceStack::PopUnsentHead(Qpn qpn, QpState& qp) {
-  WrPtr wr = std::move(qp.unsent_head);
-  qp.unsent_head = std::move(wr->next_unsent);
-  if (qp.unsent_head == nullptr) {
-    qp.unsent_tail = nullptr;
-  }
+void RoceStack::PopUnsentHead(Qpn qpn, QpState& qp) {
+  const uint64_t old_seq = qp.unsent.front()->post_seq;
+  qp.unsent.erase(qp.unsent.begin());
   --unsent_wrs_;
-  ReindexHead(qpn, wr->post_seq, qp.unsent_head.get());
-  return wr;
+  ReindexHead(qpn, old_seq, qp.unsent.empty() ? nullptr : qp.unsent.front().get());
 }
 
 void RoceStack::EraseUnsent(const WrPtr& wr) {
   const Qpn qpn = wr->req.qpn;
   QpState& qp = Qp(qpn);
-  if (qp.unsent_head == nullptr) {
+  const auto it = std::find(qp.unsent.begin(), qp.unsent.end(), wr);
+  if (it == qp.unsent.end()) {
     return;
   }
-  if (qp.unsent_head == wr) {
+  if (it == qp.unsent.begin()) {
     PopUnsentHead(qpn, qp);
   } else {
-    PendingWr* prev = qp.unsent_head.get();
-    while (prev->next_unsent != nullptr && prev->next_unsent != wr) {
-      prev = prev->next_unsent.get();
-    }
-    if (prev->next_unsent == nullptr) {
-      return;
-    }
-    prev->next_unsent = std::move(wr->next_unsent);
-    if (qp.unsent_tail == wr.get()) {
-      qp.unsent_tail = prev;
-    }
+    qp.unsent.erase(it);
     --unsent_wrs_;
   }
   std::erase(fetch_queue_, wr);
@@ -461,7 +434,7 @@ bool RoceStack::TrySendNextDataPacket() {
   if (!config_.dcqcn.enable) {
     // Legacy path: strict FIFO, the oldest unsent WR blocks the queue until
     // its next chunk is fetched. Byte-identical to the uncontrolled stack.
-    wr = Qp(send_heads_.front().qpn).unsent_head;
+    wr = Qp(send_heads_.front().qpn).unsent.front();
     if (wr->ready.find(wr->next_send) == wr->ready.end()) {
       return false;  // waiting for the payload fetch
     }
@@ -473,7 +446,7 @@ bool RoceStack::TrySendNextDataPacket() {
     bool deferred = false;
     for (const SendHead& head : send_heads_) {
       QpState& cand_qp = Qp(head.qpn);
-      const WrPtr& cand = cand_qp.unsent_head;
+      const WrPtr& cand = cand_qp.unsent.front();
       if (cand->ready.find(cand->next_send) == cand->ready.end()) {
         continue;  // fetch pending; let other QPs proceed
       }
@@ -584,7 +557,7 @@ bool RoceStack::TrySendNextDataPacket() {
 void RoceStack::FinishSending(const WrPtr& wr) {
   // Both picks send only QP heads, so the finished WR is its QP's head.
   QpState& qp = Qp(wr->req.qpn);
-  STROM_CHECK(qp.unsent_head == wr);
+  STROM_CHECK(qp.unsent.front() == wr);
   PopUnsentHead(wr->req.qpn, qp);
   if (wr->is_read_response || wr->req.kind == WorkRequest::Kind::kRead) {
     return;  // responses need no ACK; reads complete via response data
@@ -1320,6 +1293,9 @@ void RoceStack::OnTimeout(Qpn qpn) {
 // ---------------------------------------------------------------------------
 
 void RoceStack::FlushQp(Qpn qpn, const Status& status) {
+  // The caller has put the QP in Error: a completion fired below that posts
+  // on this QP is rejected (its one completion), never queued.
+  STROM_CHECK(state_table_.Entry(qpn).phase == QpPhase::kError);
   QpState& qp = Qp(qpn);
   timer_.Cancel(qpn);
 
@@ -1329,24 +1305,20 @@ void RoceStack::FlushQp(Qpn qpn, const Status& status) {
   ++retransmit_epoch_;  // orphan in-flight retransmit payload fetches
   std::erase_if(retransmit_queue_,
                 [&](const OutstandingPacket& d) { return d.wr->req.qpn == qpn; });
-  // Unsent WRs, in post order. The whole list leaves the TX engine before
-  // any completion fires: a completion may post more work and pump, and the
-  // pump must not fetch or send for this QP. ErrorQp's completions get such
-  // a post rejected; under ResetQp the QP is still connected and the post is
-  // queued, so take the list again until it stays empty.
-  while (qp.unsent_head != nullptr) {
-    WrPtr wr = std::move(qp.unsent_head);
-    qp.unsent_tail = nullptr;
-    ReindexHead(qpn, wr->post_seq, nullptr);
+  // Unsent WRs, in post order. They all leave the TX engine before any
+  // completion fires: a completion may post on another QP and pump, and the
+  // pump must not fetch or send for this one.
+  const std::vector<WrPtr> unsent = std::move(qp.unsent);
+  qp.unsent.clear();
+  if (!unsent.empty()) {
+    ReindexHead(qpn, unsent.front()->post_seq, nullptr);
     std::erase_if(fetch_queue_, [qpn](const WrPtr& w) { return w->req.qpn == qpn; });
-    while (wr != nullptr) {
-      WrPtr next = std::move(wr->next_unsent);
-      --unsent_wrs_;
-      if (!wr->is_read_response && !wr->completed) {
-        ++counters_.wrs_flushed;
-        CompleteWr(wr, status);
-      }
-      wr = std::move(next);
+    unsent_wrs_ -= unsent.size();
+  }
+  for (const WrPtr& wr : unsent) {
+    if (!wr->is_read_response && !wr->completed) {
+      ++counters_.wrs_flushed;
+      CompleteWr(wr, status);
     }
   }
 
@@ -1374,6 +1346,7 @@ void RoceStack::FlushQp(Qpn qpn, const Status& status) {
       }
     }
   }
+  STROM_CHECK(qp.unsent.empty());
   qp.consecutive_retries = 0;
   PumpTx();  // other QPs' traffic continues
 }
@@ -1411,6 +1384,9 @@ Status RoceStack::ResetQp(Qpn qpn) {
     flight_recorder_->Record(sim_.now(), host_index_, FlightRecordType::kQpState, 0,
                              qpn, state_table_.Entry(qpn).oldest_unacked, /*aux=*/0);
   }
+  // Gate posts for the flush, as ErrorQp and Crash do; Deactivate below
+  // clears the phase again.
+  state_table_.Entry(qpn).phase = QpPhase::kError;
   FlushQp(qpn, UnavailableError("QP reset"));
   state_table_.Deactivate(qpn);
   msn_table_.Entry(qpn) = MsnTableEntry{};

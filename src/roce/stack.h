@@ -55,8 +55,6 @@ class RoceStack {
   RoceStack(Simulator& sim, RoceConfig config, DmaEngine& dma, Ipv4Addr local_ip,
             MacAddr local_mac, const ArpTable& arp);
 
-  ~RoceStack();
-
   RoceStack(const RoceStack&) = delete;
   RoceStack& operator=(const RoceStack&) = delete;
 
@@ -103,9 +101,10 @@ class RoceStack {
   bool QpConnected(Qpn qpn) const;
 
   // Tears a QP down: flushes every queued work request as an errored
-  // completion and returns the state-table entry to its reset state so
-  // ConnectQp can re-establish the pair with fresh PSNs. The reset/reconnect
-  // path after a QP error (leave in-flight wire traffic time to drain before
+  // completion (a post on `qpn` from one of those completions is rejected)
+  // and returns the state-table entry to its reset state so ConnectQp can
+  // re-establish the pair with fresh PSNs. The reset/reconnect path after a
+  // QP error (leave in-flight wire traffic time to drain before
   // reconnecting, or stale PSNs may collide with the new epoch).
   Status ResetQp(Qpn qpn);
 
@@ -164,8 +163,6 @@ class RoceStack {
     SimTime posted_at = 0;  // when PostRequest accepted the message
     // Position in the TX engine's post order, across all QPs.
     uint64_t post_seq = 0;
-    // Next unsent WR of the same QP (the QP's send list is singly linked).
-    std::shared_ptr<PendingWr> next_unsent;
 
     uint32_t ChunkLen(uint32_t idx, uint32_t pmtu) const;
   };
@@ -205,10 +202,9 @@ class RoceStack {
       SimTime last_cut = 0;
       SimTime last_increase = 0;
     } cc;
-    // Messages not yet fully sent, in post order: a list linked through
-    // PendingWr::next_unsent, so a QP with nothing queued allocates nothing.
-    WrPtr unsent_head;
-    PendingWr* unsent_tail = nullptr;
+    // Messages not yet fully sent, in post order. An empty vector holds no
+    // allocation, so a QP with nothing queued costs nothing.
+    std::vector<WrPtr> unsent;
   };
 
   // Entry of the send-head index: a QP with unsent WRs, keyed by the post
@@ -227,8 +223,8 @@ class RoceStack {
   IbOpcode DataOpcode(const PendingWr& wr, uint32_t idx) const;
   // Appends a message to its QP's send list and to the fetch queue.
   void QueueUnsent(WrPtr wr);
-  // Removes and returns the QP's oldest unsent WR.
-  WrPtr PopUnsentHead(Qpn qpn, QpState& qp);
+  // Removes the QP's oldest unsent WR.
+  void PopUnsentHead(Qpn qpn, QpState& qp);
   // Removes `wr`, if still queued, from wherever it sits in its QP's send
   // list and from the fetch queue.
   void EraseUnsent(const WrPtr& wr);
@@ -267,8 +263,8 @@ class RoceStack {
   // packet is consumed (no-op when no auditor is attached).
   void AuditEpsnAdvance(Qpn qpn, Psn prev_epsn, Psn new_epsn);
   // Completes every queued/outstanding work request of `qpn` with `status`
-  // and clears its TX/retransmit/multi-queue state. Shared by ErrorQp and
-  // ResetQp.
+  // and clears its TX/retransmit/multi-queue state. Shared by ErrorQp,
+  // ResetQp and Crash, which put the QP in Error first.
   void FlushQp(Qpn qpn, const Status& status);
 
   QpState& Qp(Qpn qpn);
@@ -310,7 +306,7 @@ class RoceStack {
   uint64_t next_read_token_ = 1;
 
   // TX engine state. Unsent messages live in their QP's send list
-  // (QpState::unsent_head). `send_heads_` lists the QPs that have any,
+  // (QpState::unsent). `send_heads_` lists the QPs that have any,
   // sorted by the post order of each list's head: walking it meets the QPs
   // in the order a walk of one post-order queue would first meet them, so
   // the DCQCN pick visits each active QP once, and its front holds the

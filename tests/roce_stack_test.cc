@@ -295,31 +295,62 @@ class FlushReentrancyTest : public RoceStackTest {
 
   FlushReentrancyTest() { bed_.ConnectQp(0, kOtherQp, 1, kOtherQp); }
 
-  Status PostWrite(Qpn qpn, std::function<void(Status)> done) {
+  Status Post(WorkRequest::Kind kind, Qpn qpn, uint32_t length,
+              std::function<void(Status)> done) {
     WorkRequest wr;
-    wr.kind = WorkRequest::Kind::kWrite;
+    wr.kind = kind;
     wr.qpn = qpn;
     wr.local_addr = local_;
     wr.remote_addr = remote_;
-    wr.length = 4096;
+    wr.length = length;
     wr.on_complete = std::move(done);
     return bed_.node(0).stack().PostRequest(std::move(wr));
   }
 
-  // Queues kQueued writes on kQp; the first one's completion posts one
-  // write on kQp and one on kOtherQp. Nothing is sent before the flush: the
-  // payload fetches are still in flight.
+  Status PostWrite(Qpn qpn, std::function<void(Status)> done) {
+    return Post(WorkRequest::Kind::kWrite, qpn, 4096, std::move(done));
+  }
+
+  // Completion of a flushed WR: records its status, then posts one write on
+  // the flushed QP and one on kOtherQp.
+  void FlushedAndPostMore(Status st) {
+    flushed_.push_back(st);
+    PostWrite(kQp, [this](Status s) { same_qp_.push_back(s); });
+    PostWrite(kOtherQp, [this](Status s) { other_qp_.push_back(s); });
+  }
+
+  // Queues kQueued writes on kQp; the first one's completion posts more.
+  // Nothing is sent before the flush: the payload fetches are still in
+  // flight.
   void QueueWritesThatPostOnCompletion() {
     for (int i = 0; i < kQueued; ++i) {
       ASSERT_TRUE(PostWrite(kQp, [this, i](Status st) {
-                    flushed_.push_back(st);
                     if (i == 0) {
-                      PostWrite(kQp, [this](Status s) { same_qp_.push_back(s); });
-                      PostWrite(kOtherQp, [this](Status s) { other_qp_.push_back(s); });
+                      FlushedAndPostMore(st);
+                    } else {
+                      flushed_.push_back(st);
                     }
                   }).ok());
     }
     ASSERT_EQ(bed_.node(0).stack().counters().tx_packets, 0u);
+  }
+
+  // Every flushed WR failed with `code`, every same-QP post was rejected,
+  // and every other-QP post completed.
+  void ExpectOneCompletionEach(size_t flushed, StatusCode code, size_t posting) {
+    ASSERT_EQ(flushed_.size(), flushed);
+    for (const Status& st : flushed_) {
+      EXPECT_EQ(st.code(), code) << st;
+    }
+    ASSERT_EQ(same_qp_.size(), posting);
+    for (const Status& st : same_qp_) {
+      EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st;
+    }
+    ASSERT_EQ(other_qp_.size(), posting);
+    for (const Status& st : other_qp_) {
+      EXPECT_TRUE(st.ok()) << st;
+    }
+    EXPECT_EQ(bed_.node(0).stack().counters().wrs_flushed, uint64_t{flushed});
   }
 
   std::vector<Status> flushed_;
@@ -332,35 +363,39 @@ TEST_F(FlushReentrancyTest, ErrorQpRejectsSameQpPostAndServesOtherQp) {
   bed_.node(0).stack().ErrorQp(kQp, InternalError("injected"));
   bed_.sim().RunUntilIdle();
 
-  ASSERT_EQ(flushed_.size(), size_t{kQueued});
-  for (const Status& st : flushed_) {
-    EXPECT_EQ(st.code(), StatusCode::kInternal) << st;
-  }
-  ASSERT_EQ(same_qp_.size(), 1u);
-  EXPECT_EQ(same_qp_[0].code(), StatusCode::kFailedPrecondition) << same_qp_[0];
-  ASSERT_EQ(other_qp_.size(), 1u);
-  EXPECT_TRUE(other_qp_[0].ok()) << other_qp_[0];
-  const RoceCounters& c = bed_.node(0).stack().counters();
-  EXPECT_EQ(c.wrs_flushed, uint64_t{kQueued});
-  EXPECT_EQ(c.write_messages_completed, uint64_t{kQueued} + 1);
+  ExpectOneCompletionEach(kQueued, StatusCode::kInternal, 1);
+  EXPECT_EQ(bed_.node(0).stack().counters().write_messages_completed, uint64_t{kQueued} + 1);
 }
 
-TEST_F(FlushReentrancyTest, ResetQpAlsoFlushesSameQpPost) {
+TEST_F(FlushReentrancyTest, ResetQpRejectsSameQpPostFromUnsentWr) {
   QueueWritesThatPostOnCompletion();
-  // The QP stays connected while ResetQp flushes it, so the same-QP post is
-  // accepted and then flushed with the rest.
   ASSERT_TRUE(bed_.node(0).stack().ResetQp(kQp).ok());
   bed_.sim().RunUntilIdle();
 
-  ASSERT_EQ(flushed_.size(), size_t{kQueued});
-  ASSERT_EQ(same_qp_.size(), 1u);
-  for (const Status& st : flushed_) {
-    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st;
+  ExpectOneCompletionEach(kQueued, StatusCode::kUnavailable, 1);
+}
+
+// The completions ResetQp fires after the unsent WRs, for a write awaiting
+// its ACK and for an outstanding read, are gated the same way: the QP stays
+// connected through the flush, so only its Error phase keeps their posts
+// out of a QP that is about to be wiped.
+TEST_F(FlushReentrancyTest, ResetQpRejectsSameQpPostFromSentWriteAndOutstandingRead) {
+  ASSERT_TRUE(Post(WorkRequest::Kind::kWrite, kQp, 256,
+                   [this](Status st) { FlushedAndPostMore(st); }).ok());
+  ASSERT_TRUE(Post(WorkRequest::Kind::kRead, kQp, 256,
+                   [this](Status st) { FlushedAndPostMore(st); }).ok());
+  // Both requests on the wire, neither answered yet.
+  const RoceCounters& c = bed_.node(0).stack().counters();
+  while (c.tx_packets < 2 && bed_.sim().Step()) {
   }
-  EXPECT_EQ(same_qp_[0].code(), StatusCode::kUnavailable) << same_qp_[0];
-  ASSERT_EQ(other_qp_.size(), 1u);
-  EXPECT_TRUE(other_qp_[0].ok()) << other_qp_[0];
-  EXPECT_EQ(bed_.node(0).stack().counters().wrs_flushed, uint64_t{kQueued} + 1);
+  ASSERT_EQ(c.tx_packets, 2u);
+  ASSERT_TRUE(flushed_.empty());
+  ASSERT_EQ(bed_.node(0).stack().multi_queue().Size(kQp), 1u);
+
+  ASSERT_TRUE(bed_.node(0).stack().ResetQp(kQp).ok());
+  bed_.sim().RunUntilIdle();
+
+  ExpectOneCompletionEach(2, StatusCode::kUnavailable, 2);
 }
 
 TEST_F(RoceStackTest, PollingSeesWrittenValue) {
