@@ -1,14 +1,14 @@
 #include "src/host/driver.h"
 
+#include <coroutine>
 #include <utility>
 
 #include "src/common/logging.h"
 
 namespace strom {
 
-RoceDriver::RoceDriver(Simulator& sim, HostMemory& memory, Tlb& tlb, Controller& controller,
-                       DriverConfig config)
-    : sim_(sim), memory_(memory), tlb_(tlb), controller_(controller), config_(config) {}
+RoceDriver::RoceDriver(Simulator& sim, HostMemory& memory, Tlb& tlb, Controller& controller)
+    : sim_(sim), memory_(memory), tlb_(tlb), controller_(controller) {}
 
 void RoceDriver::AttachTelemetry(Telemetry* telemetry, const std::string& process) {
   tracer_ = &telemetry->tracer;
@@ -214,35 +214,49 @@ ValueTask<Status> RoceDriver::Read(Qpn qpn, VirtAddr local, VirtAddr remote, uin
   co_return state->status;
 }
 
-ValueTask<Status> RoceDriver::Rpc(uint32_t rpc_opcode, Qpn qpn, ByteBuffer params) {
-  auto state = std::make_shared<CompletionState>(sim_);
-  PostRpc(rpc_opcode, qpn, std::move(params), [state](Status st) {
-    state->status = st;
-    state->event.Trigger();
-  });
-  co_await state->event.Wait();
-  co_return state->status;
-}
+namespace {
 
-ValueTask<Status> RoceDriver::RpcWrite(uint32_t rpc_opcode, Qpn qpn, VirtAddr origin,
-                                       uint32_t length) {
-  auto state = std::make_shared<CompletionState>(sim_);
-  PostRpcWrite(rpc_opcode, qpn, origin, length, [state](Status st) {
-    state->status = st;
-    state->event.Trigger();
-  });
-  co_await state->event.Wait();
-  co_return state->status;
-}
+// One PollU64 spin, parked on the simulator's poll lane; it lives in the
+// PollU64 frame while suspended. A tick re-reads the word in place and, if it
+// still holds the sentinel, re-arms at once: the next tick takes its seq
+// before anything else runs, so it orders exactly like a heap event that a
+// `co_await Delay(sim, kPollInterval)` loop would schedule at that point.
+class PollAwaiter final : public EventQueue::Poller {
+ public:
+  PollAwaiter(RoceDriver& driver, VirtAddr addr, uint64_t sentinel)
+      : driver_(driver), addr_(addr), sentinel_(sentinel) {}
+
+  bool await_ready() {
+    value_ = driver_.ReadHostU64(addr_);
+    return value_ != sentinel_;
+  }
+  void await_suspend(std::coroutine_handle<> h) {
+    waiter_ = h;
+    driver_.sim().SchedulePoll(kPollInterval, *this);
+  }
+  uint64_t await_resume() const { return value_; }
+
+  void Tick() override {
+    value_ = driver_.ReadHostU64(addr_);
+    if (value_ == sentinel_) {
+      driver_.sim().SchedulePoll(kPollInterval, *this);
+      return;
+    }
+    waiter_.resume();  // may destroy *this; nothing may follow
+  }
+
+ private:
+  RoceDriver& driver_;
+  VirtAddr addr_;
+  uint64_t sentinel_;
+  uint64_t value_ = 0;
+  std::coroutine_handle<> waiter_;
+};
+
+}  // namespace
 
 ValueTask<uint64_t> RoceDriver::PollU64(VirtAddr addr, uint64_t sentinel) {
-  while (true) {
-    const uint64_t value = ReadHostU64(addr);
-    if (value != sentinel) {
-      co_return value;
-    }
-    co_await Delay(sim_, config_.poll_interval);
-  }
+  co_return co_await PollAwaiter(*this, addr, sentinel);
 }
 
 }  // namespace strom

@@ -24,16 +24,13 @@ struct RdmaBuffer {
   uint64_t size = 0;
 };
 
-struct DriverConfig {
-  // Granularity at which a spinning host thread re-checks a polled cache
-  // line (load + compare on an invalidated line).
-  SimTime poll_interval = Ns(50);
-};
+// Granularity at which a spinning host thread re-checks a polled cache
+// line (load + compare on an invalidated line).
+inline constexpr SimTime kPollInterval = Ns(50);
 
 class RoceDriver {
  public:
-  RoceDriver(Simulator& sim, HostMemory& memory, Tlb& tlb, Controller& controller,
-             DriverConfig config = {});
+  RoceDriver(Simulator& sim, HostMemory& memory, Tlb& tlb, Controller& controller);
 
   // Registers the verbs track. Once attached, every posted verb draws a
   // TraceContext from the tracer (subject to sampling) and records a
@@ -97,11 +94,11 @@ class RoceDriver {
   // --- coroutine wrappers ----------------------------------------------------
   ValueTask<Status> Write(Qpn qpn, VirtAddr local, VirtAddr remote, uint32_t length);
   ValueTask<Status> Read(Qpn qpn, VirtAddr local, VirtAddr remote, uint32_t length);
-  ValueTask<Status> Rpc(uint32_t rpc_opcode, Qpn qpn, ByteBuffer params);
-  ValueTask<Status> RpcWrite(uint32_t rpc_opcode, Qpn qpn, VirtAddr origin, uint32_t length);
 
   // Spins on the 8-byte word at `addr` until it differs from `sentinel`;
   // returns the observed value (the paper's ping-pong completion detection).
+  // Re-checks every kPollInterval on the simulator's poll lane; a check that
+  // still finds `sentinel` re-arms the lane entry without resuming the caller.
   ValueTask<uint64_t> PollU64(VirtAddr addr, uint64_t sentinel);
 
   Simulator& sim() { return sim_; }
@@ -118,7 +115,6 @@ class RoceDriver {
   HostMemory& memory_;
   Tlb& tlb_;
   Controller& controller_;
-  DriverConfig config_;
   VirtAddr next_va_ = kHugePageSize;  // VA 0 reserved as "null"
   uint64_t next_wr_id_ = 1;
   Tracer* tracer_ = nullptr;

@@ -28,6 +28,27 @@ void EventQueue::Push(SimTime when, Callback fn) {
   ++size_;
 }
 
+void EventQueue::PushPoll(SimTime when, Poller* poller) {
+  const size_t cap = lane_.size();
+  if (lane_size_ == cap) {
+    // Full: unroll the ring into a buffer twice as large.
+    std::vector<LaneEntry> grown(std::max<size_t>(16, 2 * cap));
+    for (size_t i = 0; i < lane_size_; ++i) {
+      grown[i] = lane_[(lane_head_ + i) & (cap - 1)];
+    }
+    lane_.swap(grown);
+    lane_head_ = 0;
+  }
+  const size_t mask = lane_.size() - 1;
+  if (lane_size_ > 0) {
+    STROM_CHECK_GE(when, lane_[(lane_head_ + lane_size_ - 1) & mask].when)
+        << "poll lane entry pushed before the lane's back";
+  }
+  lane_[(lane_head_ + lane_size_) & mask] = LaneEntry{when, next_seq_++, poller};
+  ++lane_size_;
+  ++size_;
+}
+
 EventQueue::TimerId EventQueue::CreateTimer(Callback fn) {
   const uint32_t idx = static_cast<uint32_t>(timers_.size());
   STROM_CHECK_LT(idx, kTimerBit) << "timer slab overflow";
@@ -76,12 +97,23 @@ bool EventQueue::TimerPending(TimerId id) const {
 }
 
 SimTime EventQueue::NextTime() const {
-  STROM_CHECK(!heap_.empty());
-  return heap_.front().when;
+  STROM_CHECK(!empty());
+  return LaneFirst() ? lane_[lane_head_].when : heap_.front().when;
 }
 
 EventQueue::Event EventQueue::Pop() {
-  STROM_CHECK(!heap_.empty());
+  STROM_CHECK(!empty());
+  Event out;
+  if (LaneFirst()) {
+    const LaneEntry& front = lane_[lane_head_];
+    out.when = front.when;
+    out.seq = front.seq;
+    out.poller = front.poller;
+    lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+    --lane_size_;
+    --size_;
+    return out;
+  }
   const HeapNode top = heap_.front();
   const HeapNode back = heap_.back();
   heap_.pop_back();
@@ -89,7 +121,6 @@ EventQueue::Event EventQueue::Pop() {
     PlaceNode(0, back);
     SiftDown(0);
   }
-  Event out;
   out.when = top.when;
   out.seq = top.seq;
   if (top.slot & kTimerBit) {
@@ -110,6 +141,9 @@ void EventQueue::Clear() {
   slots_.clear();
   free_slots_.clear();
   timers_.clear();
+  lane_.clear();
+  lane_head_ = 0;
+  lane_size_ = 0;
   size_ = 0;
 }
 

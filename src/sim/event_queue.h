@@ -12,6 +12,12 @@
 // O(log n) instead of letting generation-checked tombstones pop through the
 // queue. Re-arming reuses the installed callback, so a timer that is armed,
 // cancelled, and re-armed millions of times never allocates.
+//
+// Poll lane: a FIFO beside the heap for fixed-interval re-checks (a host
+// thread spinning on a word). Every entry is pushed at now + one interval
+// with the next seq, so the FIFO is already sorted by (when, seq) and Pop()
+// merges it with the heap by the same comparator: pop order, seqs and the
+// event count are exactly those of scheduling each tick as a heap event.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
@@ -42,7 +48,22 @@ class EventQueue {
     bool valid() const { return idx != kInvalidTimer; }
   };
 
+  // A poll-lane client. Tick() runs when its entry pops; a poller that
+  // keeps spinning pushes itself again with PushPoll.
+  class Poller {
+   public:
+    virtual void Tick() = 0;
+
+   protected:
+    ~Poller() = default;
+  };
+
   void Push(SimTime when, Callback fn);
+
+  // Appends a poll-lane entry with the next seq. `when` must be no earlier
+  // than the last queued lane entry's (checked), which holds when every
+  // entry is pushed at now + one fixed interval.
+  void PushPoll(SimTime when, Poller* poller);
 
   // Installs `fn` as a persistent callback and returns a handle. The timer
   // starts idle; ArmTimer schedules it. The callback is retained across
@@ -56,6 +77,7 @@ class EventQueue {
   bool CancelTimer(TimerId id);
   bool TimerPending(TimerId id) const;
 
+  // Heap and poll-lane entries alike.
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
   // Timestamp of the earliest event. Precondition: !empty().
@@ -67,8 +89,11 @@ class EventQueue {
     uint64_t seq;
     Callback fn;                // one-shot payload (moved out of the slab)
     Callback* timer_fn = nullptr;  // persistent timer callback (fires in place)
+    Poller* poller = nullptr;      // poll-lane entry
     void Run() {
-      if (timer_fn != nullptr) {
+      if (poller != nullptr) {
+        poller->Tick();
+      } else if (timer_fn != nullptr) {
         (*timer_fn)();
       } else {
         fn();
@@ -88,8 +113,15 @@ class EventQueue {
     uint32_t slot;  // kTimerBit set: timer slab index; clear: callback slot
   };
 
+  struct LaneEntry {
+    SimTime when;
+    uint64_t seq;
+    Poller* poller;
+  };
+
   // Earlier time wins; same-time events fire in insertion (seq) order.
-  static bool Before(const HeapNode& a, const HeapNode& b) {
+  template <typename A, typename B>
+  static bool Before(const A& a, const B& b) {
     if (a.when != b.when) {
       return a.when < b.when;
     }
@@ -112,6 +144,10 @@ class EventQueue {
       timers_[node.slot & ~kTimerBit].pos = static_cast<uint32_t>(i);
     }
   }
+  // Whether the next pop comes from the poll lane rather than the heap.
+  bool LaneFirst() const {
+    return lane_size_ > 0 && (heap_.empty() || Before(lane_[lane_head_], heap_.front()));
+  }
   void SiftUp(size_t i);
   void SiftDown(size_t i);
   void HeapInsert(const HeapNode& node);
@@ -124,6 +160,11 @@ class EventQueue {
   size_t size_ = 0;
 
   std::deque<Timer> timers_;  // deque: stable addresses across CreateTimer
+
+  // Poll lane as a ring buffer; its capacity is zero or a power of two.
+  std::vector<LaneEntry> lane_;
+  size_t lane_head_ = 0;
+  size_t lane_size_ = 0;
 };
 
 }  // namespace strom

@@ -28,6 +28,11 @@ void Simulator::ScheduleAt(SimTime when, EventQueue::Callback fn) {
   queue_.Push(when, std::move(fn));
 }
 
+void Simulator::SchedulePoll(SimTime interval, EventQueue::Poller& poller) {
+  STROM_CHECK_GT(interval, 0);
+  queue_.PushPoll(now_ + interval, &poller);
+}
+
 Simulator::TimerHandle Simulator::ScheduleCancellable(SimTime delay,
                                                       EventQueue::Callback fn) {
   STROM_CHECK_GE(delay, 0);

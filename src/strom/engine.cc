@@ -1,5 +1,6 @@
 #include "src/strom/engine.h"
 
+#include <cstring>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -193,7 +194,7 @@ void StromEngine::ServiceDmaCommands(Deployed& d) {
       PendingDmaWrite w;
       w.addr = cmd.addr;
       w.length = cmd.length;
-      w.collected.reserve(cmd.length);
+      w.collected = FrameBuf::AllocateUninit(cmd.length);
       d.dma_writes.push_back(std::move(w));
     } else {
       ++counters_.kernel_dma_reads;
@@ -220,17 +221,21 @@ void StromEngine::CollectDmaWrites(Deployed& d) {
   KernelStreams& s = d.kernel->streams();
   while (!d.dma_writes.empty()) {
     PendingDmaWrite& w = d.dma_writes.front();
-    while (w.collected.size() < w.length && !s.dma_data_out.Empty()) {
+    while (w.filled < w.length && !s.dma_data_out.Empty()) {
       NetChunk chunk = s.dma_data_out.Pop();
-      w.collected.insert(w.collected.end(), chunk.data.begin(), chunk.data.end());
+      // Guards the frame's bound, so it runs before the copy.
+      STROM_CHECK_LE(chunk.data.size(), w.length - w.filled)
+          << "kernel " << d.kernel->name() << " overfilled a DMA write";
+      if (!chunk.data.empty()) {
+        std::memcpy(w.collected.data() + w.filled, chunk.data.data(), chunk.data.size());
+      }
+      w.filled += static_cast<uint32_t>(chunk.data.size());
     }
-    if (w.collected.size() < w.length) {
+    if (w.filled < w.length) {
       return;  // wait for more data from the kernel
     }
-    STROM_CHECK_EQ(w.collected.size(), w.length)
-        << "kernel " << d.kernel->name() << " overfilled a DMA write";
-    Status wst = dma_.Write(w.addr, FrameBuf::Adopt(std::move(w.collected)), nullptr,
-                            d.active_trace);
+    // Every byte of the uninitialized frame is written by now.
+    Status wst = dma_.Write(w.addr, std::move(w.collected), nullptr, d.active_trace);
     if (!wst.ok()) {
       STROM_LOG(kError) << "kernel DMA write failed: " << wst;
       ++counters_.kernel_dma_errors;

@@ -74,7 +74,9 @@ class StromEngine {
   struct PendingDmaWrite {
     VirtAddr addr = 0;
     uint32_t length = 0;
-    ByteBuffer collected;
+    uint32_t filled = 0;
+    // Pooled and uninitialized: every byte is copied in before dma_.Write.
+    FrameBuf collected;
   };
   struct PendingResponse {
     RoceMeta meta;

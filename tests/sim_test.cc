@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event simulator, coroutine tasks, and FIFOs.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -88,11 +89,39 @@ TEST(EventQueue, PopReturnsMonotoneSeqForSameTimestamp) {
   EXPECT_TRUE(q.empty());
 }
 
+// A poll-lane client for the tests: records its label on every tick and,
+// while `rearm` is set, pushes itself again one interval after `now`.
+class LanePoller final : public EventQueue::Poller {
+ public:
+  LanePoller(EventQueue& q, const SimTime& now, SimTime interval, int label,
+             std::vector<int>& fired)
+      : q_(q), now_(now), interval_(interval), label_(label), fired_(fired) {}
+
+  void Tick() override {
+    fired_.push_back(label_);
+    if (rearm) {
+      q_.PushPoll(now_ + interval_, this);
+    }
+  }
+
+  bool rearm = false;
+
+ private:
+  EventQueue& q_;
+  const SimTime& now_;
+  SimTime interval_;
+  int label_;
+  std::vector<int>& fired_;
+};
+
 // Cancellation stress: randomized arm/cancel/re-arm/pop churn against a
 // reference model (an ordered set of (when, seq, label) triples). Deadlines
 // mix near, mid and far horizons (up to 2^14, 2^22 and 2^38 ps out), and
-// every fire is compared label-for-label.
-void CancellationStress(uint64_t seed) {
+// every fire is compared label-for-label. With `lane`, poll-lane entries join
+// the churn: pushed at now + a fixed interval, some re-armed from their own
+// tick, and one-shots land on exactly that instant to make ties; the model
+// keys them like any other entry.
+void CancellationStress(uint64_t seed, bool lane = false) {
   EventQueue q;
   Rng rng(seed);
 
@@ -109,9 +138,21 @@ void CancellationStress(uint64_t seed) {
   std::set<Key> model;
   std::vector<std::optional<Key>> pending(kTimers);  // timer -> live key
   std::vector<int> model_fired;
+  int lane_heap_ties = 0;  // consecutive pops at one instant, one from each side
+  int prev_label = 0;
+  SimTime prev_when = -1;
   uint64_t next_seq = 0;
   int next_oneshot = kTimers;
   SimTime now = 0;
+
+  // Lane pollers carry labels -1 .. -kPollers.
+  constexpr int kPollers = 8;
+  constexpr SimTime kInterval = 5000;
+  std::vector<std::unique_ptr<LanePoller>> pollers;
+  for (int k = 0; k < kPollers; ++k) {
+    pollers.push_back(std::make_unique<LanePoller>(q, now, kInterval, -1 - k, fired));
+  }
+  auto poller_of = [&](int label) -> LanePoller& { return *pollers[-1 - label]; };
 
   auto random_when = [&]() -> SimTime {
     switch (rng.Below(3)) {
@@ -125,7 +166,7 @@ void CancellationStress(uint64_t seed) {
   };
 
   for (int step = 0; step < 20000; ++step) {
-    switch (rng.Below(10)) {
+    switch (rng.Below(lane ? 12 : 10)) {
       case 0:
       case 1:
       case 2: {  // arm / re-arm a random timer
@@ -159,6 +200,20 @@ void CancellationStress(uint64_t seed) {
         ++next_seq;
         break;
       }
+      case 10: {  // poll-lane push
+        const int label = -1 - static_cast<int>(rng.Below(kPollers));
+        model.insert(Key{now + kInterval, next_seq, label});
+        q.PushPoll(now + kInterval, &poller_of(label));
+        ++next_seq;
+        break;
+      }
+      case 11: {  // one-shot on the lane's instant: a tie, either side of it
+        const int label = next_oneshot++;
+        model.insert(Key{now + kInterval, next_seq, label});
+        q.Push(now + kInterval, [&fired, label] { fired.push_back(label); });
+        ++next_seq;
+        break;
+      }
       default: {  // pop
         ASSERT_EQ(q.empty(), model.empty());
         if (model.empty()) {
@@ -171,11 +226,24 @@ void CancellationStress(uint64_t seed) {
         ASSERT_EQ(ev.seq, std::get<1>(expect));
         model.erase(model.begin());
         const int label = std::get<2>(expect);
-        if (label < kTimers) {
+        if (label >= 0 && label < kTimers) {
           pending[label].reset();
         }
         model_fired.push_back(label);
+        if (ev.when == prev_when && (label < 0) != (prev_label < 0)) {
+          ++lane_heap_ties;
+        }
+        prev_when = ev.when;
+        prev_label = label;
         now = ev.when;
+        if (label < 0) {  // a lane tick: re-arm from inside it, sometimes
+          LanePoller& p = poller_of(label);
+          p.rearm = rng.Below(2) == 0;
+          if (p.rearm) {
+            model.insert(Key{now + kInterval, next_seq, label});
+            ++next_seq;
+          }
+        }
         ev.Run();
         ASSERT_EQ(fired.size(), model_fired.size());
         ASSERT_EQ(fired.back(), model_fired.back());
@@ -185,9 +253,13 @@ void CancellationStress(uint64_t seed) {
     ASSERT_EQ(q.size(), model.size());
   }
   // Drain: every remaining entry fires in model order.
+  for (auto& p : pollers) {
+    p->rearm = false;
+  }
   while (!model.empty()) {
     const Key expect = *model.begin();
     model.erase(model.begin());
+    ASSERT_EQ(q.NextTime(), std::get<0>(expect));
     EventQueue::Event ev = q.Pop();
     ASSERT_EQ(ev.when, std::get<0>(expect));
     ASSERT_EQ(ev.seq, std::get<1>(expect));
@@ -195,11 +267,87 @@ void CancellationStress(uint64_t seed) {
     ASSERT_EQ(fired.back(), std::get<2>(expect));
   }
   EXPECT_TRUE(q.empty());
+  if (lane) {
+    EXPECT_GT(lane_heap_ties, 10) << "the lane case must exercise same-instant ties";
+  }
 }
 
 TEST(EventCoreCancellation, StressMatchesReferenceModelHeap) {
   CancellationStress(17);
   CancellationStress(4242);
+}
+
+TEST(EventCoreCancellation, StressWithPollLaneMatchesReferenceModel) {
+  CancellationStress(17, /*lane=*/true);
+  CancellationStress(4242, /*lane=*/true);
+  CancellationStress(99, /*lane=*/true);
+}
+
+// A lane tick and heap events at the same `when` pop in seq order, whichever
+// side took its seq first.
+TEST(EventQueue, PollLaneTiesWithHeapBreakBySeq) {
+  EventQueue q;
+  std::vector<int> fired;
+  const SimTime now = 0;
+  LanePoller first(q, now, 100, 10, fired);
+  LanePoller second(q, now, 100, 11, fired);
+  q.Push(100, [&fired] { fired.push_back(0); });  // heap before lane
+  q.PushPoll(100, &first);
+  q.Push(100, [&fired] { fired.push_back(1); });  // heap after lane, before lane
+  q.PushPoll(100, &second);
+  q.Push(100, [&fired] { fired.push_back(2); });  // heap after lane
+  q.Push(99, [&fired] { fired.push_back(-1); });  // earlier heap event
+  EXPECT_EQ(q.size(), 6u);
+  uint64_t prev_seq = 0;
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_FALSE(q.empty());
+    const SimTime next = q.NextTime();
+    EventQueue::Event ev = q.Pop();
+    EXPECT_EQ(ev.when, next);
+    if (i > 1) {
+      EXPECT_GT(ev.seq, prev_seq);
+    }
+    prev_seq = ev.seq;
+    ev.Run();
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(fired, (std::vector<int>{-1, 0, 10, 1, 11, 2}));
+}
+
+TEST(EventQueueDeathTest, PollLaneRejectsOutOfOrderPush) {
+  EventQueue q;
+  std::vector<int> fired;
+  const SimTime now = 0;
+  LanePoller p(q, now, 100, 0, fired);
+  q.PushPoll(200, &p);
+  EXPECT_DEATH(q.PushPoll(199, &p), "poll lane");
+}
+
+// Lane ticks are events: each counts once, and a re-armed tick keeps
+// RunFor/pending_events honest.
+TEST(Simulator, PollLaneTicksCountAsEvents) {
+  Simulator sim;
+  struct Countdown final : EventQueue::Poller {
+    Simulator& sim;
+    int left;
+    std::vector<SimTime> ticks;
+    Countdown(Simulator& s, int n) : sim(s), left(n) {}
+    void Tick() override {
+      ticks.push_back(sim.now());
+      if (--left > 0) {
+        sim.SchedulePoll(Ns(50), *this);
+      }
+    }
+  } countdown(sim, 4);
+  sim.Schedule(Ns(10), [] {});
+  sim.SchedulePoll(Ns(50), countdown);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.RunFor(Ns(120));
+  EXPECT_EQ(sim.events_processed(), 3u);  // the one-shot and ticks at 50, 100
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.RunUntilIdle();
+  EXPECT_EQ(sim.events_processed(), 5u);
+  EXPECT_EQ(countdown.ticks, (std::vector<SimTime>{Ns(50), Ns(100), Ns(150), Ns(200)}));
 }
 
 // A long equal-`when` run must fire in insertion order, interleaved

@@ -102,6 +102,29 @@ TEST_F(EngineTest, DmaWriteCollectedAcrossMultipleChunks) {
   EXPECT_EQ(bed_.node(1).engine().counters().kernel_dma_writes, 1u);
 }
 
+using EngineDeathTest = EngineTest;
+
+// The overfill check guards the pooled write frame's bound: a chunk larger
+// than what is left of the pending write must stop the run before the copy.
+TEST_F(EngineDeathTest, OverfilledDmaWriteDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ScriptKernel* k = Deploy(0x9A);
+        k->on_fire = [this](ScriptKernel& self) -> uint64_t {
+          self.s().dma_cmd_out.Push(MemCmd{remote_, 16, /*is_write=*/true});
+          NetChunk chunk;
+          chunk.data = FrameBuf::Adopt(ByteBuffer(24, 0xB0));
+          chunk.last = true;
+          self.s().dma_data_out.Push(std::move(chunk));
+          return 1;
+        };
+        bed_.node(0).driver().PostRpc(0x9A, kQp, ByteBuffer(32, 1));
+        bed_.sim().RunUntilIdle();
+      },
+      "overfilled a DMA write");
+}
+
 TEST_F(EngineTest, ResponseAssembledFromMultipleChunks) {
   ScriptKernel* k = Deploy(0x91);
   k->on_fire = [this](ScriptKernel& self) -> uint64_t {
