@@ -1,5 +1,5 @@
-// Byte buffer helpers: endian-aware reads/writes and a simple wire-format
-// writer/reader used by the protocol codecs in src/proto/.
+// Byte buffer helpers: endian-aware reads/writes and a bounds-checked
+// wire-format writer/reader used by the protocol codecs in src/proto/.
 #ifndef SRC_COMMON_BYTES_H_
 #define SRC_COMMON_BYTES_H_
 
@@ -65,36 +65,40 @@ inline uint64_t LoadLe64(const uint8_t* p) {
   return v;
 }
 
-// Sequential big-endian writer appending to a ByteBuffer.
+// Sequential big-endian writer: a cursor over a buffer sized before the first
+// byte is written. Every write is bounds-checked in every build; running past
+// the end is fatal, never a silent overrun. Callers that fill a buffer whole
+// check position() against its size once they are done.
 class WireWriter {
  public:
-  explicit WireWriter(ByteBuffer& out) : out_(out) {}
+  explicit WireWriter(MutableByteSpan out) : out_(out) {}
 
-  void U8(uint8_t v) { out_.push_back(v); }
-  void U16(uint16_t v) {
-    size_t n = out_.size();
-    out_.resize(n + 2);
-    StoreBe16(out_.data() + n, v);
+  size_t position() const { return pos_; }
+
+  void U8(uint8_t v) { *Claim(1) = v; }
+  void U16(uint16_t v) { StoreBe16(Claim(2), v); }
+  void U24(uint32_t v) { StoreBe24(Claim(3), v); }
+  void U32(uint32_t v) { StoreBe32(Claim(4), v); }
+  void U64(uint64_t v) { StoreBe64(Claim(8), v); }
+  void Bytes(ByteSpan data) {
+    if (!data.empty()) {
+      std::memcpy(Claim(data.size()), data.data(), data.size());
+    }
   }
-  void U24(uint32_t v) {
-    size_t n = out_.size();
-    out_.resize(n + 3);
-    StoreBe24(out_.data() + n, v);
-  }
-  void U32(uint32_t v) {
-    size_t n = out_.size();
-    out_.resize(n + 4);
-    StoreBe32(out_.data() + n, v);
-  }
-  void U64(uint64_t v) {
-    size_t n = out_.size();
-    out_.resize(n + 8);
-    StoreBe64(out_.data() + n, v);
-  }
-  void Bytes(ByteSpan data) { out_.insert(out_.end(), data.begin(), data.end()); }
 
  private:
-  ByteBuffer& out_;
+  // Advances the cursor by `n` and returns where those bytes go.
+  uint8_t* Claim(size_t n) {
+    STROM_CHECK_LE(n, out_.size() - pos_)
+        << "WireWriter overrun: " << n << " bytes at position " << pos_ << " of "
+        << out_.size();
+    uint8_t* p = out_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+
+  MutableByteSpan out_;
+  size_t pos_ = 0;
 };
 
 // Sequential big-endian reader over a ByteSpan; sets failed() on overrun

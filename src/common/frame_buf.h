@@ -1,11 +1,13 @@
 // Ref-counted pooled frame buffer.
 //
 // A FrameBuf is a {block, offset, length} view over a pooled byte block. The
-// hot paths build a frame once (FrameBuilder + WireWriter) and then share it
-// by reference count across the link, switch ports, capture taps, and the
-// receiver — where the payload is carried onward as a SubSpan of the same
-// block rather than copied. Released blocks return to a thread-local free
-// list bucketed by capacity, so steady-state traffic allocates nothing.
+// hot paths build a frame once — the RoCE encoder takes an AllocateUninit
+// block of the exact wire size and writes every byte through a WireWriter in
+// one pass — and then share it by reference count across the link, switch
+// ports, capture taps, and the receiver, where the payload is carried onward
+// as a SubSpan of the same block rather than copied. Released blocks return
+// to a thread-local free list bucketed by capacity, so steady-state traffic
+// allocates nothing.
 //
 // Threading model: the reference count is deliberately NOT atomic. A
 // Simulator and every frame it creates live on exactly one thread (the
@@ -72,8 +74,9 @@ class FrameBuf {
   }
 
   // Like Allocate but skips the zero fill. Only for callers that overwrite
-  // every byte before the frame escapes (Copy, DMA read completion); recycled
-  // blocks may otherwise leak stale bytes from a previous frame.
+  // every byte before the frame escapes (Copy, DMA read completion, the RoCE
+  // encoder, kernel DMA writes); recycled blocks may otherwise leak stale
+  // bytes from a previous frame.
   static FrameBuf AllocateUninit(size_t size) {
     FrameBuf f;
     if (size > 0) {
@@ -256,8 +259,6 @@ class FrameBuf {
   void clear() { Release(); }
 
  private:
-  friend class FrameBuilder;
-
   void Release() {
     if (block_ != nullptr && --block_->refs == 0) {
       internal::ReleaseFrameBlock(block_);
@@ -283,46 +284,6 @@ inline bool operator==(const FrameBuf& a, const ByteBuffer& b) {
 }
 inline bool operator==(const ByteBuffer& a, const FrameBuf& b) { return b == a; }
 
-// Builds a frame in a pooled block with the existing WireWriter, then wraps
-// it as a FrameBuf without copying:
-//
-//   FrameBuilder b(wire_size_hint);
-//   WireWriter w(b.buffer());
-//   ... encode ...
-//   FrameBuf frame = std::move(b).Finish();
-class FrameBuilder {
- public:
-  explicit FrameBuilder(size_t capacity_hint) {
-    block_ = internal::AcquireFrameBlock(capacity_hint);
-    block_->storage.clear();
-  }
-
-  ~FrameBuilder() {
-    if (block_ != nullptr) {
-      internal::ReleaseFrameBlock(block_);
-    }
-  }
-
-  FrameBuilder(const FrameBuilder&) = delete;
-  FrameBuilder& operator=(const FrameBuilder&) = delete;
-
-  ByteBuffer& buffer() { return block_->storage; }
-
-  FrameBuf Finish() && {
-    FrameBuf f;
-    if (!block_->storage.empty()) {
-      f.block_ = block_;
-      f.block_->refs = 1;
-      f.len_ = static_cast<uint32_t>(block_->storage.size());
-      block_ = nullptr;
-    }
-    return f;
-  }
-
- private:
-  internal::FrameBlock* block_ = nullptr;
-};
-
 // Pool introspection for the microbench and tests.
 struct FramePoolStats {
   uint64_t allocations = 0;  // blocks created with operator new
@@ -330,7 +291,7 @@ struct FramePoolStats {
 };
 FramePoolStats GetFramePoolStats();
 
-// Blocks currently referenced by live FrameBufs/FrameBuilders, process-wide.
+// Blocks currently referenced by live FrameBufs, process-wide.
 // Blocks parked on a free list don't count. The leak auditor checks this is
 // zero once every simulation object is destroyed; it is a relaxed atomic so
 // the count is exact only at quiescent points, which is all the audit needs.

@@ -72,9 +72,11 @@ Fabric::Fabric(const Profile& profile, FabricTopologyConfig topo)
     sw.AddStaticRoute(MacForHost(i), port);
   }
 
-  // Leaf-spine cables + static routes: leaf l reaches remote host h through
-  // spine h % num_spines; spine s reaches host h through its cable to
-  // leaf(h). With exact routes everywhere, nothing floods.
+  // Leaf-spine cables + seeded routes: leaf l starts out reaching remote
+  // host h through spine h % num_spines; spine s reaches host h through its
+  // cable to leaf(h). With exact routes everywhere, nothing floods. Source
+  // learning then moves a leaf's route to h onto whichever spine last
+  // delivered a frame from h (FabricSwitch::OnFrame).
   std::vector<std::vector<int>> uplink(leaves_.size());    // [leaf][spine] -> leaf port
   std::vector<std::vector<int>> downlink(spines_.size());  // [spine][leaf] -> spine port
   for (size_t l = 0; l < leaves_.size(); ++l) {

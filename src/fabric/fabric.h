@@ -6,12 +6,16 @@
 // so benches and tests move between the 2-node cable and a rack by swapping
 // the fixture.
 //
-// Placement and routing are static and deterministic:
+// Placement is static and routing deterministic:
 //   * host i lives on leaf i / ceil(hosts/leaves);
-//   * cross-leaf traffic to host h uses spine h % num_spines (per-destination
-//     spine striping — no per-flow hashing, no RNG);
-//   * every switch carries exact static routes, so nothing floods after
-//     construction.
+//   * every switch is seeded with an exact route to every host, so nothing
+//     floods after construction; a leaf's seeded route to a host h on
+//     another leaf points at spine h % num_spines (no per-flow hashing, no
+//     RNG);
+//   * the seeded routes are only where routing starts. Every switch learns
+//     each frame's source over them, so a leaf reaches a remote host h
+//     through whichever spine last delivered a frame from h. Spine routes,
+//     and a leaf's routes to its own hosts, never move.
 #ifndef SRC_FABRIC_FABRIC_H_
 #define SRC_FABRIC_FABRIC_H_
 

@@ -10,6 +10,15 @@
 
 namespace strom {
 
+namespace {
+
+// The MAC table's key: the six address bytes as one big-endian integer.
+uint64_t MacKey(const MacAddr& mac) {
+  return (static_cast<uint64_t>(LoadBe16(mac.data())) << 32) | LoadBe32(mac.data() + 2);
+}
+
+}  // namespace
+
 FabricSwitch::FabricSwitch(Simulator& sim, FabricSwitchConfig config, std::string name)
     : sim_(sim), config_(config), name_(std::move(name)) {
   // Locally-administered switch MAC; only used as the pause-frame source
@@ -54,7 +63,9 @@ std::pair<int, int> FabricSwitch::ConnectTo(FabricSwitch& peer) {
   return {my_port, peer_port};
 }
 
-void FabricSwitch::AddStaticRoute(const MacAddr& mac, int port) { mac_table_[mac] = port; }
+void FabricSwitch::AddStaticRoute(const MacAddr& mac, int port) {
+  mac_table_[MacKey(mac)] = port;
+}
 
 void FabricSwitch::AttachCapture(PcapWriter* writer) {
   for (size_t port = 0; port < ports_.size(); ++port) {
@@ -154,21 +165,21 @@ void FabricSwitch::OnFrame(int in_port, FrameBuf frame, TraceContext trace) {
   // Fast path: reuse the TX encoder's memoized MACs instead of re-reading the
   // Ethernet header on every hop. Wire bytes stay authoritative: a mutated
   // frame has no memo and takes the byte path.
-  if (const RoceFrameMemo* memo = frame.GetMemo<RoceFrameMemo>();
-      memo != nullptr && !ParanoidMode()) {
+  const RoceFrameMemo* memo = frame.GetMemo<RoceFrameMemo>();
+  if (memo != nullptr && !ParanoidMode()) {
     dst = memo->dst_mac;
     src = memo->src_mac;
   } else {
     std::copy(frame.begin(), frame.begin() + 6, dst.begin());
     std::copy(frame.begin() + 6, frame.begin() + 12, src.begin());
-    if (const RoceFrameMemo* memo = frame.GetMemo<RoceFrameMemo>()) {
+    if (memo != nullptr) {
       STROM_CHECK(memo->dst_mac == dst && memo->src_mac == src)
           << "paranoid: memo MACs diverge from wire Ethernet header";
     }
   }
-  mac_table_[src] = in_port;  // learn
+  mac_table_[MacKey(src)] = in_port;  // learn, over a static route too
 
-  auto it = mac_table_.find(dst);
+  auto it = mac_table_.find(MacKey(dst));
   if (it != mac_table_.end()) {
     ++frames_forwarded_;
     const int out_port = it->second;

@@ -18,16 +18,17 @@
 //
 // Ports come in two flavors: endpoint ports (AddPort — the switch owns the
 // link and transmits on side 1) and cable ports (ConnectTo — the callee owns
-// the link, the peer switch transmits on side 0). Forwarding uses a static
-// MAC table plus source learning, flooding unknown destinations.
+// the link, the peer switch transmits on side 0). Forwarding uses one MAC
+// table: static routes seed it, every frame's source is learned into it
+// (overwriting a static entry too), and unknown destinations flood.
 #ifndef SRC_FABRIC_FABRIC_SWITCH_H_
 #define SRC_FABRIC_FABRIC_SWITCH_H_
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -155,7 +156,9 @@ class FabricSwitch {
   std::string name_;
   MacAddr mac_;
   std::vector<Port> ports_;
-  std::map<MacAddr, int> mac_table_;
+  // MAC (as a 48-bit integer, see MacKey) -> egress port. Static routes seed
+  // it and every frame's source is learned over them; nothing iterates it.
+  std::unordered_map<uint64_t, int> mac_table_;
   uint64_t frames_forwarded_ = 0;
   uint64_t frames_flooded_ = 0;
   bool alive_ = true;

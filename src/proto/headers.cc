@@ -52,27 +52,34 @@ uint16_t Ipv4Header::Checksum(ByteSpan header_bytes) {
   return static_cast<uint16_t>(~sum);
 }
 
+namespace {
+
+// The 20 header bytes of `h`, checksum included, staged in `hdr`.
+void EncodeIpv4(const Ipv4Header& h, uint8_t (&hdr)[Ipv4Header::kSize]) {
+  WireWriter w{MutableByteSpan(hdr)};
+  w.U8(0x45);  // version 4, IHL 5
+  w.U8(h.tos);
+  w.U16(h.total_length);
+  w.U16(h.identification);
+  w.U16(0x4000);  // DF, no fragmentation
+  w.U8(h.ttl);
+  w.U8(h.protocol);
+  w.U16(0);  // checksum placeholder
+  w.U32(h.src);
+  w.U32(h.dst);
+  StoreBe16(hdr + 10, Ipv4Header::Checksum(ByteSpan(hdr)));
+}
+
+}  // namespace
+
 void Ipv4Header::Encode(WireWriter& w) const {
-  ByteBuffer hdr;
-  WireWriter hw(hdr);
-  hw.U8(0x45);  // version 4, IHL 5
-  hw.U8(tos);
-  hw.U16(total_length);
-  hw.U16(identification);
-  hw.U16(0x4000);  // DF, no fragmentation
-  hw.U8(ttl);
-  hw.U8(protocol);
-  hw.U16(0);  // checksum placeholder
-  hw.U32(src);
-  hw.U32(dst);
-  uint16_t csum = Checksum(hdr);
-  StoreBe16(hdr.data() + 10, csum);
-  w.Bytes(hdr);
+  uint8_t hdr[kSize];
+  EncodeIpv4(*this, hdr);
+  w.Bytes(ByteSpan(hdr));
 }
 
 Ipv4Header Ipv4Header::Decode(WireReader& r, bool* checksum_ok) {
   Ipv4Header h;
-  size_t start = r.position();
   uint8_t ver_ihl = r.U8();
   h.tos = r.U8();
   h.total_length = r.U16();
@@ -86,14 +93,11 @@ Ipv4Header Ipv4Header::Decode(WireReader& r, bool* checksum_ok) {
   if (checksum_ok != nullptr) {
     *checksum_ok = false;
     if (!r.failed() && ver_ihl == 0x45) {
-      // Recompute over the 20 header bytes with the checksum field zeroed.
-      ByteBuffer hdr;
-      WireWriter hw(hdr);
-      Ipv4Header copy = h;
-      copy.Encode(hw);
-      // Encode() recomputes the checksum; compare against the wire value.
-      *checksum_ok = LoadBe16(hdr.data() + 10) == wire_csum;
-      (void)start;
+      // Re-encode the decoded fields, which recomputes the checksum with the
+      // field zeroed, and compare against the wire value.
+      uint8_t hdr[kSize];
+      EncodeIpv4(h, hdr);
+      *checksum_ok = LoadBe16(hdr + 10) == wire_csum;
     }
   }
   return h;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <utility>
 
 #include "src/common/crc.h"
 #include "src/common/logging.h"
@@ -64,10 +63,13 @@ uint32_t ComputeIcrc(ByteSpan ip_through_payload) {
 
 FrameBuf EncodeRoceFrame(const MacAddr& src_mac, const MacAddr& dst_mac,
                          const RocePacket& pkt) {
-  FrameBuilder builder(pkt.WireSize());
-  ByteBuffer& frame = builder.buffer();
-  frame.reserve(pkt.WireSize());
-  WireWriter w(frame);
+  // One pooled block of exactly the wire size, written front to back in one
+  // pass. No zero fill: the position check below proves every byte was
+  // written. The mutable data() call invalidates a recycled block's memo.
+  const size_t wire_size = pkt.WireSize();
+  FrameBuf out = FrameBuf::AllocateUninit(wire_size);
+  uint8_t* bytes = out.data();
+  WireWriter w(MutableByteSpan(bytes, wire_size));
 
   EthHeader eth;
   eth.src = src_mac;
@@ -102,9 +104,9 @@ FrameBuf EncodeRoceFrame(const MacAddr& src_mac, const MacAddr& dst_mac,
   w.Bytes(pkt.payload);
 
   const uint32_t icrc =
-      ComputeIcrc(ByteSpan(frame.data() + EthHeader::kSize, frame.size() - EthHeader::kSize));
+      ComputeIcrc(ByteSpan(bytes + EthHeader::kSize, w.position() - EthHeader::kSize));
   w.U32(icrc);
-  FrameBuf out = std::move(builder).Finish();
+  STROM_CHECK_EQ(w.position(), wire_size) << "EncodeRoceFrame left bytes unwritten";
 
   // Memoize what was just encoded so later hops (switch MAC lookup, RX
   // verify+decode) can reuse it instead of re-deriving it from the bytes.

@@ -1,7 +1,7 @@
 // Move-only callable with small-buffer optimization, used as the simulator's
 // event callback type. The common captures on the hot path (`this` + a
 // ref-counted frame + a trace context, ~32-40 bytes) fit in the inline
-// buffer, so the schedule/fire cycle performs no heap allocation —
+// buffer, so scheduling them performs no heap allocation —
 // std::function's inline buffer (16 bytes on libstdc++) is too small for
 // them and allocated on every Schedule().
 #ifndef SRC_SIM_SMALL_CALLBACK_H_
@@ -16,9 +16,10 @@ namespace strom {
 
 class SmallCallback {
  public:
-  // Sized for the largest hot-path capture set (the DMA completions carry
-  // `this` + an address + a FrameBuf + a std::function, 64 bytes); larger
-  // callables fall back to the heap transparently.
+  // Sized for the DMA completions (`this` + an address + a FrameBuf + a
+  // std::function, 64 bytes); larger callables fall back to the heap
+  // transparently. Two 112-byte per-packet captures do (DESIGN.md §7), and
+  // a buffer large enough to hold them measured no faster.
   static constexpr size_t kInlineSize = 64;
 
   SmallCallback() noexcept = default;

@@ -1,5 +1,7 @@
 #include "src/tcp/segment.h"
 
+#include "src/common/logging.h"
+
 namespace strom {
 
 void TcpHeader::Encode(WireWriter& w) const {
@@ -45,7 +47,8 @@ TcpHeader TcpHeader::Decode(WireReader& r) {
 
 ByteBuffer EncodeTcpFrame(const MacAddr& src_mac, const MacAddr& dst_mac,
                           const TcpSegment& seg) {
-  ByteBuffer frame;
+  ByteBuffer frame(EthHeader::kSize + Ipv4Header::kSize + TcpHeader::kSize +
+                   seg.payload.size());
   WireWriter w(frame);
   EthHeader eth;
   eth.src = src_mac;
@@ -62,6 +65,7 @@ ByteBuffer EncodeTcpFrame(const MacAddr& src_mac, const MacAddr& dst_mac,
 
   seg.tcp.Encode(w);
   w.Bytes(seg.payload);
+  STROM_CHECK_EQ(w.position(), frame.size()) << "EncodeTcpFrame left bytes unwritten";
   return frame;
 }
 

@@ -34,15 +34,19 @@ TEST(Bytes, LittleEndianRoundTrip) {
 }
 
 TEST(Bytes, WireWriterReaderRoundTrip) {
-  ByteBuffer buf;
+  ByteBuffer buf(1 + 2 + 3 + 4 + 8 + 3);
   WireWriter w(buf);
   w.U8(0x12);
+  EXPECT_EQ(w.position(), 1u);
   w.U16(0x3456);
   w.U24(0x789ABC);
   w.U32(0xDEF01234);
   w.U64(0x1122334455667788ull);
+  EXPECT_EQ(w.position(), 18u);
   const uint8_t raw[3] = {1, 2, 3};
   w.Bytes(ByteSpan(raw, 3));
+  w.Bytes(ByteSpan());  // an empty write claims nothing
+  EXPECT_EQ(w.position(), buf.size());
 
   WireReader r(buf);
   EXPECT_EQ(r.U8(), 0x12);
@@ -55,6 +59,13 @@ TEST(Bytes, WireWriterReaderRoundTrip) {
   EXPECT_EQ(rest[2], 3);
   EXPECT_FALSE(r.failed());
   EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(BytesDeathTest, WireWriterOverrunDies) {
+  ByteBuffer buf(4);
+  WireWriter w(buf);
+  w.U32(0xDEADBEEF);
+  EXPECT_DEATH(w.U8(0), "WireWriter overrun: 1 bytes at position 4 of 4");
 }
 
 TEST(Bytes, WireReaderOverrunSetsFailed) {

@@ -2,6 +2,8 @@
 // propagation, loss/corruption injection, and MAC learning.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/fabric/fabric_switch.h"
 #include "src/netsim/arp_table.h"
 #include "src/netsim/link.h"
@@ -279,6 +281,100 @@ TEST(Switch, FloodsUnknownAndLearnsSource) {
   sim.RunUntilIdle();
   EXPECT_EQ(got_p0, 1);
   EXPECT_EQ(got_p2, 1);  // unchanged
+}
+
+TEST(Switch, LearningOverwritesStaticRoute) {
+  Simulator sim;
+  FabricSwitch sw(sim, FabricSwitchConfig{});
+  const int p0 = sw.AddPort();
+  const int p1 = sw.AddPort();
+  const int p2 = sw.AddPort();
+
+  MacAddr a{0x02, 0, 0, 0, 0, 1};
+  MacAddr b{0x02, 0, 0, 0, 0, 2};
+  sw.AddStaticRoute(a, p0);
+  sw.AddStaticRoute(b, p2);
+
+  int got_p0 = 0;
+  int got_p1 = 0;
+  sw.PortLink(p0).Attach(0, [&](FrameBuf, TraceContext) { ++got_p0; });
+  sw.PortLink(p1).Attach(0, [&](FrameBuf, TraceContext) { ++got_p1; });
+  sw.PortLink(p2).Attach(0, [](FrameBuf, TraceContext) {});
+
+  // a's static route says p0, but a frame from a arrives on p1: the learned
+  // port replaces the static one.
+  sw.PortLink(p1).Send(0, FrameBuf::Adopt(FrameTo(b, a)));
+  sim.RunUntilIdle();
+  sw.PortLink(p2).Send(0, FrameBuf::Adopt(FrameTo(a, b)));
+  sim.RunUntilIdle();
+  EXPECT_EQ(got_p0, 0);
+  EXPECT_EQ(got_p1, 1);
+  EXPECT_EQ(sw.frames_forwarded(), 2u);
+  EXPECT_EQ(sw.frames_flooded(), 0u);
+}
+
+TEST(Switch, SourceSeenOnNewPortMovesItsRoute) {
+  Simulator sim;
+  FabricSwitch sw(sim, FabricSwitchConfig{});
+  const int p0 = sw.AddPort();
+  const int p1 = sw.AddPort();
+  const int p2 = sw.AddPort();
+
+  MacAddr a{0x02, 0, 0, 0, 0, 1};
+  MacAddr b{0x02, 0, 0, 0, 0, 2};
+  sw.AddStaticRoute(b, p2);
+
+  int got_p0 = 0;
+  int got_p1 = 0;
+  sw.PortLink(p0).Attach(0, [&](FrameBuf, TraceContext) { ++got_p0; });
+  sw.PortLink(p1).Attach(0, [&](FrameBuf, TraceContext) { ++got_p1; });
+  sw.PortLink(p2).Attach(0, [](FrameBuf, TraceContext) {});
+
+  sw.PortLink(p0).Send(0, FrameBuf::Adopt(FrameTo(b, a)));  // learns a on p0
+  sim.RunUntilIdle();
+  sw.PortLink(p2).Send(0, FrameBuf::Adopt(FrameTo(a, b)));
+  sim.RunUntilIdle();
+  EXPECT_EQ(got_p0, 1);
+  EXPECT_EQ(got_p1, 0);
+
+  sw.PortLink(p1).Send(0, FrameBuf::Adopt(FrameTo(b, a)));  // a moved to p1
+  sim.RunUntilIdle();
+  sw.PortLink(p2).Send(0, FrameBuf::Adopt(FrameTo(a, b)));
+  sim.RunUntilIdle();
+  EXPECT_EQ(got_p0, 1);
+  EXPECT_EQ(got_p1, 1);
+  EXPECT_EQ(sw.frames_flooded(), 0u);
+}
+
+TEST(Switch, NeverSeenDestinationFloodsAllButIngress) {
+  Simulator sim;
+  FabricSwitch sw(sim, FabricSwitchConfig{});
+  constexpr int kPorts = 5;
+  std::vector<int> got(kPorts, 0);
+  for (int i = 0; i < kPorts; ++i) {
+    const int port = sw.AddPort();
+    sw.PortLink(port).Attach(0, [&got, port](FrameBuf, TraceContext) { ++got[port]; });
+  }
+  // Known addresses elsewhere in the table do not stop the flood.
+  sw.AddStaticRoute(MacAddr{0x02, 0, 0, 0, 0, 1}, 0);
+  sw.AddStaticRoute(MacAddr{0x02, 0, 0, 0, 0, 2}, 4);
+
+  const MacAddr unknown{0x02, 0, 0, 0, 0, 9};
+  const MacAddr src{0x02, 0, 0, 0, 0, 3};
+  const int ingress = 2;
+  sw.PortLink(ingress).Send(0, FrameBuf::Adopt(FrameTo(unknown, src)));
+  sim.RunUntilIdle();
+  for (int port = 0; port < kPorts; ++port) {
+    EXPECT_EQ(got[port], port == ingress ? 0 : 1) << "port " << port;
+  }
+  EXPECT_EQ(sw.frames_flooded(), 1u);
+  EXPECT_EQ(sw.frames_forwarded(), 0u);
+
+  // A second frame to the same destination floods again: only sources learn.
+  sw.PortLink(ingress).Send(0, FrameBuf::Adopt(FrameTo(unknown, src)));
+  sim.RunUntilIdle();
+  EXPECT_EQ(sw.frames_flooded(), 2u);
+  EXPECT_EQ(got[ingress], 0);
 }
 
 TEST(ArpTable, LookupFindsAdded) {

@@ -1,9 +1,15 @@
 // Unit tests for the protocol codecs: header round trips, opcode property
-// tables, ICRC behaviour, and malformed-frame rejection.
+// tables, ICRC behaviour, malformed-frame rejection, and the encoders' exact
+// wire bytes.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "src/proto/headers.h"
 #include "src/proto/packet.h"
+#include "src/tcp/segment.h"
+#include "tests/sha256_test_util.h"
 
 namespace strom {
 namespace {
@@ -33,13 +39,14 @@ TEST(Headers, IpToStringFormats) {
 }
 
 TEST(Headers, Ipv4ChecksumValidatesOnDecode) {
-  ByteBuffer buf;
+  ByteBuffer buf(Ipv4Header::kSize);
   WireWriter w(buf);
   Ipv4Header ip;
   ip.src = MakeIp(1, 2, 3, 4);
   ip.dst = MakeIp(5, 6, 7, 8);
   ip.total_length = 100;
   ip.Encode(w);
+  ASSERT_EQ(w.position(), Ipv4Header::kSize);
 
   WireReader r(buf);
   bool ok = false;
@@ -56,7 +63,7 @@ TEST(Headers, Ipv4ChecksumValidatesOnDecode) {
 }
 
 TEST(Headers, BthRoundTrip) {
-  ByteBuffer buf;
+  ByteBuffer buf(BthHeader::kSize);
   WireWriter w(buf);
   BthHeader bth;
   bth.opcode = IbOpcode::kReadRequest;
@@ -64,7 +71,7 @@ TEST(Headers, BthRoundTrip) {
   bth.psn = 0x123456;
   bth.ack_request = true;
   bth.Encode(w);
-  ASSERT_EQ(buf.size(), BthHeader::kSize);
+  ASSERT_EQ(w.position(), BthHeader::kSize);
 
   WireReader r(buf);
   BthHeader decoded = BthHeader::Decode(r);
@@ -75,12 +82,13 @@ TEST(Headers, BthRoundTrip) {
 }
 
 TEST(Headers, RethAndAethRoundTrip) {
-  ByteBuffer buf;
+  ByteBuffer buf(RethHeader::kSize + AethHeader::kSize);
   WireWriter w(buf);
   RethHeader reth{0x1122334455667788ull, 0x99AABBCC, 0x01020304};
   reth.Encode(w);
   AethHeader aeth{AckSyndrome::kNakSequenceError, 0x123456};
   aeth.Encode(w);
+  ASSERT_EQ(w.position(), buf.size());
 
   WireReader r(buf);
   RethHeader reth2 = RethHeader::Decode(r);
@@ -276,6 +284,200 @@ TEST(Packet, IcrcCoversMaxMtuPayload) {
   Result<RocePacket> corrupted = ParseRoceFrame(frame);
   ASSERT_FALSE(corrupted.ok());
   EXPECT_EQ(corrupted.status().code(), StatusCode::kDataLoss);
+}
+
+// --- Encoder wire bytes ------------------------------------------------------
+//
+// One frame per header shape the encoders produce, pinned by SHA-256. The
+// digests were recorded from the appending encoder that the one-pass writer
+// replaced, so any change to how a frame is assembled must leave every wire
+// byte where it was.
+
+ByteBuffer Pattern(size_t n, uint8_t seed) {
+  ByteBuffer out(n);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<uint8_t>(seed + i * 131);
+  }
+  return out;
+}
+
+std::string Sha256Hex(ByteSpan bytes) {
+  Sha256 sha;
+  sha.Update(bytes.data(), bytes.size());
+  return sha.Hex();
+}
+
+struct RoceShape {
+  const char* name;
+  MacAddr src_mac;
+  MacAddr dst_mac;
+  RocePacket pkt;
+  const char* sha256;
+};
+
+RocePacket ShapePacket(IbOpcode opcode, Qpn dest_qp, Psn psn, size_t payload_bytes,
+                       uint8_t seed) {
+  RocePacket pkt;
+  pkt.src_ip = MakeIp(10, 0, 0, 1);
+  pkt.dst_ip = MakeIp(10, 0, 1, 2);
+  pkt.src_udp_port = 0xC000 + seed;
+  pkt.bth.opcode = opcode;
+  pkt.bth.dest_qp = dest_qp;
+  pkt.bth.psn = psn;
+  pkt.payload = FrameBuf::Copy(Pattern(payload_bytes, seed));
+  return pkt;
+}
+
+std::vector<RoceShape> RoceShapes() {
+  const MacAddr host0 = {0x02, 0x00, 0x00, 0x00, 0x00, 0x01};
+  const MacAddr host1 = {0x02, 0x00, 0x00, 0x00, 0x01, 0x02};
+  std::vector<RoceShape> shapes;
+
+  RocePacket write_only = ShapePacket(IbOpcode::kWriteOnly, 0x000123, 0x000456, 64, 1);
+  write_only.bth.ack_request = true;
+  write_only.reth = RethHeader{0x00007F0000001000ull, 0x00001234, 64};
+  shapes.push_back({"write_only_64", host0, host1, write_only,
+                    "2a5edf9a5763c6b24f0d41257e42993820875b4ce96471e144aee969bd42793f"});
+
+  RocePacket write_middle = ShapePacket(IbOpcode::kWriteMiddle, 0x000042, 0xFFFFFE, 1024, 2);
+  shapes.push_back({"write_middle_1024", host0, host1, write_middle,
+                    "115887804ae796a7e659e68551b5bea52af1a774059ef60a794101b46919616c"});
+
+  RocePacket read_request = ShapePacket(IbOpcode::kReadRequest, 0x000007, 0x000010, 0, 3);
+  read_request.bth.ack_request = true;
+  read_request.reth = RethHeader{0xABCDEF0123456789ull, 0xCAFEBABE, 4096};
+  shapes.push_back({"read_request", host0, host1, read_request,
+                    "d7e9f24c66487686b2f70f8e767dfd2aba5956f6fbb3c5bee6e0b4ae704067f7"});
+
+  RocePacket resp_first = ShapePacket(IbOpcode::kReadRespFirst, 0x000107, 0x000010,
+                                      RocePayloadPerPacket(1500), 4);
+  resp_first.aeth = AethHeader{AckSyndrome::kAck, 0x000321};
+  shapes.push_back({"read_resp_first_1440", host1, host0, resp_first,
+                    "8a920b7ca1f40c95f774927a975bffe673c53f294e18e77cd05aba6240761b28"});
+
+  RocePacket resp_only = ShapePacket(IbOpcode::kReadRespOnly, 0x000107, 0x000011, 100, 5);
+  resp_only.bth.becn = true;
+  resp_only.aeth = AethHeader{AckSyndrome::kAck, 0x000322};
+  shapes.push_back({"read_resp_only_becn", host1, host0, resp_only,
+                    "0858d3bc8e2d708daf548ffc832b36a6100d70ce6b93d4ce36e08ab21c6ea883"});
+
+  RocePacket ack = ShapePacket(IbOpcode::kAck, 0x000107, 0x123456, 0, 6);
+  ack.aeth = AethHeader{AckSyndrome::kAck, 0x0ABCDE};
+  shapes.push_back({"ack", host1, host0, ack,
+                    "ed7f36d3d1fcc2d7119e1c2e8b1c4dec50ac791dd7db1ebeca353a0de250d470"});
+
+  RocePacket nak = ShapePacket(IbOpcode::kAck, 0x000107, 0x000077, 0, 7);
+  nak.aeth = AethHeader{AckSyndrome::kNakSequenceError, 0x000009};
+  shapes.push_back({"nak_sequence_error", host1, host0, nak,
+                    "14400d6e5c631d3d7dfbae4bc0ddc6db31ce56bb67882753f07f86c2cbdf15c5"});
+
+  RocePacket rpc = ShapePacket(IbOpcode::kRpcParams, 0x000002, 0x000100, 48, 8);
+  rpc.bth.ack_request = true;
+  rpc.reth = RethHeader{0x0000000000000001ull, 0, 48};
+  shapes.push_back({"rpc_params_48", host0, host1, rpc,
+                    "ebc9e6671b50f56a9219605a21f2c1b65d0c9f9edf1e0d05965286f5d4fa7172"});
+
+  RocePacket ect0 = ShapePacket(IbOpcode::kWriteOnly, 0x000003, 0x000200, 64, 9);
+  ect0.ecn_capable = true;
+  ect0.reth = RethHeader{0x2000, 0x77, 64};
+  shapes.push_back({"write_only_ect0", host0, host1, ect0,
+                    "a3b39218316b7a208580f2b02d8ad2fbec9941bc0c59fae9fa2d47905e716155"});
+
+  RocePacket ce = ShapePacket(IbOpcode::kWriteFirst, 0x000003, 0x000201, 1440, 10);
+  ce.ecn_capable = true;
+  ce.ecn_ce = true;
+  ce.reth = RethHeader{0x3000, 0x77, 4096};
+  shapes.push_back({"write_first_ce", host0, host1, ce,
+                    "fb7ae612630d72a82395559add6fe29866cf6a10ec4262139d424598b5ca44c3"});
+  return shapes;
+}
+
+void ExpectSameFields(const RocePacket& got, const RocePacket& want) {
+  EXPECT_EQ(got.src_ip, want.src_ip);
+  EXPECT_EQ(got.dst_ip, want.dst_ip);
+  EXPECT_EQ(got.src_udp_port, want.src_udp_port);
+  EXPECT_EQ(got.ecn_capable, want.ecn_capable);
+  EXPECT_EQ(got.ecn_ce, want.ecn_ce);
+  EXPECT_EQ(got.bth.opcode, want.bth.opcode);
+  EXPECT_EQ(got.bth.ack_request, want.bth.ack_request);
+  EXPECT_EQ(got.bth.becn, want.bth.becn);
+  EXPECT_EQ(got.bth.pkey, want.bth.pkey);
+  EXPECT_EQ(got.bth.dest_qp, want.bth.dest_qp);
+  EXPECT_EQ(got.bth.psn, want.bth.psn);
+  ASSERT_EQ(got.reth.has_value(), want.reth.has_value());
+  if (want.reth.has_value()) {
+    EXPECT_EQ(got.reth->virt_addr, want.reth->virt_addr);
+    EXPECT_EQ(got.reth->rkey, want.reth->rkey);
+    EXPECT_EQ(got.reth->dma_length, want.reth->dma_length);
+  }
+  ASSERT_EQ(got.aeth.has_value(), want.aeth.has_value());
+  if (want.aeth.has_value()) {
+    EXPECT_EQ(got.aeth->syndrome, want.aeth->syndrome);
+    EXPECT_EQ(got.aeth->msn, want.aeth->msn);
+  }
+  EXPECT_EQ(got.payload, want.payload);
+}
+
+TEST(EncoderWireBytes, RoceFramesMatchRecordedDigests) {
+  for (const RoceShape& shape : RoceShapes()) {
+    SCOPED_TRACE(shape.name);
+    const FrameBuf frame = EncodeRoceFrame(shape.src_mac, shape.dst_mac, shape.pkt);
+    ASSERT_EQ(frame.size(), shape.pkt.WireSize());
+    EXPECT_EQ(Sha256Hex(frame.span()), shape.sha256);
+
+    // The span overload never sees the encoder's memo: a full byte-level
+    // parse, ICRC included.
+    Result<RocePacket> parsed = ParseRoceFrame(frame.span());
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    ExpectSameFields(*parsed, shape.pkt);
+  }
+}
+
+TEST(EncoderWireBytes, TcpFramesMatchRecordedDigests) {
+  const MacAddr client = {0x02, 0x00, 0x00, 0x00, 0x00, 0x01};
+  const MacAddr server = {0x02, 0x00, 0x00, 0x00, 0x01, 0x02};
+  TcpSegment syn;
+  syn.src_ip = MakeIp(10, 0, 0, 1);
+  syn.dst_ip = MakeIp(10, 0, 1, 2);
+  syn.tcp.src_port = 40000;
+  syn.tcp.dst_port = 5001;
+  syn.tcp.seq = 0x01020304;
+  syn.tcp.syn = true;
+
+  TcpSegment data = syn;
+  data.tcp.syn = false;
+  data.tcp.ack_flag = true;
+  data.tcp.seq = 0x01020305;
+  data.tcp.ack = 0x0A0B0C0D;
+  data.tcp.window = 0x2000;
+  data.payload = Pattern(200, 11);
+
+  const struct {
+    const char* name;
+    const TcpSegment& seg;
+    const char* sha256;
+  } cases[] = {
+      {"syn", syn, "16af6317e4ca4c8e7f6d820e2f1b3dd5b933cb75041a5cd6c0d079d94988e2c2"},
+      {"data_200", data, "53f127e728b09e4249115ae87d40eafc382d47dd866ad1cb31e156e06499b26c"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ByteBuffer frame = EncodeTcpFrame(client, server, c.seg);
+    ASSERT_EQ(frame.size(),
+              EthHeader::kSize + Ipv4Header::kSize + TcpHeader::kSize + c.seg.payload.size());
+    EXPECT_EQ(Sha256Hex(frame), c.sha256);
+
+    Result<TcpSegment> parsed = ParseTcpFrame(frame);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed->src_ip, c.seg.src_ip);
+    EXPECT_EQ(parsed->dst_ip, c.seg.dst_ip);
+    EXPECT_EQ(parsed->tcp.seq, c.seg.tcp.seq);
+    EXPECT_EQ(parsed->tcp.ack, c.seg.tcp.ack);
+    EXPECT_EQ(parsed->tcp.syn, c.seg.tcp.syn);
+    EXPECT_EQ(parsed->tcp.ack_flag, c.seg.tcp.ack_flag);
+    EXPECT_EQ(parsed->tcp.window, c.seg.tcp.window);
+    EXPECT_EQ(parsed->payload, c.seg.payload);
+  }
 }
 
 }  // namespace
