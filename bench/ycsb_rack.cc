@@ -12,11 +12,11 @@
 //             [--qps-per-peer=4] [--ops-rate=200000] [--duration-us=2000]
 //             [--outstanding=64] [--seed=42] [--read-frac=0.5]
 //             [--write-frac=0.4] [--ecn-threshold=16384] [--queue-bytes=40960]
-//             [--pfc] [--cc=0|1] [--incast] [--compare]
+//             [--cc=0|1] [--incast] [--compare]
 //
 // Numeric flags go through bench::ParseIntFlag / ParseDoubleFlag: a value
 // that is not a number in range exits 2 and names the flag. The on/off flags
-// (--pfc, --cc, --incast, --compare) take 0 or 1, a bare flag meaning 1;
+// (--cc, --incast, --compare) take 0 or 1, a bare flag meaning 1;
 // any other value (--cc=off) exits 2 the same way.
 //
 // --compare runs the incast scenario twice — congestion control off, then
@@ -42,7 +42,6 @@ struct Options {
   // which is exactly the regime where ECN/DCQCN earns its keep.
   size_t ecn_threshold = 16 * 1024;
   size_t queue_bytes = 40 * 1024;
-  bool pfc = false;
   bool cc = true;     // ECN marking + DCQCN reaction
   bool compare = false;
   // Which load knobs the user pinned on the command line; --compare applies an
@@ -81,7 +80,6 @@ YcsbReport RunOne(const Options& opt, bool cc_enabled) {
   topo.num_spines = opt.spines;
   topo.sw.egress_queue_bytes = opt.queue_bytes;
   topo.sw.ecn_threshold_bytes = opt.ecn_threshold;
-  topo.sw.pfc = opt.pfc;
 
   Fabric fabric(profile, topo);
   YcsbEngine engine(fabric, opt.ycsb);
@@ -138,10 +136,9 @@ void PrintReport(const char* title, const YcsbReport& r) {
   std::printf("  fabric: ce_marked=%llu tail_drops=%llu queue_peak=%llu B\n",
               (unsigned long long)r.ce_marked, (unsigned long long)r.tail_drops,
               (unsigned long long)r.queue_bytes_peak);
-  std::printf("  cc:     rx_cnp=%llu rate_cuts=%llu pacing_deferrals=%llu pfc_pauses=%llu\n",
+  std::printf("  cc:     rx_cnp=%llu rate_cuts=%llu pacing_deferrals=%llu\n",
               (unsigned long long)r.rx_cnp, (unsigned long long)r.rate_cuts,
-              (unsigned long long)r.pacing_deferrals,
-              (unsigned long long)r.pfc_pause_events);
+              (unsigned long long)r.pacing_deferrals);
 }
 
 int Main(int argc, char** argv) {
@@ -183,8 +180,6 @@ int Main(int argc, char** argv) {
       opt.ecn_threshold = bench::ParseIntFlag("--ecn-threshold", v, 0);
     } else if (ParseFlag(argv[i], "--queue-bytes", &v)) {
       opt.queue_bytes = bench::ParseIntFlag("--queue-bytes", v, 1);
-    } else if (ParseFlag(argv[i], "--pfc", &v)) {
-      opt.pfc = bench::ParseBoolFlag("--pfc", v);
     } else if (ParseFlag(argv[i], "--cc", &v)) {
       opt.cc = bench::ParseBoolFlag("--cc", v);
     } else if (ParseFlag(argv[i], "--incast", &v)) {

@@ -6,7 +6,6 @@
 namespace strom {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarning};
 std::atomic<FatalHook> g_fatal_hook{nullptr};
 std::atomic<bool> g_in_fatal{false};
 
@@ -28,9 +27,6 @@ const char* LevelName(LogLevel level) {
   return "?";
 }
 }  // namespace
-
-void SetLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
 
 void SetFatalHook(FatalHook hook) { g_fatal_hook.store(hook, std::memory_order_relaxed); }
 

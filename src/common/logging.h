@@ -10,10 +10,9 @@ namespace strom {
 
 enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarning, kError, kFatal };
 
-// Global minimum level; messages below it are discarded. Default kWarning so
-// tests and benches stay quiet; examples raise it to kInfo.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+// Messages below this level are discarded at compile time, so tests,
+// benches and examples print only warnings and errors.
+inline constexpr LogLevel kMinLogLevel = LogLevel::kWarning;
 
 // Called once, right before abort(), when a kFatal message (STROM_CHECK
 // failure, paranoid-mode divergence) is emitted. The flight recorder uses
@@ -43,7 +42,7 @@ struct Voidify {
 
 }  // namespace logging_internal
 
-#define STROM_LOG_IS_ON(level) (::strom::LogLevel::level >= ::strom::GetLogLevel())
+#define STROM_LOG_IS_ON(level) (::strom::LogLevel::level >= ::strom::kMinLogLevel)
 
 #define STROM_LOG(level)                                                                \
   !STROM_LOG_IS_ON(level)                                                               \

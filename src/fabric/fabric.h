@@ -33,7 +33,7 @@ struct FabricTopologyConfig {
   int num_hosts = 4;
   int num_leaves = 1;
   int num_spines = 0;  // must be 0 iff num_leaves == 1
-  // Switch knobs (queue cap, ECN threshold, PFC). port_rate_bps and ip_mtu
+  // Switch knobs (queue cap, ECN threshold). port_rate_bps and ip_mtu
   // are overridden from the profile's link config at construction.
   FabricSwitchConfig sw;
 };

@@ -4,7 +4,6 @@
 
 #include "src/common/logging.h"
 #include "src/common/paranoid.h"
-#include "src/netsim/pfc.h"
 #include "src/proto/packet.h"
 #include "src/telemetry/audit.h"
 
@@ -20,12 +19,7 @@ uint64_t MacKey(const MacAddr& mac) {
 }  // namespace
 
 FabricSwitch::FabricSwitch(Simulator& sim, FabricSwitchConfig config, std::string name)
-    : sim_(sim), config_(config), name_(std::move(name)) {
-  // Locally-administered switch MAC; only used as the pause-frame source
-  // (pause frames are consumed hop-by-hop, so collisions between switches
-  // are harmless).
-  mac_ = MacAddr{0x02, 0x00, 0x5C, 0x00, 0x00, 0x01};
-}
+    : sim_(sim), config_(config), name_(std::move(name)) {}
 
 int FabricSwitch::AddPortEntry(std::unique_ptr<PointToPointLink> owned,
                                PointToPointLink* link, int tx_side) {
@@ -86,10 +80,6 @@ void FabricSwitch::AttachTelemetry(Telemetry* telemetry, const std::string& proc
                                 [&c] { return double(c.ce_marked); });
     telemetry->metrics.AddGauge(prefix + "tail_drops",
                                 [&c] { return double(c.tail_drops); });
-    telemetry->metrics.AddGauge(prefix + "pause_tx",
-                                [&c] { return double(c.pause_tx); });
-    telemetry->metrics.AddGauge(prefix + "resume_tx",
-                                [&c] { return double(c.resume_tx); });
     telemetry->metrics.AddGauge(prefix + "queue_bytes_peak",
                                 [&c] { return double(c.queue_bytes_peak); });
     telemetry->metrics.AddGauge(prefix + "crash_drops",
@@ -122,10 +112,6 @@ void FabricSwitch::AttachFlowSampler(Telemetry* telemetry, const std::string& pr
     telemetry->sampler.AddProbe(prefix + "frames_dequeued", [&p](SimTime) {
       return double(p.counters.frames_dequeued);
     });
-    telemetry->sampler.AddProbe(prefix + "pause_tx",
-                                [&p](SimTime) { return double(p.counters.pause_tx); });
-    telemetry->sampler.AddProbe(prefix + "resume_tx",
-                                [&p](SimTime) { return double(p.counters.resume_tx); });
   }
 }
 
@@ -154,12 +140,6 @@ void FabricSwitch::OnFrame(int in_port, FrameBuf frame, TraceContext trace) {
   if (frame.size() < EthHeader::kSize) {
     return;
   }
-  // 802.3x pause terminates at the ingress port: this switch does not honor
-  // pause itself (lossless fabric hops are out of scope), and the reserved
-  // multicast destination must never be forwarded or learned.
-  if (IsFlowControlFrame(frame)) {
-    return;
-  }
   MacAddr dst;
   MacAddr src;
   // Fast path: reuse the TX encoder's memoized MACs instead of re-reading the
@@ -184,8 +164,8 @@ void FabricSwitch::OnFrame(int in_port, FrameBuf frame, TraceContext trace) {
     ++frames_forwarded_;
     const int out_port = it->second;
     sim_.Schedule(config_.forwarding_latency,
-                  [this, out_port, in_port, f = std::move(frame), trace]() mutable {
-      Enqueue(out_port, in_port, std::move(f), trace);
+                  [this, out_port, f = std::move(frame), trace]() mutable {
+      Enqueue(out_port, std::move(f), trace);
     });
     return;
   }
@@ -198,13 +178,13 @@ void FabricSwitch::OnFrame(int in_port, FrameBuf frame, TraceContext trace) {
     // Flooded copies share the buffer by reference count; MarkEcnCe detaches
     // (EnsureUnique) before mutating, so a marked copy never aliases.
     sim_.Schedule(config_.forwarding_latency,
-                  [this, out_port, in_port, f = frame, trace]() mutable {
-      Enqueue(out_port, in_port, std::move(f), trace);
+                  [this, out_port, f = frame, trace]() mutable {
+      Enqueue(out_port, std::move(f), trace);
     });
   }
 }
 
-void FabricSwitch::Enqueue(int out_port, int in_port, FrameBuf frame, TraceContext trace) {
+void FabricSwitch::Enqueue(int out_port, FrameBuf frame, TraceContext trace) {
   // Frames inside the forwarding pipeline when the switch died land here
   // after the crash; they die with the switch. Counted outside the per-port
   // conservation equation because they never reached an egress FIFO.
@@ -226,12 +206,7 @@ void FabricSwitch::Enqueue(int out_port, int in_port, FrameBuf frame, TraceConte
   p.queued_bytes += bytes;
   p.counters.queue_bytes_peak = std::max<uint64_t>(p.counters.queue_bytes_peak, p.queued_bytes);
   ++p.counters.frames_enqueued;
-  if (config_.pfc && in_port >= 0 && p.queued_bytes >= config_.pfc_xoff_bytes &&
-      p.paused_ingress.insert(in_port).second) {
-    ++p.counters.pause_tx;
-    SendPause(in_port, config_.pfc_quanta);
-  }
-  p.queue.push_back(Pending{std::move(frame), trace, in_port});
+  p.queue.push_back(Pending{std::move(frame), trace});
   DequeueNext(out_port);
 }
 
@@ -244,14 +219,6 @@ void FabricSwitch::DequeueNext(int out_port) {
   p.queue.pop_front();
   p.queued_bytes -= pending.frame.size();
   ++p.counters.frames_dequeued;
-  if (config_.pfc && !p.paused_ingress.empty() &&
-      p.queued_bytes <= config_.pfc_xon_bytes) {
-    for (int ingress : p.paused_ingress) {
-      ++p.counters.resume_tx;
-      SendPause(ingress, 0);  // xon
-    }
-    p.paused_ingress.clear();
-  }
   const uint64_t wire_bytes = pending.frame.size() + kEthPhyOverhead;
   p.tx_busy = true;
   p.link->Send(p.tx_side, std::move(pending.frame), pending.trace);
@@ -278,10 +245,6 @@ void FabricSwitch::Crash() {
     p.queue.clear();  // releases the pooled frames — leak-free by design
     p.queued_bytes = 0;
     p.tx_busy = false;
-    // Paused upstream ports stay paused until their quanta expire; the dead
-    // switch cannot send the xon. Drop the bookkeeping so a post-restart
-    // drain does not emit resumes for pauses it never sent.
-    p.paused_ingress.clear();
   }
 }
 
@@ -289,12 +252,6 @@ void FabricSwitch::Restart() {
   // Queues are empty and TX serializers idle (Crash() reset them); the MAC
   // table and static routes persist as configuration.
   alive_ = true;
-}
-
-void FabricSwitch::SendPause(int ingress_port, uint16_t quanta) {
-  // Pause frames bypass the egress FIFO: flow control outranks data.
-  Port& p = ports_[ingress_port];
-  p.link->Send(p.tx_side, EncodePauseFrame(mac_, quanta), TraceContext{});
 }
 
 }  // namespace strom

@@ -10,11 +10,9 @@
 //     MarkEcnCe), the signal DCQCN-enabled RoCE stacks react to.
 //   * Tail drop: a frame that would push the queue past `egress_queue_bytes`
 //     is dropped and counted; the RoCE go-back-N machinery recovers it.
-//   * PFC (optional): crossing `pfc_xoff_bytes` sends an 802.3x pause frame
-//     to the ingress port that contributed the frame; draining below
-//     `pfc_xon_bytes` sends the quanta=0 resume. Hop-local only — pause
-//     frames arriving *at* the switch are consumed and ignored (a
-//     deliberate simplification; hosts honor pause, switches do not).
+//
+// There is no link-level flow control: ECN/DCQCN is the only congestion
+// path, and the switch never originates a frame of its own.
 //
 // Ports come in two flavors: endpoint ports (AddPort — the switch owns the
 // link and transmits on side 1) and cable ports (ConnectTo — the callee owns
@@ -26,7 +24,6 @@
 
 #include <deque>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -46,12 +43,6 @@ struct FabricSwitchConfig {
   size_t egress_queue_bytes = 256 * 1024;
   // CE-mark ECT frames enqueued at or above this depth (DCQCN's Kmax=Kmin).
   size_t ecn_threshold_bytes = 64 * 1024;
-  // 802.3x pause toward the contributing ingress port. Off by default: ECN
-  // is the primary congestion signal; pause is the lossless-mode variant.
-  bool pfc = false;
-  size_t pfc_xoff_bytes = 128 * 1024;
-  size_t pfc_xon_bytes = 32 * 1024;
-  uint16_t pfc_quanta = 0xFFFF;  // effectively "until resumed"
 };
 
 struct FabricPortCounters {
@@ -59,8 +50,6 @@ struct FabricPortCounters {
   uint64_t frames_dequeued = 0;
   uint64_t ce_marked = 0;
   uint64_t tail_drops = 0;
-  uint64_t pause_tx = 0;   // xoff frames sent upstream
-  uint64_t resume_tx = 0;  // xon (quanta = 0) frames sent upstream
   uint64_t queue_bytes_peak = 0;
   // Frames sitting in this egress FIFO when the switch crashed. Conservation
   // becomes enqueued == dequeued + queued + crash_drops.
@@ -97,9 +86,9 @@ class FabricSwitch {
   // Per-port sampler probes: instantaneous queue_bytes plus cumulative
   // ce_marked / tail_drops, so timeseries show the congestion dynamics.
   void AttachSampler(Telemetry* telemetry, const std::string& process);
-  // Extended per-port probes for --flow-stats runs: pause/resume activity and
-  // enqueue/dequeue counts on top of the basic AttachSampler set. A separate
-  // method so default runs keep their sampler output byte-identical.
+  // Extended per-port probes for --flow-stats runs: enqueue/dequeue counts on
+  // top of the basic AttachSampler set. A separate method so default runs
+  // keep their sampler output byte-identical.
   void AttachFlowSampler(Telemetry* telemetry, const std::string& process);
 
   // Per-port frame conservation: every frame enqueued was either dequeued or
@@ -131,7 +120,6 @@ class FabricSwitch {
   struct Pending {
     FrameBuf frame;
     TraceContext trace;
-    int in_port;
   };
   struct Port {
     std::unique_ptr<PointToPointLink> owned_link;  // null on the peer end of a cable
@@ -140,21 +128,18 @@ class FabricSwitch {
     std::deque<Pending> queue;
     size_t queued_bytes = 0;
     bool tx_busy = false;
-    std::set<int> paused_ingress;  // ingress ports xoff'd because of this queue
     FabricPortCounters counters;
   };
 
   int AddPortEntry(std::unique_ptr<PointToPointLink> owned, PointToPointLink* link,
                    int tx_side);
   void OnFrame(int in_port, FrameBuf frame, TraceContext trace);
-  void Enqueue(int out_port, int in_port, FrameBuf frame, TraceContext trace);
+  void Enqueue(int out_port, FrameBuf frame, TraceContext trace);
   void DequeueNext(int out_port);
-  void SendPause(int ingress_port, uint16_t quanta);
 
   Simulator& sim_;
   FabricSwitchConfig config_;
   std::string name_;
-  MacAddr mac_;
   std::vector<Port> ports_;
   // MAC (as a 48-bit integer, see MacKey) -> egress port. Static routes seed
   // it and every frame's source is learned over them; nothing iterates it.

@@ -27,7 +27,7 @@ void LivenessMonitor::Start() {
   STROM_CHECK(!started_);
   started_ = true;
   for (Peer& p : peers_) {
-    ArmLease(p);
+    Arm(p, config_.lease_interval);
   }
 }
 
@@ -38,17 +38,7 @@ void LivenessMonitor::Record(FlightRecordType type, const Peer& p) const {
   }
 }
 
-void LivenessMonitor::ArmLease(Peer& p) {
-  const size_t slot = size_t(&p - peers_.data());
-  if (p.timer.valid()) {
-    sim_.Reschedule(p.timer, config_.lease_interval);
-  } else {
-    p.timer = sim_.ScheduleCancellable(config_.lease_interval,
-                                       [this, slot] { OnTimer(slot); });
-  }
-}
-
-void LivenessMonitor::ArmBackoff(Peer& p, SimTime delay) {
+void LivenessMonitor::Arm(Peer& p, SimTime delay) {
   const size_t slot = size_t(&p - peers_.data());
   if (p.timer.valid()) {
     sim_.Reschedule(p.timer, delay);
@@ -63,7 +53,7 @@ void LivenessMonitor::DeclareDead(Peer& p) {
   p.attempt = 0;
   p.backoff = config_.backoff_initial;
   Record(FlightRecordType::kPeerDead, p);
-  ArmBackoff(p, p.backoff);
+  Arm(p, p.backoff);
 }
 
 void LivenessMonitor::OnTimer(size_t peer_slot) {
@@ -72,7 +62,7 @@ void LivenessMonitor::OnTimer(size_t peer_slot) {
     case PeerState::kHealthy:
       if (p.alive()) {
         ++counters_.leases_renewed;
-        ArmLease(p);
+        Arm(p, config_.lease_interval);
       } else {
         DeclareDead(p);
       }
@@ -86,7 +76,7 @@ void LivenessMonitor::OnTimer(size_t peer_slot) {
         p.state = PeerState::kHealthy;
         Record(FlightRecordType::kLeaseAcquired, p);
         p.attempt = 0;
-        ArmLease(p);
+        Arm(p, config_.lease_interval);
         return;
       }
       ++p.attempt;
@@ -96,7 +86,7 @@ void LivenessMonitor::OnTimer(size_t peer_slot) {
         return;
       }
       p.backoff = std::min<SimTime>(p.backoff * 2, config_.backoff_max);
-      ArmBackoff(p, p.backoff);
+      Arm(p, p.backoff);
       return;
     }
     case PeerState::kAbandoned:
@@ -132,7 +122,7 @@ void LivenessMonitor::OnLocalRestart() {
     p.attempt = 0;
     p.backoff = config_.backoff_initial;
     Record(FlightRecordType::kPeerDead, p);
-    ArmBackoff(p, p.backoff);
+    Arm(p, p.backoff);
   }
 }
 

@@ -99,8 +99,9 @@ class LivenessMonitor {
     Simulator::TimerHandle timer;  // lease while kHealthy, backoff while kDead
   };
 
-  void ArmLease(Peer& p);
-  void ArmBackoff(Peer& p, SimTime delay);
+  // (Re)arms the peer's one timer `delay` from now: a lease renewal or a
+  // backoff step, depending on the state it fires in.
+  void Arm(Peer& p, SimTime delay);
   void OnTimer(size_t peer_slot);
   void DeclareDead(Peer& p);
   void Record(FlightRecordType type, const Peer& p) const;

@@ -23,16 +23,6 @@ std::optional<GetParams> GetParams::Decode(ByteSpan data) {
   return p;
 }
 
-void EncodeHtEntry(const GetBucket buckets[kGetBuckets], uint8_t out[kGetHtEntrySize]) {
-  std::memset(out, 0, kGetHtEntrySize);
-  for (size_t i = 0; i < kGetBuckets; ++i) {
-    uint8_t* b = out + i * kGetBucketStride;
-    StoreLe64(b, buckets[i].key);
-    StoreLe64(b + 8, buckets[i].value_ptr);
-    StoreLe32(b + 16, buckets[i].value_len);
-  }
-}
-
 GetKernel::GetKernel(Simulator& sim, KernelConfig config, uint32_t rpc_opcode)
     : StromKernel(sim, config), rpc_opcode_(rpc_opcode) {
   const SimTime clk = config.clock_ps;

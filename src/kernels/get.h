@@ -39,13 +39,13 @@ struct GetParams {
   static std::optional<GetParams> Decode(ByteSpan data);
 };
 
-// Writes a 64 B hash-table entry with the given buckets into `out`.
+// One bucket of a 64 B hash-table entry, as the kernel parses it: key,
+// value pointer and value length, kGetBucketStride bytes apart.
 struct GetBucket {
   uint64_t key = 0;
   VirtAddr value_ptr = 0;
   uint32_t value_len = 0;
 };
-void EncodeHtEntry(const GetBucket buckets[kGetBuckets], uint8_t out[kGetHtEntrySize]);
 
 // Response at target_addr: [value][status word]; poll target + value_len.
 class GetKernel : public StromKernel {

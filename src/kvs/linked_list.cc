@@ -29,7 +29,6 @@ Result<RemoteLinkedList> RemoteLinkedList::Build(RoceDriver& driver, VirtAddr el
   }
   RemoteLinkedList list;
   list.head_ = element_region;
-  list.element_region_ = element_region;
   list.value_size_ = value_size;
   list.seed_ = seed;
   list.keys_ = keys;
@@ -70,10 +69,6 @@ TraversalParams RemoteLinkedList::LookupParams(uint64_t key, VirtAddr target_add
 
 ByteBuffer RemoteLinkedList::ExpectedValue(uint64_t key) const {
   return MakeValueForKey(key, value_size_, seed_);
-}
-
-VirtAddr RemoteLinkedList::ElementAddr(size_t index) const {
-  return element_region_ + index * kTraversalElementSize;
 }
 
 }  // namespace strom

@@ -38,14 +38,10 @@ class RemoteLinkedList {
   // Expected value bytes for `key` (for verification).
   ByteBuffer ExpectedValue(uint64_t key) const;
 
-  // Host-side address of the element holding `key` (for baseline walks).
-  VirtAddr ElementAddr(size_t index) const;
-
  private:
   RemoteLinkedList() = default;
 
   VirtAddr head_ = 0;
-  VirtAddr element_region_ = 0;
   uint32_t value_size_ = 0;
   uint64_t seed_ = 0;
   std::vector<uint64_t> keys_;

@@ -110,14 +110,13 @@ struct RoceCounters {
   uint64_t wrs_flushed = 0;          // work requests completed-in-error by a flush
   uint64_t qp_error_drops = 0;       // packets dropped because the QP is in Error
   uint64_t rx_operational_errors = 0;  // NAK(remote operational error) received
-  // --- congestion control (ECN/DCQCN + PFC) --------------------------------
+  // --- congestion control (ECN/DCQCN) --------------------------------------
   uint64_t rx_ecn_ce = 0;            // CE-marked packets received
   uint64_t tx_becn = 0;              // packets sent with the BECN echo bit
   uint64_t rx_cnp = 0;               // BECN-bearing packets received (CNPs)
   uint64_t dcqcn_rate_cuts = 0;      // multiplicative rate decreases applied
   uint64_t dcqcn_rate_increases = 0; // additive recovery steps applied
   uint64_t pacing_deferrals = 0;     // TX rounds with data held back by pacing
-  uint64_t pfc_pause_events = 0;     // 802.3x pause frames honored (quanta > 0)
   // --- crash-recovery failure domain ---------------------------------------
   uint64_t crashes = 0;                    // RoceStack::Crash() invocations
   uint64_t timers_cancelled_at_crash = 0;  // timers armed at the crash instant

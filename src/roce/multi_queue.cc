@@ -52,11 +52,6 @@ ReadContext& MultiQueue::Head(Qpn qpn) {
   return slots_[meta_[qpn].head].ctx;
 }
 
-const ReadContext& MultiQueue::Head(Qpn qpn) const {
-  STROM_CHECK(!Empty(qpn));
-  return slots_[meta_.Find(qpn)->head].ctx;
-}
-
 void MultiQueue::PopHead(Qpn qpn) {
   STROM_CHECK(!Empty(qpn));
   ListMeta& list = meta_[qpn];

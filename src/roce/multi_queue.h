@@ -35,7 +35,6 @@ class MultiQueue {
   bool Empty(Qpn qpn) const;
   // Head element of the QP's list (responses arrive in order per QP).
   ReadContext& Head(Qpn qpn);
-  const ReadContext& Head(Qpn qpn) const;
   void PopHead(Qpn qpn);
 
   uint32_t Size(Qpn qpn) const;

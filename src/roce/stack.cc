@@ -81,7 +81,6 @@ void RoceStack::AttachTelemetry(Telemetry* telemetry, const std::string& process
   gauge("dcqcn_rate_cuts", counters_.dcqcn_rate_cuts);
   gauge("dcqcn_rate_increases", counters_.dcqcn_rate_increases);
   gauge("pacing_deferrals", counters_.pacing_deferrals);
-  gauge("pfc_pause_events", counters_.pfc_pause_events);
   gauge("crashes", counters_.crashes);
   gauge("timers_cancelled_at_crash", counters_.timers_cancelled_at_crash);
   gauge("tx_stale_naks", counters_.tx_stale_naks);
@@ -689,7 +688,7 @@ void RoceStack::PumpTx() {
     return;
   }
   FetchPayloads();
-  if (tx_busy_ || sim_.now() < paused_until_) {
+  if (tx_busy_) {
     return;
   }
   if (!control_queue_.empty()) {
@@ -1136,8 +1135,6 @@ void RoceStack::HandleReadResponse(const RocePacket& pkt) {
   if (idx < 0 || static_cast<uint32_t>(idx) != expected_idx) {
     // Gap or duplicate within the response stream; drop and let the
     // retransmission timer re-issue the read request.
-    STROM_LOG(kDebug) << "read-resp drop psn=" << pkt.bth.psn << " idx=" << idx
-                      << " expected=" << expected_idx << " placed=" << ctx.bytes_placed;
     ++counters_.psn_out_of_order_drops;
     return;
   }
@@ -1417,9 +1414,6 @@ void RoceStack::Crash() {
   if (sim_.TimerPending(pacing_timer_)) {
     ++counters_.timers_cancelled_at_crash;
   }
-  if (sim_.TimerPending(pause_timer_)) {
-    ++counters_.timers_cancelled_at_crash;
-  }
   // Fail-fast gate before flushing: completion callbacks fired by the flush
   // may try to post follow-up work, which must be rejected with an errored
   // completion (exactly one terminal state), not queued into the corpse.
@@ -1447,9 +1441,7 @@ void RoceStack::Crash() {
   retransmit_fetch_pending_ = false;
   fetches_in_flight_ = 0;  // their DMA completions are crash-fenced no-ops
   sim_.Cancel(pacing_timer_);  // handles stay valid for post-restart re-arm
-  sim_.Cancel(pause_timer_);
   pacing_wakeup_at_ = 0;
-  paused_until_ = 0;
   tx_busy_ = false;
   rx_order_cursor_ = 0;
   tx_order_cursor_ = 0;
@@ -1459,7 +1451,7 @@ void RoceStack::Crash() {
 }
 
 // ---------------------------------------------------------------------------
-// Congestion control: DCQCN-style rate limiting + 802.3x pause
+// Congestion control: DCQCN-style rate limiting
 // ---------------------------------------------------------------------------
 
 void RoceStack::OnCnp(Qpn qpn) {
@@ -1534,31 +1526,6 @@ void RoceStack::ChargePacing(QpState& qp, size_t wire_bytes) {
   const SimTime spacing =
       static_cast<SimTime>(double(wire_bytes) * 8.0 * 1e12 / cc.rate_bps);
   cc.next_allowed = std::max(cc.next_allowed, sim_.now()) + spacing;
-}
-
-void RoceStack::Pause(uint16_t quanta) {
-  if (quanta == 0) {
-    // Explicit resume (xon).
-    paused_until_ = sim_.now();
-    PumpTx();
-    return;
-  }
-  ++counters_.pfc_pause_events;
-  // 802.3x: pause time is expressed in units of 512 bit-times at line rate.
-  const SimTime until =
-      sim_.now() +
-      static_cast<SimTime>(double(quanta) * 512.0 * 1e12 / config_.LineRateBps());
-  if (until > paused_until_) {
-    paused_until_ = until;
-    // Extending a pause moves the single resume wake to the new deadline;
-    // the superseded earlier wake would have found paused_until_ still in
-    // the future and pumped nothing.
-    if (pause_timer_.valid()) {
-      sim_.RescheduleAt(pause_timer_, until);
-    } else {
-      pause_timer_ = sim_.ScheduleCancellableAt(until, [this] { PumpTx(); });
-    }
-  }
 }
 
 }  // namespace strom

@@ -120,8 +120,8 @@ class RoceStack {
   // Crash-stop of the whole NIC-side protocol engine: every connected QP is
   // flushed (each posted work request reaches exactly one terminal state,
   // errored) and then wiped; all TX/retransmit/control state is dropped; all
-  // timers the stack owns — per-QP retransmission, DCQCN pacing, 802.3x
-  // pause resume — are mass-cancelled, with the armed-at-crash census in
+  // timers the stack owns — per-QP retransmission and DCQCN pacing — are
+  // mass-cancelled, with the armed-at-crash census in
   // RoceCounters::timers_cancelled_at_crash. Each wiped QP leaves a
   // tombstone: after restart, packets addressed to a pre-crash QPN are
   // answered with NAK(stale epoch) carrying the new memory-region epoch, so
@@ -132,11 +132,6 @@ class RoceStack {
   // Memory-region epoch: bumped on every Crash(). Stale-epoch NAKs carry it
   // in the AETH MSN field.
   uint64_t mr_epoch() const { return mr_epoch_; }
-
-  // 802.3x link-level flow control: pauses the TX engine for `quanta` x 512
-  // bit-times at the data path's line rate (quanta 0 resumes immediately).
-  // Invoked by the node when a PAUSE frame arrives from the fabric switch.
-  void Pause(uint16_t quanta);
 
   // --- introspection -------------------------------------------------------
   const RoceConfig& config() const { return config_; }
@@ -329,15 +324,11 @@ class RoceStack {
   // callbacks, and nothing they trigger may pump frames out of (or issue
   // payload fetches for) a NIC that is mid-death.
   bool in_crash_ = false;
-  // 802.3x pause gate: PumpTx emits nothing before this time.
-  SimTime paused_until_ = 0;
   // Earliest DCQCN pacing wakeup currently scheduled (suppresses duplicate
   // wakeups; 0 when none is pending). The wake itself is a cancellable
   // timer: lowering the deadline physically moves the one pending event.
   SimTime pacing_wakeup_at_ = 0;
   Simulator::TimerHandle pacing_timer_;
-  // Resume wake for the 802.3x pause gate; extending a pause moves it.
-  Simulator::TimerHandle pause_timer_;
   // Pipelines are FIFO: a short packet must not overtake a long one whose
   // store-and-forward latency is higher. These cursors enforce ordering.
   SimTime rx_order_cursor_ = 0;

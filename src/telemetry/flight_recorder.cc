@@ -298,9 +298,4 @@ void UnregisterGlobalFlightRecorder(FlightRecorder* recorder) {
   }
 }
 
-FlightRecorder* GlobalFlightRecorder() {
-  std::lock_guard<std::mutex> lock(g_recorder_mu);
-  return g_recorder;
-}
-
 }  // namespace strom

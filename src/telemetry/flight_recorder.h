@@ -217,7 +217,6 @@ Result<FlightRecordBundle> LoadFlightRecords(const std::string& path);
 // before the process aborts. The registration installs the fatal hook once.
 void RegisterGlobalFlightRecorder(FlightRecorder* recorder);
 void UnregisterGlobalFlightRecorder(FlightRecorder* recorder);
-FlightRecorder* GlobalFlightRecorder();
 
 }  // namespace strom
 

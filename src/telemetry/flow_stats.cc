@@ -96,31 +96,6 @@ void FlowStats::OnRateChange(SimTime now, int host, uint32_t qpn, bool cut, doub
             alpha);
 }
 
-MetricsRegistry::Snapshot FlowStats::Summary() const {
-  MetricsRegistry::Snapshot snap;
-  for (const auto& [key, flow] : flows_) {
-    const int host = int(key >> 32);
-    const uint32_t qpn = uint32_t(key & 0xFFFFFFFFu);
-    const std::string prefix =
-        "flow.h" + std::to_string(host) + ".qp" + std::to_string(qpn) + ".";
-    const double span_sec =
-        flow.last_t > flow.first_t && flow.first_t >= 0 ? ToSec(flow.last_t - flow.first_t) : 0;
-    snap.gauges.emplace_back(prefix + "completions", double(flow.completions));
-    snap.gauges.emplace_back(prefix + "goodput_gbps",
-                             span_sec > 0 ? flow.bytes_completed * 8.0 / span_sec / 1e9 : 0);
-    snap.gauges.emplace_back(
-        prefix + "rtt_avg_us",
-        flow.completions > 0 ? flow.rtt_sum_us / double(flow.completions) : 0);
-    snap.gauges.emplace_back(prefix + "rtt_max_us", flow.rtt_max_us);
-    snap.gauges.emplace_back(prefix + "retransmit_epochs", double(flow.retransmit_epochs));
-    snap.gauges.emplace_back(prefix + "timeouts", double(flow.timeouts));
-    snap.gauges.emplace_back(prefix + "cnp_rx", double(flow.cnp_rx));
-    snap.gauges.emplace_back(prefix + "rate_cuts", double(flow.rate_cuts));
-    snap.gauges.emplace_back(prefix + "min_rate_gbps", flow.min_rate_gbps);
-  }
-  return snap;
-}
-
 void FlowStats::AppendCsv(const std::string& label, std::string* out) const {
   for (const auto& [key, flow] : flows_) {
     const int host = int(key >> 32);

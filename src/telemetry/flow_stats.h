@@ -6,13 +6,10 @@
 // process-wide FlowStatsSink (mutex-guarded, order-keyed like the
 // TelemetryCollector) so parallel sweeps export deterministically.
 //
-// Exports:
-//   * Summary() — one gauge row per flow, deposited into the metrics CSV
-//     through the existing TelemetryCollector.
-//   * AppendCsv() — tidy rows for the standalone .flows.csv consumed by
-//     `stromtrace --flows`:
-//       flow,<label>,<host>,<qpn>,<metric>,<value>
-//       dcqcn,<label>,<host>,<qpn>,<time_us>,<event>,<rate_gbps>,<alpha>
+// Export: AppendCsv() writes tidy rows for the standalone .flows.csv that
+// `stromtrace --flows` decodes:
+//   flow,<label>,<host>,<qpn>,<metric>,<value>
+//   dcqcn,<label>,<host>,<qpn>,<time_us>,<event>,<rate_gbps>,<alpha>
 #ifndef SRC_TELEMETRY_FLOW_STATS_H_
 #define SRC_TELEMETRY_FLOW_STATS_H_
 
@@ -24,7 +21,6 @@
 
 #include "src/common/status.h"
 #include "src/sim/time.h"
-#include "src/telemetry/metrics.h"
 
 namespace strom {
 
@@ -77,8 +73,6 @@ class FlowStats {
                     double alpha);
 
   // --- export --------------------------------------------------------------
-  // One gauge per (flow, metric): "flow.h<host>.qp<qpn>.<metric>".
-  MetricsRegistry::Snapshot Summary() const;
   void AppendCsv(const std::string& label, std::string* out) const;
 
   bool empty() const { return flows_.empty(); }

@@ -1,8 +1,7 @@
 #include "src/testbed/node.h"
 
-#include <optional>
-
-#include "src/netsim/pfc.h"
+#include "src/common/bytes.h"
+#include "src/proto/headers.h"
 
 namespace strom {
 
@@ -50,14 +49,6 @@ void Node::OnFrame(FrameBuf frame, TraceContext trace) {
   // must go through the const accessors: mutable data() would invalidate the
   // frame's memoized header/ICRC cache on every received frame.
   const FrameBuf& peek = frame;
-  if (IsFlowControlFrame(peek)) {
-    // 802.3x pause from the adjacent switch port: throttle the RoCE TX
-    // serializer. Pause is hop-by-hop and never reaches the RoCE parser.
-    if (std::optional<uint16_t> quanta = ParsePauseFrame(peek)) {
-      stack_.Pause(*quanta);
-    }
-    return;
-  }
   if (frame.size() > EthHeader::kSize + 9 &&
       LoadBe16(peek.data() + 12) == kEtherTypeIpv4) {
     const uint8_t protocol = peek[EthHeader::kSize + 9];

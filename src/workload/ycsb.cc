@@ -499,7 +499,6 @@ YcsbReport YcsbEngine::Run() {
     report_.rx_cnp += c.rx_cnp;
     report_.rate_cuts += c.dcqcn_rate_cuts;
     report_.pacing_deferrals += c.pacing_deferrals;
-    report_.pfc_pause_events += c.pfc_pause_events;
   }
   for (const auto& monitor : liveness_) {
     const LivenessCounters& c = monitor->counters();

@@ -87,7 +87,6 @@ struct YcsbReport {
   uint64_t rx_cnp = 0;
   uint64_t rate_cuts = 0;
   uint64_t pacing_deferrals = 0;
-  uint64_t pfc_pause_events = 0;
 };
 
 class YcsbEngine {

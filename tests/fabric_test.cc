@@ -6,9 +6,14 @@
 //   * the paper-style incast claim: ECN/DCQCN keeps the victim queue below
 //     the tail-drop point and cuts p999 vs the CC-disabled run,
 //   * fault-plan link flaps on fabric links route through the same QP
-//     Error -> flush -> ReconnectQp -> resume path as 2-node links.
+//     Error -> flush -> ReconnectQp -> resume path as 2-node links,
+//   * the opt-in telemetry: switch-port sampler series, per-QP flow stats
+//     through the .flows.csv loader, and crash/restart flight records.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,10 +22,13 @@
 #include "src/common/parallel.h"
 #include "src/fabric/fabric.h"
 #include "src/faults/fault_plan.h"
+#include "src/telemetry/flight_recorder.h"
+#include "src/telemetry/flow_stats.h"
 #include "src/testbed/workload.h"
 #include "src/workload/ycsb.h"
 #include "src/workload/zipf.h"
 #include "tests/sha256_test_util.h"
+#include "tools/stromtrace/inspector.h"
 
 namespace strom {
 namespace {
@@ -346,6 +354,213 @@ TEST(FabricTopology, LeafSpineCarriesMixedWorkload) {
   EXPECT_GT(r.ops_arrived, 0u);
   EXPECT_EQ(r.ops_completed, r.ops_arrived);
   EXPECT_EQ(r.ops_failed, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Opt-in telemetry: switch sampler series and per-QP flow stats
+// ---------------------------------------------------------------------------
+
+struct DefaultsGuard {
+  DefaultsGuard() : saved(Testbed::telemetry_defaults) {}
+  ~DefaultsGuard() { Testbed::telemetry_defaults = saved; }
+  TestbedTelemetryDefaults saved;
+};
+
+// The column `name` of a collected sampler run; empty when absent.
+std::vector<double> Series(const TelemetryCollector::TimeSeriesRun& run,
+                           const std::string& name) {
+  std::vector<double> out;
+  const auto it = std::find(run.names.begin(), run.names.end(), name);
+  if (it == run.names.end()) {
+    return out;
+  }
+  const size_t col = size_t(it - run.names.begin());
+  for (const TimeSeriesSampler::Row& row : run.rows) {
+    out.push_back(row.values[col]);
+  }
+  return out;
+}
+
+TEST(FabricTelemetry, SamplerSeriesShowVictimQueueAndCeMarks) {
+  DefaultsGuard guard;
+  TelemetryCollector collector;
+  Testbed::telemetry_defaults.collector = &collector;
+  Testbed::telemetry_defaults.sample_interval = Us(5);
+  const YcsbReport on = RunIncast(/*cc_enabled=*/true);
+  ASSERT_FALSE(on.deadline_hit);
+  ASSERT_GT(on.ce_marked, 0u);
+
+  ASSERT_EQ(collector.timeseries_runs().size(), 1u);
+  const TelemetryCollector::TimeSeriesRun& run = collector.timeseries_runs()[0];
+  // Host 0 is the incast victim, so leaf0's port 0 is the congested egress.
+  const std::vector<double> queue = Series(run, "leaf0.port0.queue_bytes");
+  const std::vector<double> marks = Series(run, "leaf0.port0.ce_marked");
+  ASSERT_FALSE(queue.empty()) << "Fabric::StartSampling must attach the switch probes";
+  ASSERT_EQ(marks.size(), queue.size());
+  const double peak = *std::max_element(queue.begin(), queue.end());
+  EXPECT_GE(peak, 16.0 * 1024) << "the victim queue must reach the ECN threshold";
+  EXPECT_LE(peak, 40.0 * 1024) << "the queue never exceeds its cap";
+  EXPECT_TRUE(std::is_sorted(marks.begin(), marks.end())) << "ce_marked is cumulative";
+  // The sampler outlives every frame (the run drains to idle), so its last
+  // row holds the final count; every mark lands on the victim port.
+  EXPECT_EQ(marks.back(), double(on.ce_marked));
+  EXPECT_NE(collector.TimeSeriesCsv().find(",leaf0.port0.ce_marked,"), std::string::npos);
+}
+
+// Runs the incast with --flow-stats and returns the .flows.csv as loaded by
+// `stromtrace --flows`.
+FlowCsvReport RunIncastFlowCsv(bool cc_enabled, const std::string& name, YcsbReport* report) {
+  FlowStatsSink sink;
+  Testbed::telemetry_defaults.flow_sink = &sink;
+  *report = RunIncast(cc_enabled);
+  Testbed::telemetry_defaults.flow_sink = nullptr;
+  EXPECT_FALSE(report->deadline_hit);
+  const std::string path = ::testing::TempDir() + "/" + name + ".flows.csv";
+  EXPECT_TRUE(sink.WriteCsv(path).ok());
+  Result<FlowCsvReport> csv = LoadFlowCsv(path);
+  if (!csv.ok()) {
+    ADD_FAILURE() << csv.status();
+    return FlowCsvReport{};
+  }
+  EXPECT_EQ(csv->malformed_rows, 0u);
+  EXPECT_FALSE(csv->flows.empty());
+  return *csv;
+}
+
+// `metric` summed over every flow of the report.
+double SumFlowMetric(const FlowCsvReport& csv, const std::string& metric) {
+  double sum = 0;
+  for (const FlowCsvReport::Flow& flow : csv.flows) {
+    for (const auto& [name, value] : flow.metrics) {
+      if (name == metric) {
+        sum += value;
+      }
+    }
+  }
+  return sum;
+}
+
+TEST(FabricTelemetry, FlowStatsCsvAccountsEveryCompletionAndRateCut) {
+  DefaultsGuard guard;
+  // With the sampler on, --flow-stats also records the per-port
+  // enqueue/dequeue series.
+  TelemetryCollector collector;
+  Testbed::telemetry_defaults.collector = &collector;
+  Testbed::telemetry_defaults.sample_interval = Us(5);
+  YcsbReport on;
+  const FlowCsvReport csv = RunIncastFlowCsv(/*cc_enabled=*/true, "fabric_incast_cc_on", &on);
+  ASSERT_GT(on.rate_cuts, 0u);
+
+  EXPECT_EQ(SumFlowMetric(csv, "completions"), double(on.ops_completed))
+      << "per-QP completions must add up to the run's completed ops";
+  EXPECT_EQ(SumFlowMetric(csv, "rate_cuts"), double(on.rate_cuts));
+
+  uint64_t timeline_cuts = 0;
+  for (const FlowCsvReport::DcqcnSummary& d : csv.dcqcn) {
+    timeline_cuts += d.cuts;
+    EXPECT_GT(d.last_rate_gbps, 0.0);
+  }
+  EXPECT_GT(timeline_cuts, 0u) << "a DCQCN-on incast timeline must hold rate cuts";
+  EXPECT_LE(timeline_cuts, on.rate_cuts);
+
+  ASSERT_EQ(collector.timeseries_runs().size(), 1u);
+  const TelemetryCollector::TimeSeriesRun& run = collector.timeseries_runs()[0];
+  const std::vector<double> enqueued = Series(run, "leaf0.port0.frames_enqueued");
+  const std::vector<double> dequeued = Series(run, "leaf0.port0.frames_dequeued");
+  ASSERT_FALSE(enqueued.empty()) << "--flow-stats runs add the per-port flow series";
+  ASSERT_EQ(dequeued.size(), enqueued.size());
+  EXPECT_GT(enqueued.back(), 0.0);
+  EXPECT_EQ(dequeued.back(), enqueued.back()) << "the victim queue drains by the last row";
+}
+
+TEST(FabricTelemetry, FlowStatsCsvRecordsRecoveryOfAnUncontrolledIncast) {
+  DefaultsGuard guard;
+  YcsbReport off;
+  const FlowCsvReport csv = RunIncastFlowCsv(/*cc_enabled=*/false, "fabric_incast_cc_off", &off);
+  ASSERT_GT(off.tail_drops, 0u);
+  EXPECT_EQ(SumFlowMetric(csv, "completions"), double(off.ops_completed));
+  // Tail drops are recovered by go-back-N, which the flows record; without
+  // DCQCN there is no limiter and so no timeline.
+  EXPECT_GT(SumFlowMetric(csv, "retransmit_epochs"), 0.0);
+  EXPECT_GT(SumFlowMetric(csv, "timeouts"), 0.0);
+  EXPECT_EQ(SumFlowMetric(csv, "rate_cuts"), 0.0);
+  EXPECT_TRUE(csv.dcqcn.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Crash episodes in the flight recorder
+// ---------------------------------------------------------------------------
+
+// A host, a NIC and a switch crash and restart on an idle 3-host rack with
+// the flight recorder armed; the recorder dumps to `stem`.
+void RunCrashPlan(const std::string& stem, bool dump_on_crash) {
+  Result<FaultPlan> plan = FaultPlan::Parse(
+      "seed 1\n"
+      "host1 crash 10us - restart_after=5us\n"
+      "nic2 crash 20us - restart_after=5us\n"
+      "switch0 crash 30us - restart_after=5us\n");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  for (const char* suffix : {".flightrec.bin", ".metrics.csv", ".frames.pcapng"}) {
+    std::remove((stem + suffix).c_str());
+  }
+  DefaultsGuard guard;
+  Testbed::telemetry_defaults.postmortem_stem = stem;
+  Testbed::telemetry_defaults.dump_on_crash = dump_on_crash;
+  Testbed::telemetry_defaults.fault_plan = std::make_shared<const FaultPlan>(std::move(*plan));
+  FabricTopologyConfig topo;
+  topo.num_hosts = 3;
+  Fabric fabric(Profile10G(), topo);
+  fabric.sim().RunUntilIdle();
+  EXPECT_TRUE(fabric.switch_at(0).alive());
+  EXPECT_TRUE(fabric.node(1).host_alive());
+  EXPECT_TRUE(fabric.node(2).nic_alive());
+}
+
+// The kCrash/kRestart records of one bundle as (ring, type, opcode, aux).
+std::vector<std::vector<uint32_t>> CrashRecords(const FlightRecordBundle& bundle) {
+  std::vector<std::vector<uint32_t>> out;
+  for (size_t ring = 0; ring < bundle.hosts.size(); ++ring) {
+    for (const FlightRecord& r : bundle.hosts[ring]) {
+      if (r.type == uint8_t(FlightRecordType::kCrash) ||
+          r.type == uint8_t(FlightRecordType::kRestart)) {
+        out.push_back({uint32_t(ring), r.type, r.opcode, r.aux});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(FabricFlightRecorder, CrashAndRestartRecordsCarryTheComponentKind) {
+  const std::string stem = ::testing::TempDir() + "/fabric_crash_records";
+  RunCrashPlan(stem, /*dump_on_crash=*/false);
+  Result<FlightRecordBundle> bundle = LoadFlightRecords(stem + ".flightrec.bin");
+  ASSERT_TRUE(bundle.ok()) << bundle.status();
+  EXPECT_EQ(bundle->reason, "explicit");
+  const uint32_t crash = uint32_t(FlightRecordType::kCrash);
+  const uint32_t restart = uint32_t(FlightRecordType::kRestart);
+  // Opcode 0 = host, 1 = NIC, 2 = switch; aux names the component, and a
+  // switch records into ring 0 because it has no host ring of its own.
+  const std::vector<std::vector<uint32_t>> want = {
+      {0, crash, 2, 0}, {0, restart, 2, 0},
+      {1, crash, 0, 1}, {1, restart, 0, 1},
+      {2, crash, 1, 2}, {2, restart, 1, 2},
+  };
+  EXPECT_EQ(CrashRecords(*bundle), want);
+}
+
+TEST(FabricFlightRecorder, FirstCrashDumpsThePostmortemBundle) {
+  const std::string stem = ::testing::TempDir() + "/fabric_crash_autodump";
+  RunCrashPlan(stem, /*dump_on_crash=*/true);
+  Result<FlightRecordBundle> bundle = LoadFlightRecords(stem + ".flightrec.bin");
+  ASSERT_TRUE(bundle.ok()) << bundle.status();
+  // First trigger wins: the bundle is the scene at host1's crash, before any
+  // restart or later crash was recorded.
+  EXPECT_EQ(bundle->reason, "crash: host1");
+  const std::vector<std::vector<uint32_t>> want = {
+      {1, uint32_t(FlightRecordType::kCrash), 0, 1}};
+  EXPECT_EQ(CrashRecords(*bundle), want);
+  std::ifstream metrics(stem + ".metrics.csv");
+  EXPECT_TRUE(metrics.good()) << "the crash dump carries a metrics snapshot";
 }
 
 }  // namespace

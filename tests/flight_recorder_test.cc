@@ -1,14 +1,17 @@
 // Tests for the flight recorder (src/telemetry/flight_recorder.h): ring
 // semantics, the serialized bundle round-tripping every record type, dump
-// idempotence, same-seed runs producing byte-identical bundles, and the
-// stromtrace post-mortem inspector decoding and cross-checking a bundle.
+// idempotence, the fatal-log dump, same-seed runs producing byte-identical
+// bundles, and the stromtrace post-mortem inspector decoding and
+// cross-checking a bundle.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/common/frame_buf.h"
+#include "src/common/logging.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/testbed/testbed.h"
 #include "src/testbed/workload.h"
@@ -125,6 +128,25 @@ TEST(FlightRecorder, DumpAutoRequiresStem) {
   recorder.Record(Us(1), 0, FlightRecordType::kTx, 0, kQp, 1, 0);
   EXPECT_FALSE(recorder.DumpAuto("no stem configured"));
   EXPECT_FALSE(recorder.dumped());
+}
+
+TEST(FlightRecorderDeathTest, FailedCheckDumpsBundleBeforeAbort) {
+  const std::string stem = TempPath("fr_fatal");
+  std::remove((stem + ".flightrec.bin").c_str());
+  FlightRecorder recorder(1);
+  recorder.set_auto_dump_stem(stem);
+  recorder.Record(Us(3), 0, FlightRecordType::kTimeout, 0, kQp, 7, 1);
+  RegisterGlobalFlightRecorder(&recorder);
+  EXPECT_DEATH(STROM_CHECK(recorder.records_written() == 0) << "deliberate check failure",
+               "deliberate check failure");
+  // The parent's recorder never dumped; the child wrote the bundle.
+  EXPECT_FALSE(recorder.dumped());
+  Result<FlightRecordBundle> bundle = LoadFlightRecords(stem + ".flightrec.bin");
+  ASSERT_TRUE(bundle.ok()) << bundle.status();
+  EXPECT_EQ(bundle->reason, "fatal");
+  ASSERT_EQ(bundle->hosts.size(), 1u);
+  ASSERT_EQ(bundle->hosts[0].size(), 1u);
+  EXPECT_EQ(bundle->hosts[0][0].psn, 7u);
 }
 
 // Runs a deterministic write workload with the flight recorder armed and a
