@@ -219,7 +219,7 @@ namespace {
 // One PollU64 spin, parked on the simulator's poll lane; it lives in the
 // PollU64 frame while suspended. A tick re-reads the word in place and, if it
 // still holds the sentinel, re-arms at once: the next tick takes its seq
-// before anything else runs, so it orders exactly like a heap event that a
+// before anything else runs, so it orders exactly like a one-shot event that a
 // `co_await Delay(sim, kPollInterval)` loop would schedule at that point.
 class PollAwaiter final : public EventQueue::Poller {
  public:

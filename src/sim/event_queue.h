@@ -1,28 +1,40 @@
 // Priority queue of timed events. Ties are broken by insertion order so the
 // simulation is fully deterministic.
 //
-// Indexed 4-ary min-heap (DESIGN.md §13): the heap array holds small
-// {when, seq, slot} nodes (cheap to move and compare), while the callbacks
-// live in a slab of SmallCallback slots recycled through a free list. With
-// the callback's inline buffer this makes the steady-state schedule/fire
-// cycle allocation-free.
+// Calendar queue (DESIGN.md §13). A ring of kBuckets buckets, each 2^12 ps
+// wide, holds the deadlines that fall within the window past the last pop.
+// Each bucket is a doubly linked list kept in (when, seq) order, and an
+// occupancy bitmap finds the next non-empty one. An indexed 4-ary min-heap
+// is the overflow tier: it takes deadlines past the window and any push that
+// would walk back past more than kMaxShift entries of a dense bucket. Pop()
+// takes the earliest of the ring front, the overflow top and the poll-lane
+// front by one comparator, and every entry takes its seq when it is pushed,
+// so the pop order is that of a single heap over all entries.
 //
-// Cancellable timers: CreateTimer installs a persistent callback in a timer
-// slab; ArmTimer/CancelTimer physically insert/remove the deadline in
-// O(log n) instead of letting generation-checked tombstones pop through the
-// queue. Re-arming reuses the installed callback, so a timer that is armed,
-// cancelled, and re-armed millions of times never allocates.
+// Callables are built in place in a chunked slot slab whose addresses never
+// move. A popped event runs in its slot (Run) and the slot is freed after,
+// so the steady-state schedule/fire cycle neither allocates nor moves a
+// callable.
 //
-// Poll lane: a FIFO beside the heap for fixed-interval re-checks (a host
+// Cancellable timers: CreateTimer builds a persistent callable in a slot the
+// timer keeps; ArmTimer/CancelTimer physically insert/remove the deadline
+// (unlinked from its bucket, or removed from the overflow heap through the
+// position the timer's node records) instead of letting tombstones pop
+// through the queue. Re-arming reuses the installed callable, so a timer that
+// is armed, cancelled, and re-armed millions of times never allocates.
+//
+// Poll lane: a FIFO beside the calendar for fixed-interval re-checks (a host
 // thread spinning on a word). Every entry is pushed at now + one interval
 // with the next seq, so the FIFO is already sorted by (when, seq) and Pop()
-// merges it with the heap by the same comparator: pop order, seqs and the
-// event count are exactly those of scheduling each tick as a heap event.
+// merges it by the same comparator: pop order, seqs and the event count are
+// exactly those of scheduling each tick as a one-shot event.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
+#include <array>
 #include <cstdint>
-#include <deque>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/sim/small_callback.h"
@@ -30,21 +42,18 @@
 
 namespace strom {
 
-// Kept only for perfbench/stromperf.cc's config line; the heap is the only core.
+// Kept only for perfbench/stromperf.cc's config line; there is one event core.
 enum class EventQueueMode { kHeap, kWheel };
 inline EventQueueMode GetEventQueueMode() { return EventQueueMode::kHeap; }
 
 class EventQueue {
  public:
-  using Callback = SmallCallback;
-
   static constexpr uint32_t kInvalidTimer = 0xFFFFFFFFu;
 
-  // Handle to a slab-resident cancellable timer. Copyable value; a
-  // default-constructed handle is invalid (valid() == false).
+  // Handle to a cancellable timer. Copyable value; a default-constructed
+  // handle is invalid (valid() == false).
   struct TimerId {
-    uint32_t idx = kInvalidTimer;
-    uint32_t gen = 0;
+    uint32_t idx = kInvalidTimer;  // the timer's slot
     bool valid() const { return idx != kInvalidTimer; }
   };
 
@@ -58,17 +67,30 @@ class EventQueue {
     ~Poller() = default;
   };
 
-  void Push(SimTime when, Callback fn);
+  // Builds `fn` in a free slot and schedules it at `when`, which must be no
+  // earlier than the last pop (checked).
+  template <typename F>
+  void Push(SimTime when, F&& fn) {
+    const uint32_t slot = AllocSlot();
+    Slot(slot).Emplace(std::forward<F>(fn));
+    Insert(slot, when);
+  }
 
   // Appends a poll-lane entry with the next seq. `when` must be no earlier
   // than the last queued lane entry's (checked), which holds when every
   // entry is pushed at now + one fixed interval.
   void PushPoll(SimTime when, Poller* poller);
 
-  // Installs `fn` as a persistent callback and returns a handle. The timer
-  // starts idle; ArmTimer schedules it. The callback is retained across
-  // fires, so re-arming after expiry is allocation-free.
-  TimerId CreateTimer(Callback fn);
+  // Builds `fn` as a persistent callable in a slot of its own and returns a
+  // handle. The timer starts idle; ArmTimer schedules it. The callable is
+  // retained across fires, so re-arming after expiry is allocation-free.
+  template <typename F>
+  TimerId CreateTimer(F&& fn) {
+    const uint32_t slot = AllocSlot();
+    Slot(slot).Emplace(std::forward<F>(fn));
+    nodes_[slot].pos = kIdle;  // marks the slot as a timer's for good
+    return TimerId{slot};
+  }
   // Schedules (idle timer) or physically moves (pending timer) the deadline.
   // Takes a fresh seq either way, exactly like a Push at the same point.
   void ArmTimer(TimerId id, SimTime when);
@@ -77,40 +99,82 @@ class EventQueue {
   bool CancelTimer(TimerId id);
   bool TimerPending(TimerId id) const;
 
-  // Heap and poll-lane entries alike.
+  // Ring, overflow and poll-lane entries alike.
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
   // Timestamp of the earliest event. Precondition: !empty().
   SimTime NextTime() const;
+  // Entries in the overflow heap (the rest are in the ring or the lane).
+  size_t overflow_size() const { return heap_.size(); }
 
-  // Pops and returns the earliest event. Precondition: !empty().
+  // A popped event. Its callable has not moved: it runs in its slot.
   struct Event {
     SimTime when;
     uint64_t seq;
-    Callback fn;                // one-shot payload (moved out of the slab)
-    Callback* timer_fn = nullptr;  // persistent timer callback (fires in place)
+    SmallCallback* fn = nullptr;   // one-shot or timer callable
     Poller* poller = nullptr;      // poll-lane entry
-    void Run() {
-      if (poller != nullptr) {
-        poller->Tick();
-      } else if (timer_fn != nullptr) {
-        (*timer_fn)();
-      } else {
-        fn();
-      }
-    }
+    uint32_t free_slot = kNone;    // a one-shot's slot, freed after its run
   };
+  // Takes the earliest event out of the order. Run() it exactly once before
+  // the queue is cleared. Precondition: !empty().
   Event Pop();
+  // Runs a popped event in place, then frees a one-shot's slot. A timer is
+  // idle before its callable runs, so the callable can re-arm it.
+  void Run(const Event& ev) {
+    if (ev.poller != nullptr) {
+      ev.poller->Tick();
+      return;
+    }
+    (*ev.fn)();
+    if (ev.free_slot != kNone) {
+      ev.fn->Reset();
+      free_slots_.push_back(ev.free_slot);
+    }
+  }
 
   void Clear();
 
  private:
-  static constexpr uint32_t kTimerBit = 0x80000000u;
+  // 1,024 buckets of 2^12 ps: a window of 2^22 ps (≈ 4.2 µs) past the last
+  // pop, which holds the fixed pipeline, wire and DMA delays that carry
+  // nearly every one-shot (DESIGN.md §13).
+  static constexpr int kBucketShift = 12;
+  static constexpr uint32_t kBuckets = 1024;
+  static constexpr uint32_t kWords = kBuckets / 64;  // occupancy bitmap words
+  // A push that would walk back past more entries of its bucket than this
+  // goes to the overflow heap instead.
+  static constexpr int kMaxShift = 8;
 
-  struct HeapNode {
+  // No slot: the end of a bucket list, or nothing to free after a run.
+  static constexpr uint32_t kNone = 0xFFFFFFFFu;
+  // Node::pos values beside an overflow-heap index.
+  static constexpr uint32_t kOneShot = 0xFFFFFFFFu;
+  static constexpr uint32_t kIdle = 0xFFFFFFFEu;
+  static constexpr uint32_t kInRing = 0xFFFFFFFDu;
+  // Set in a heap entry's slot when the slot is a timer's.
+  static constexpr uint32_t kTimerBit = 0x80000000u;
+  // Slots per slab chunk.
+  static constexpr uint32_t kChunkShift = 8;
+
+  // One per slot: the entry's key, its bucket-list links while it is in the
+  // ring, and for a timer's slot where the pending deadline is.
+  struct Node {
+    SimTime when = 0;
+    uint64_t seq = 0;
+    uint32_t prev = kNone;
+    uint32_t next = kNone;
+    uint32_t pos = kOneShot;  // a timer's: kIdle, kInRing or its heap index
+  };
+
+  struct Bucket {
+    uint32_t head = kNone;
+    uint32_t tail = kNone;
+  };
+
+  struct HeapEntry {
     SimTime when;
     uint64_t seq;
-    uint32_t slot;  // kTimerBit set: timer slab index; clear: callback slot
+    uint32_t slot;  // kTimerBit set when the slot is a timer's
   };
 
   struct LaneEntry {
@@ -118,6 +182,8 @@ class EventQueue {
     uint64_t seq;
     Poller* poller;
   };
+
+  enum class Source { kRing, kHeap, kLane };
 
   // Earlier time wins; same-time events fire in insertion (seq) order.
   template <typename A, typename B>
@@ -128,38 +194,57 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  struct Timer {
-    Callback fn;
-    uint32_t gen = 0;
-    bool pending = false;
-    uint32_t pos = 0;  // heap index while pending
-  };
-
-  Timer& CheckedTimer(TimerId id);
-  // Defined in the class so GCC inlines it into the sift loops; out of line
-  // it slows micro_sim_hotpaths' EventQueueSameTimestampBurst measurably.
-  void PlaceNode(size_t i, const HeapNode& node) {
-    heap_[i] = node;
-    if (node.slot & kTimerBit) {
-      timers_[node.slot & ~kTimerBit].pos = static_cast<uint32_t>(i);
-    }
+  SmallCallback& Slot(uint32_t slot) {
+    return chunks_[slot >> kChunkShift][slot & ((1u << kChunkShift) - 1)];
   }
-  // Whether the next pop comes from the poll lane rather than the heap.
-  bool LaneFirst() const {
-    return lane_size_ > 0 && (heap_.empty() || Before(lane_[lane_head_], heap_.front()));
+  uint32_t AllocSlot() {
+    if (free_slots_.empty()) {
+      return GrowSlots();
+    }
+    const uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  uint32_t GrowSlots();
+  Node& CheckedTimer(TimerId id);
+
+  void Insert(uint32_t slot, SimTime when);
+  // Files a keyed node in its bucket, or in the overflow heap.
+  void Place(uint32_t slot);
+  void Unplace(uint32_t slot);
+  bool RingInsert(uint32_t slot, uint32_t bucket);
+  void RingUnlink(uint32_t slot);
+  // Slot at the front of the earliest non-empty bucket, or kNone.
+  uint32_t RingFront() const;
+  Source FrontSource(uint32_t ring_front) const;
+
+  // Defined in the class so GCC inlines it into the sift loops.
+  void PlaceEntry(size_t i, const HeapEntry& e) {
+    heap_[i] = e;
+    if (e.slot & kTimerBit) {
+      nodes_[e.slot & ~kTimerBit].pos = static_cast<uint32_t>(i);
+    }
   }
   void SiftUp(size_t i);
   void SiftDown(size_t i);
-  void HeapInsert(const HeapNode& node);
+  void HeapInsert(const HeapEntry& e);
   void RemoveHeapAt(size_t pos);
 
-  std::vector<HeapNode> heap_;
-  std::vector<Callback> slots_;
+  // Calendar ring.
+  std::array<Bucket, kBuckets> buckets_;
+  std::array<uint64_t, kWords> occupied_{};  // bit b: bucket b non-empty
+  uint16_t occupied_words_ = 0;              // bit w: occupied_[w] != 0
+  SimTime last_pop_ = 0;
+
+  // Slot slab: callables in fixed-size chunks (stable addresses), and a
+  // node per slot.
+  std::vector<std::unique_ptr<SmallCallback[]>> chunks_;
+  std::vector<Node> nodes_;
   std::vector<uint32_t> free_slots_;
+
+  std::vector<HeapEntry> heap_;  // overflow tier
   uint64_t next_seq_ = 0;
   size_t size_ = 0;
-
-  std::deque<Timer> timers_;  // deque: stable addresses across CreateTimer
 
   // Poll lane as a ring buffer; its capacity is zero or a power of two.
   std::vector<LaneEntry> lane_;

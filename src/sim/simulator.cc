@@ -18,33 +18,9 @@ Simulator::~Simulator() {
   tasks_.clear();
 }
 
-void Simulator::Schedule(SimTime delay, EventQueue::Callback fn) {
-  STROM_CHECK_GE(delay, 0);
-  queue_.Push(now_ + delay, std::move(fn));
-}
-
-void Simulator::ScheduleAt(SimTime when, EventQueue::Callback fn) {
-  STROM_CHECK_GE(when, now_);
-  queue_.Push(when, std::move(fn));
-}
-
 void Simulator::SchedulePoll(SimTime interval, EventQueue::Poller& poller) {
   STROM_CHECK_GT(interval, 0);
   queue_.PushPoll(now_ + interval, &poller);
-}
-
-Simulator::TimerHandle Simulator::ScheduleCancellable(SimTime delay,
-                                                      EventQueue::Callback fn) {
-  STROM_CHECK_GE(delay, 0);
-  return ScheduleCancellableAt(now_ + delay, std::move(fn));
-}
-
-Simulator::TimerHandle Simulator::ScheduleCancellableAt(SimTime when,
-                                                        EventQueue::Callback fn) {
-  STROM_CHECK_GE(when, now_);
-  const TimerHandle h = queue_.CreateTimer(std::move(fn));
-  queue_.ArmTimer(h, when);
-  return h;
 }
 
 bool Simulator::Cancel(TimerHandle h) { return queue_.CancelTimer(h); }
@@ -63,11 +39,11 @@ bool Simulator::Step() {
   if (queue_.empty()) {
     return false;
   }
-  EventQueue::Event ev = queue_.Pop();
+  const EventQueue::Event ev = queue_.Pop();
   STROM_CHECK_GE(ev.when, now_);
   now_ = ev.when;
   ++events_processed_;
-  ev.Run();
+  queue_.Run(ev);
   return true;
 }
 
@@ -84,20 +60,6 @@ void Simulator::RunFor(SimTime duration) {
   }
   now_ = std::max(now_, horizon);
   SweepTasks();
-}
-
-bool Simulator::RunUntil(const std::function<bool()>& pred) {
-  if (pred()) {
-    return true;
-  }
-  while (Step()) {
-    if (pred()) {
-      SweepTasks();
-      return true;
-    }
-  }
-  SweepTasks();
-  return false;
 }
 
 void Simulator::Spawn(Task task) {

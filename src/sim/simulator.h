@@ -5,9 +5,10 @@
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/time.h"
 
@@ -32,11 +33,20 @@ class Simulator {
   SimTime now() const { return now_; }
   uint64_t events_processed() const { return events_processed_; }
 
-  // Schedules `fn` to run `delay` from now (delay >= 0).
-  void Schedule(SimTime delay, EventQueue::Callback fn);
+  // Schedules `fn` to run `delay` from now (delay >= 0). The callable is
+  // built in its queue slot and runs there (DESIGN.md §13).
+  template <typename F>
+  void Schedule(SimTime delay, F&& fn) {
+    STROM_CHECK_GE(delay, 0);
+    queue_.Push(now_ + delay, std::forward<F>(fn));
+  }
 
   // Schedules `fn` at absolute time `when` (>= now()).
-  void ScheduleAt(SimTime when, EventQueue::Callback fn);
+  template <typename F>
+  void ScheduleAt(SimTime when, F&& fn) {
+    STROM_CHECK_GE(when, now_);
+    queue_.Push(when, std::forward<F>(fn));
+  }
 
   // Cancellable timers. ScheduleCancellable installs `fn` once and arms it
   // `delay` from now; the returned handle can Cancel (physically removing the
@@ -44,8 +54,18 @@ class Simulator {
   // (moving the deadline and reusing the installed callback, so periodic
   // re-arming is allocation-free). After firing, the handle stays valid and
   // can be re-armed with Reschedule — including from inside the callback.
-  TimerHandle ScheduleCancellable(SimTime delay, EventQueue::Callback fn);
-  TimerHandle ScheduleCancellableAt(SimTime when, EventQueue::Callback fn);
+  template <typename F>
+  TimerHandle ScheduleCancellable(SimTime delay, F&& fn) {
+    STROM_CHECK_GE(delay, 0);
+    return ScheduleCancellableAt(now_ + delay, std::forward<F>(fn));
+  }
+  template <typename F>
+  TimerHandle ScheduleCancellableAt(SimTime when, F&& fn) {
+    STROM_CHECK_GE(when, now_);
+    const TimerHandle h = queue_.CreateTimer(std::forward<F>(fn));
+    queue_.ArmTimer(h, when);
+    return h;
+  }
   // Disarms a pending timer. Returns whether it was pending (false = already
   // fired, never armed, or invalid handle).
   bool Cancel(TimerHandle h);
@@ -56,7 +76,7 @@ class Simulator {
 
   // Poll lane (DESIGN.md §13): runs `poller.Tick()` `interval` from now, in
   // the order, and with the seq, that Schedule would give it at this point,
-  // but without a heap entry or a callback. Every poller must use the same
+  // but without a queue slot or a callable. Every poller must use the same
   // interval, so the lane stays sorted; the queue checks that it does.
   void SchedulePoll(SimTime interval, EventQueue::Poller& poller);
 
@@ -72,7 +92,20 @@ class Simulator {
 
   // Runs until `pred()` is true (checked after every event) or the queue
   // drains. Returns whether the predicate was satisfied.
-  bool RunUntil(const std::function<bool()>& pred);
+  template <typename Pred>
+  bool RunUntil(Pred&& pred) {
+    if (pred()) {
+      return true;
+    }
+    while (Step()) {
+      if (pred()) {
+        SweepTasks();
+        return true;
+      }
+    }
+    SweepTasks();
+    return false;
+  }
 
   // Takes ownership of a coroutine task and starts it. The simulator keeps
   // the task alive until it completes (finished frames are swept lazily).

@@ -1,9 +1,10 @@
-// Move-only callable with small-buffer optimization, used as the simulator's
-// event callback type. The common captures on the hot path (`this` + a
-// ref-counted frame + a trace context, ~32-40 bytes) fit in the inline
-// buffer, so scheduling them performs no heap allocation —
-// std::function's inline buffer (16 bytes on libstdc++) is too small for
-// them and allocated on every Schedule().
+// Callable slot with small-buffer optimization: the event queue builds each
+// scheduled callable in place in one of these (src/sim/event_queue.h), runs
+// it there and resets the slot, so a callable never moves. The common
+// captures on the hot path (`this` + a ref-counted frame + a trace context,
+// ~32-40 bytes) fit in the inline buffer, so scheduling them performs no
+// heap allocation — std::function's inline buffer (16 bytes on libstdc++) is
+// too small for them and allocated on every Schedule().
 #ifndef SRC_SIM_SMALL_CALLBACK_H_
 #define SRC_SIM_SMALL_CALLBACK_H_
 
@@ -23,16 +24,16 @@ class SmallCallback {
   static constexpr size_t kInlineSize = 64;
 
   SmallCallback() noexcept = default;
+  SmallCallback(const SmallCallback&) = delete;
+  SmallCallback& operator=(const SmallCallback&) = delete;
+  ~SmallCallback() { Reset(); }
 
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, SmallCallback> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  SmallCallback(F&& f) {  // NOLINT(google-explicit-constructor)
+  // Builds `f` in this slot. Precondition: the slot is empty.
+  template <typename F>
+  void Emplace(F&& f) {
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    static_assert(std::is_invocable_r_v<void, Fn&>, "callable must take no arguments");
+    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &InlineOps<Fn>::ops;
     } else {
@@ -41,33 +42,7 @@ class SmallCallback {
     }
   }
 
-  SmallCallback(SmallCallback&& other) noexcept : ops_(other.ops_) {
-    if (ops_ != nullptr) {
-      ops_->relocate(other.storage_, storage_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  SmallCallback& operator=(SmallCallback&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      ops_ = other.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(other.storage_, storage_);
-        other.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
-
-  SmallCallback(const SmallCallback&) = delete;
-  SmallCallback& operator=(const SmallCallback&) = delete;
-
-  ~SmallCallback() { Reset(); }
-
   void operator()() { ops_->call(storage_); }
-
-  explicit operator bool() const noexcept { return ops_ != nullptr; }
 
   void Reset() noexcept {
     if (ops_ != nullptr) {
@@ -79,35 +54,24 @@ class SmallCallback {
  private:
   struct Ops {
     void (*call)(void* storage);
-    // Move-constructs into `to` and destroys `from` (trivial pointer copy
-    // for the heap-allocated case).
-    void (*relocate)(void* from, void* to) noexcept;
     void (*destroy)(void* storage) noexcept;
   };
 
   template <typename Fn>
   struct InlineOps {
     static void Call(void* s) { (*std::launder(reinterpret_cast<Fn*>(s)))(); }
-    static void Relocate(void* from, void* to) noexcept {
-      Fn* f = std::launder(reinterpret_cast<Fn*>(from));
-      ::new (to) Fn(std::move(*f));
-      f->~Fn();
-    }
     static void Destroy(void* s) noexcept {
       std::launder(reinterpret_cast<Fn*>(s))->~Fn();
     }
-    static constexpr Ops ops{&Call, &Relocate, &Destroy};
+    static constexpr Ops ops{&Call, &Destroy};
   };
 
   template <typename Fn>
   struct HeapOps {
     static Fn*& Ptr(void* s) { return *reinterpret_cast<Fn**>(s); }
     static void Call(void* s) { (*Ptr(s))(); }
-    static void Relocate(void* from, void* to) noexcept {
-      *reinterpret_cast<Fn**>(to) = Ptr(from);
-    }
     static void Destroy(void* s) noexcept { delete Ptr(s); }
-    static constexpr Ops ops{&Call, &Relocate, &Destroy};
+    static constexpr Ops ops{&Call, &Destroy};
   };
 
   alignas(std::max_align_t) unsigned char storage_[kInlineSize];

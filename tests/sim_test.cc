@@ -60,11 +60,11 @@ TEST(EventQueue, InterleavedSameTimestampPopsInInsertionOrder) {
   for (int k = 0; k < 8; ++k) {
     EventQueue::Event ev = q.Pop();
     EXPECT_EQ(ev.when, Ns(10));
-    ev.fn();
+    q.Run(ev);
     q.Push(Ns(10), [&fired, v = 16 + k] { fired.push_back(v); });
   }
   while (!q.empty()) {
-    q.Pop().fn();
+    q.Run(q.Pop());
   }
   std::vector<int> expect;
   for (int i = 0; i < 24; ++i) expect.push_back(i);          // all t=10
@@ -115,13 +115,25 @@ class LanePoller final : public EventQueue::Poller {
 };
 
 // Cancellation stress: randomized arm/cancel/re-arm/pop churn against a
-// reference model (an ordered set of (when, seq, label) triples). Deadlines
-// mix near, mid and far horizons (up to 2^14, 2^22 and 2^38 ps out), and
-// every fire is compared label-for-label. With `lane`, poll-lane entries join
-// the churn: pushed at now + a fixed interval, some re-armed from their own
-// tick, and one-shots land on exactly that instant to make ties; the model
-// keys them like any other entry.
-void CancellationStress(uint64_t seed, bool lane = false) {
+// reference model (an ordered set of (when, seq, label) triples), with every
+// fire compared label-for-label.
+//  - kMixed: deadlines mix near, mid and far horizons (up to 2^14, 2^22 and
+//    2^38 ps out).
+//  - kPollLane: poll-lane entries join the churn, pushed at now + a fixed
+//    interval, some re-armed from their own tick, and one-shots land on
+//    exactly that instant to make ties; the model keys them like any other
+//    entry.
+//  - kCalendarEdges: deadlines cluster in the last pop's bucket and the next
+//    two and within two buckets either side of the window's far edge, so
+//    entries pushed past the window fall back inside it as time advances and
+//    the ring wraps many times. Descending runs of 12 into one bucket spill
+//    to the overflow heap, and timers are cancelled and re-armed from the
+//    middle of a bucket.
+enum class StressMode { kMixed, kPollLane, kCalendarEdges };
+
+void CancellationStress(uint64_t seed, StressMode mode = StressMode::kMixed) {
+  const bool lane = mode == StressMode::kPollLane;
+  const bool calendar = mode == StressMode::kCalendarEdges;
   EventQueue q;
   Rng rng(seed);
 
@@ -145,6 +157,13 @@ void CancellationStress(uint64_t seed, bool lane = false) {
   int next_oneshot = kTimers;
   SimTime now = 0;
 
+  // The calendar's geometry (event_queue.h): 2^12 ps buckets, a 2^22 ps window.
+  constexpr SimTime kBucket = SimTime{1} << 12;
+  constexpr SimTime kWindow = SimTime{1} << 22;
+  size_t spilled = 0;             // burst pushes that went to the overflow heap
+  int fell_back = 0;              // pops of one-shots pushed past the window
+  std::vector<bool> past_window;  // per one-shot label - kTimers
+
   // Lane pollers carry labels -1 .. -kPollers.
   constexpr int kPollers = 8;
   constexpr SimTime kInterval = 5000;
@@ -155,6 +174,16 @@ void CancellationStress(uint64_t seed, bool lane = false) {
   auto poller_of = [&](int label) -> LanePoller& { return *pollers[-1 - label]; };
 
   auto random_when = [&]() -> SimTime {
+    if (calendar) {
+      switch (rng.Below(3)) {
+        case 0:
+          return now + SimTime(rng.Below(3 * kBucket));
+        case 1:
+          return now + kWindow - 2 * kBucket + SimTime(rng.Below(4 * kBucket));
+        default:
+          return now + SimTime(rng.Below(kWindow));
+      }
+    }
     switch (rng.Below(3)) {
       case 0:
         return now + 1 + SimTime(rng.Below(1 << 14));
@@ -164,42 +193,54 @@ void CancellationStress(uint64_t seed, bool lane = false) {
         return now + 1 + SimTime(rng.Below(uint64_t{1} << 38));
     }
   };
+  auto arm_timer = [&](int i, SimTime when) {
+    if (pending[i]) {
+      model.erase(*pending[i]);
+    }
+    pending[i] = Key{when, next_seq, i};
+    model.insert(*pending[i]);
+    q.ArmTimer(timers[i], when);
+    ++next_seq;
+  };
+  auto cancel_timer = [&](int i) {
+    const bool was_pending = pending[i].has_value();
+    if (was_pending) {
+      model.erase(*pending[i]);
+      pending[i].reset();
+    }
+    EXPECT_EQ(q.CancelTimer(timers[i]), was_pending);
+  };
+  auto push_oneshot = [&](SimTime when) {
+    const int label = next_oneshot++;
+    past_window.push_back(when - now >= kWindow);
+    model.insert(Key{when, next_seq, label});
+    q.Push(when, [&fired, label] { fired.push_back(label); });
+    ++next_seq;
+  };
 
   for (int step = 0; step < 20000; ++step) {
-    switch (rng.Below(lane ? 12 : 10)) {
+    uint64_t action;
+    if (calendar) {  // of 64: 10 arm, 4 cancel, 6 push, 42 pop, 1 burst, 1 mid-bucket
+      const uint64_t r = rng.Below(64);
+      action = r < 10 ? 0 : r < 14 ? 3 : r < 20 ? 4 : r < 62 ? 6 : r == 62 ? 12 : 13;
+    } else {
+      action = rng.Below(lane ? 12 : 10);
+    }
+    switch (action) {
       case 0:
       case 1:
       case 2: {  // arm / re-arm a random timer
         const int i = static_cast<int>(rng.Below(kTimers));
-        const SimTime when = random_when();
-        if (pending[i]) {
-          model.erase(*pending[i]);
-        }
-        pending[i] = Key{when, next_seq, i};
-        model.insert(*pending[i]);
-        q.ArmTimer(timers[i], when);
-        ++next_seq;
+        arm_timer(i, random_when());
         break;
       }
-      case 3: {  // cancel a random timer
-        const int i = static_cast<int>(rng.Below(kTimers));
-        const bool was_pending = pending[i].has_value();
-        if (was_pending) {
-          model.erase(*pending[i]);
-          pending[i].reset();
-        }
-        EXPECT_EQ(q.CancelTimer(timers[i]), was_pending);
+      case 3:  // cancel a random timer
+        cancel_timer(static_cast<int>(rng.Below(kTimers)));
         break;
-      }
       case 4:
-      case 5: {  // one-shot push
-        const SimTime when = random_when();
-        const int label = next_oneshot++;
-        model.insert(Key{when, next_seq, label});
-        q.Push(when, [&fired, label] { fired.push_back(label); });
-        ++next_seq;
+      case 5:  // one-shot push
+        push_oneshot(random_when());
         break;
-      }
       case 10: {  // poll-lane push
         const int label = -1 - static_cast<int>(rng.Below(kPollers));
         model.insert(Key{now + kInterval, next_seq, label});
@@ -207,11 +248,29 @@ void CancellationStress(uint64_t seed, bool lane = false) {
         ++next_seq;
         break;
       }
-      case 11: {  // one-shot on the lane's instant: a tie, either side of it
-        const int label = next_oneshot++;
-        model.insert(Key{now + kInterval, next_seq, label});
-        q.Push(now + kInterval, [&fired, label] { fired.push_back(label); });
-        ++next_seq;
+      case 11:  // one-shot on the lane's instant: a tie, either side of it
+        push_oneshot(now + kInterval);
+        break;
+      case 12: {  // 12 descending deadlines into one bucket inside the window
+        const SimTime bucket_end = ((now / kBucket) + 2 + SimTime(rng.Below(8))) * kBucket;
+        const size_t before = q.overflow_size();
+        for (int k = 0; k < 12; ++k) {
+          push_oneshot(bucket_end - 1 - 300 * k);
+        }
+        // Push k walks back past at least k later entries; from the ninth on,
+        // that is more than the ring shifts.
+        ASSERT_GE(q.overflow_size() - before, 3u);
+        spilled += q.overflow_size() - before;
+        break;
+      }
+      case 13: {  // three timers in one bucket; the middle one leaves and returns
+        const int a = static_cast<int>(rng.Below(kTimers - 2));
+        const SimTime bucket = ((now / kBucket) + 1 + SimTime(rng.Below(4))) * kBucket;
+        arm_timer(a, bucket + 100);
+        arm_timer(a + 1, bucket + 200);
+        arm_timer(a + 2, bucket + 300);
+        cancel_timer(a + 1);
+        arm_timer(a + 1, bucket + 150);
         break;
       }
       default: {  // pop
@@ -221,13 +280,16 @@ void CancellationStress(uint64_t seed, bool lane = false) {
         }
         const Key expect = *model.begin();
         ASSERT_EQ(q.NextTime(), std::get<0>(expect));
-        EventQueue::Event ev = q.Pop();
+        const EventQueue::Event ev = q.Pop();
         ASSERT_EQ(ev.when, std::get<0>(expect));
         ASSERT_EQ(ev.seq, std::get<1>(expect));
         model.erase(model.begin());
         const int label = std::get<2>(expect);
         if (label >= 0 && label < kTimers) {
           pending[label].reset();
+        }
+        if (label >= kTimers && past_window[label - kTimers]) {
+          ++fell_back;
         }
         model_fired.push_back(label);
         if (ev.when == prev_when && (label < 0) != (prev_label < 0)) {
@@ -244,13 +306,18 @@ void CancellationStress(uint64_t seed, bool lane = false) {
             ++next_seq;
           }
         }
-        ev.Run();
+        q.Run(ev);
         ASSERT_EQ(fired.size(), model_fired.size());
         ASSERT_EQ(fired.back(), model_fired.back());
         break;
       }
     }
     ASSERT_EQ(q.size(), model.size());
+  }
+  if (calendar) {
+    EXPECT_GT(now / kWindow, 500) << "the calendar case must wrap the ring many times";
+    EXPECT_GT(spilled, 500u);
+    EXPECT_GT(fell_back, 100);
   }
   // Drain: every remaining entry fires in model order.
   for (auto& p : pollers) {
@@ -260,10 +327,10 @@ void CancellationStress(uint64_t seed, bool lane = false) {
     const Key expect = *model.begin();
     model.erase(model.begin());
     ASSERT_EQ(q.NextTime(), std::get<0>(expect));
-    EventQueue::Event ev = q.Pop();
+    const EventQueue::Event ev = q.Pop();
     ASSERT_EQ(ev.when, std::get<0>(expect));
     ASSERT_EQ(ev.seq, std::get<1>(expect));
-    ev.Run();
+    q.Run(ev);
     ASSERT_EQ(fired.back(), std::get<2>(expect));
   }
   EXPECT_TRUE(q.empty());
@@ -278,9 +345,15 @@ TEST(EventCoreCancellation, StressMatchesReferenceModelHeap) {
 }
 
 TEST(EventCoreCancellation, StressWithPollLaneMatchesReferenceModel) {
-  CancellationStress(17, /*lane=*/true);
-  CancellationStress(4242, /*lane=*/true);
-  CancellationStress(99, /*lane=*/true);
+  CancellationStress(17, StressMode::kPollLane);
+  CancellationStress(4242, StressMode::kPollLane);
+  CancellationStress(99, StressMode::kPollLane);
+}
+
+TEST(EventCoreCancellation, StressAtCalendarEdgesMatchesReferenceModel) {
+  CancellationStress(17, StressMode::kCalendarEdges);
+  CancellationStress(4242, StressMode::kCalendarEdges);
+  CancellationStress(99, StressMode::kCalendarEdges);
 }
 
 // A lane tick and heap events at the same `when` pop in seq order, whichever
@@ -308,7 +381,7 @@ TEST(EventQueue, PollLaneTiesWithHeapBreakBySeq) {
       EXPECT_GT(ev.seq, prev_seq);
     }
     prev_seq = ev.seq;
-    ev.Run();
+    q.Run(ev);
   }
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(fired, (std::vector<int>{-1, 0, 10, 1, 11, 2}));
@@ -321,6 +394,18 @@ TEST(EventQueueDeathTest, PollLaneRejectsOutOfOrderPush) {
   LanePoller p(q, now, 100, 0, fired);
   q.PushPoll(200, &p);
   EXPECT_DEATH(q.PushPoll(199, &p), "poll lane");
+}
+
+// The calendar's window starts at the last pop, so a push behind it could
+// never be ordered; one-shots and timers alike are checked.
+TEST(EventQueueDeathTest, PushBehindLastPopDies) {
+  EventQueue q;
+  q.Push(Ns(5), [] {});
+  q.Run(q.Pop());
+  q.Push(Ns(5), [] {});  // at the last pop is fine
+  EXPECT_DEATH(q.Push(Ns(5) - 1, [] {}), "behind the last pop");
+  const EventQueue::TimerId t = q.CreateTimer([] {});
+  EXPECT_DEATH(q.ArmTimer(t, Ns(4)), "behind the last pop");
 }
 
 // Lane ticks are events: each counts once, and a re-armed tick keeps
@@ -372,7 +457,7 @@ TEST(EventCoreBatching, SameTimestampFifoHeap) {
   q.Push(kT + 2, [&order] { order.push_back(1001); });
 
   while (!q.empty()) {
-    q.Pop().Run();
+    q.Run(q.Pop());
   }
   ASSERT_EQ(order.size(), size_t{kRun + 2});
   for (int i = 0; i < kRun; ++i) {
@@ -405,7 +490,7 @@ TEST(EventCoreBatching, CancelInsideSameTimestampRun) {
 
   uint64_t pops = 0;
   while (!q.empty()) {
-    q.Pop().Run();
+    q.Run(q.Pop());
     ++pops;
   }
   // 1 canceller + 24 one-shots + the moved timer; the victim never fires.
@@ -450,6 +535,34 @@ TEST(Simulator, RunForAdvancesClockToHorizon) {
   EXPECT_EQ(sim.now(), Ns(50));
   sim.RunFor(Ns(50));
   EXPECT_EQ(fired, 1);
+}
+
+// RunFor moves now past the last pop, so the calendar window (which starts
+// at the last pop) no longer starts at now. Events scheduled then, inside the
+// window, past it and on a tie, still fire in (when, seq) order.
+TEST(Simulator, ScheduleAfterRunForMovesNowPastLastPop) {
+  Simulator sim;
+  std::vector<std::pair<int, SimTime>> fired;
+  auto record = [&](int label) {
+    return [&fired, &sim, label] { fired.emplace_back(label, sim.now()); };
+  };
+  sim.Schedule(Ns(10), record(0));
+  sim.RunFor(Us(3));  // last pop at 10 ns, now 3 µs
+  ASSERT_EQ(sim.now(), Us(3));
+  sim.Schedule(Us(2), record(1));      // 5 µs: past the last pop's window
+  sim.Schedule(Ns(1), record(2));      // 3.001 µs: inside it
+  sim.Schedule(Ns(1100), record(3));   // 4.1 µs: inside it, near its end
+  sim.Schedule(Ns(1), record(4));      // ties with 2, fires after it
+  sim.RunFor(Us(10));                  // last pop at 5 µs, now 13 µs
+  ASSERT_EQ(sim.now(), Us(13));
+  sim.Schedule(0, record(5));  // from here on, every deadline is past the window
+  sim.ScheduleAt(Us(13) + Ns(4300), record(6));
+  sim.Schedule(Ns(2), record(7));
+  sim.RunUntilIdle();
+  const std::vector<std::pair<int, SimTime>> expect = {
+      {0, Ns(10)},   {2, Ns(3001)},  {4, Ns(3001)},         {3, Ns(4100)},
+      {1, Us(5)},    {5, Us(13)},    {7, Us(13) + Ns(2)},   {6, Us(13) + Ns(4300)}};
+  EXPECT_EQ(fired, expect);
 }
 
 TEST(Simulator, RunUntilStopsAtPredicate) {
