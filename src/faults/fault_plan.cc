@@ -293,48 +293,51 @@ Result<FaultPlan> FaultPlan::Load(const std::string& path) {
   return plan;
 }
 
-std::string FaultPlan::ToString() const {
+std::string FaultEpisode::ToString() const {
   std::ostringstream os;
-  os << "seed " << seed << "\n";
-  for (const FaultEpisode& ep : episodes) {
-    os << TargetPrefix(FaultTargetKindOf(ep.type));
-    if (ep.target < 0) {
-      os << "*";
-    } else {
-      os << ep.target;
-    }
-    os << ' ' << FaultTypeName(ep.type) << ' ' << FormatTime(ep.start) << ' '
-       << FormatTime(ep.end);
-    switch (ep.type) {
-      case FaultType::kBurstLoss:
-        os << " p_gb=" << FormatProb(ep.p_good_to_bad) << " p_bg=" << FormatProb(ep.p_bad_to_good)
-           << " loss_good=" << FormatProb(ep.loss_good) << " loss_bad=" << FormatProb(ep.loss_bad);
-        break;
-      case FaultType::kReorder:
-        os << " p=" << FormatProb(ep.p) << " delay=" << FormatTime(ep.delay);
-        break;
-      case FaultType::kDuplicate:
-      case FaultType::kSilentDrop:
-      case FaultType::kDmaReadError:
-      case FaultType::kDmaWriteError:
-        os << " p=" << FormatProb(ep.p);
-        break;
-      case FaultType::kJitter:
-        os << " max=" << FormatTime(ep.delay);
-        break;
-      case FaultType::kLinkDown:
-        break;
-      case FaultType::kHostCrash:
-      case FaultType::kNicCrash:
-      case FaultType::kSwitchCrash:
-        if (ep.restart_after >= 0) {
-          os << " restart_after=" << FormatTime(ep.restart_after);
-        }
-        break;
-    }
-    os << "\n";
+  os << TargetPrefix(FaultTargetKindOf(type));
+  if (target < 0) {
+    os << "*";
+  } else {
+    os << target;
+  }
+  os << ' ' << FaultTypeName(type) << ' ' << FormatTime(start) << ' ' << FormatTime(end);
+  switch (type) {
+    case FaultType::kBurstLoss:
+      os << " p_gb=" << FormatProb(p_good_to_bad) << " p_bg=" << FormatProb(p_bad_to_good)
+         << " loss_good=" << FormatProb(loss_good) << " loss_bad=" << FormatProb(loss_bad);
+      break;
+    case FaultType::kReorder:
+      os << " p=" << FormatProb(p) << " delay=" << FormatTime(delay);
+      break;
+    case FaultType::kDuplicate:
+    case FaultType::kSilentDrop:
+    case FaultType::kDmaReadError:
+    case FaultType::kDmaWriteError:
+      os << " p=" << FormatProb(p);
+      break;
+    case FaultType::kJitter:
+      os << " max=" << FormatTime(delay);
+      break;
+    case FaultType::kLinkDown:
+      break;
+    case FaultType::kHostCrash:
+    case FaultType::kNicCrash:
+    case FaultType::kSwitchCrash:
+      if (restart_after >= 0) {
+        os << " restart_after=" << FormatTime(restart_after);
+      }
+      break;
   }
   return os.str();
+}
+
+std::string FaultPlan::ToString() const {
+  std::string text = "seed " + std::to_string(seed) + "\n";
+  for (const FaultEpisode& ep : episodes) {
+    text += ep.ToString() + "\n";
+  }
+  return text;
 }
 
 FaultPlan MakeRandomPlan(uint64_t seed, SimTime horizon) {

@@ -117,6 +117,8 @@ struct FaultEpisode {
   bool Matches(int target_index) const {
     return target < 0 || target == target_index;
   }
+  // The episode's plan line, without the newline.
+  std::string ToString() const;
 };
 
 struct FaultPlan {

@@ -17,8 +17,9 @@
 // when the lease next expires, and recovery waits out the backoff schedule.
 //
 // The reconnect closure performs the out-of-band fresh-PSN handshake
-// (Fabric::ReconnectQp) once the peer probes alive again; the monitor then
-// records kLeaseAcquired and returns to kHealthy.
+// (Topology::ReconnectQp, src/testbed/topology.h, on the cable or a rack)
+// once the peer probes alive again; the monitor then records kLeaseAcquired
+// and returns to kHealthy.
 #ifndef SRC_HOST_LIVENESS_H_
 #define SRC_HOST_LIVENESS_H_
 

@@ -1,4 +1,4 @@
-#include "src/fabric/fabric_switch.h"
+#include "src/netsim/fabric_switch.h"
 
 #include <algorithm>
 

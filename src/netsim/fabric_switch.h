@@ -19,8 +19,8 @@
 // the link, the peer switch transmits on side 0). Forwarding uses one MAC
 // table: static routes seed it, every frame's source is learned into it
 // (overwriting a static entry too), and unknown destinations flood.
-#ifndef SRC_FABRIC_FABRIC_SWITCH_H_
-#define SRC_FABRIC_FABRIC_SWITCH_H_
+#ifndef SRC_NETSIM_FABRIC_SWITCH_H_
+#define SRC_NETSIM_FABRIC_SWITCH_H_
 
 #include <deque>
 #include <memory>
@@ -154,4 +154,4 @@ class FabricSwitch {
 
 }  // namespace strom
 
-#endif  // SRC_FABRIC_FABRIC_SWITCH_H_
+#endif  // SRC_NETSIM_FABRIC_SWITCH_H_

@@ -4,11 +4,12 @@
 // for, a FrameBuf block that outlived its run.
 //
 // The Auditor itself is only the violation sink plus bookkeeping; the
-// invariants live next to the state they check (Testbed/Fabric teardown for
-// link and port conservation and the CE=>BECN=>CNP ladder, the RoCE stack
-// for inline PSN monotonicity, bench_util for the end-of-process FrameBuf
-// leak sweep). All checks are gated on an Auditor being attached, so the
-// default path stays byte-identical and pays nothing.
+// invariants live next to the state they check (the topology core's
+// teardown, src/testbed/topology.h, for link and port conservation and the
+// CE=>BECN=>CNP ladder on the cable and the rack alike, the RoCE stack for
+// inline PSN monotonicity, bench_util for the end-of-process FrameBuf leak
+// sweep). All checks are gated on an Auditor being attached, so the default
+// path stays byte-identical and pays nothing.
 //
 // On violation the auditor logs the localized reason (port/QP/link), dumps
 // the attached flight recorder's post-mortem bundle, and — in kAbort mode,

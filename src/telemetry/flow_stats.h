@@ -1,7 +1,8 @@
 // Per-flow statistics engine: rolling per-QP RTT/goodput/retransmit/CNP
 // counters plus a bounded DCQCN state timeline (rate, alpha, cut/recovery
 // events), fed by lightweight hooks in the RoCE stack. One FlowStats lives
-// per simulation (Testbed/Fabric owns it alongside the Telemetry bundle), so
+// per simulation (the topology core, src/testbed/topology.h, owns it
+// alongside the Telemetry bundle on the cable and the rack alike), so
 // updates are single-threaded and lock-free; finished runs deposit into a
 // process-wide FlowStatsSink (mutex-guarded, order-keyed like the
 // TelemetryCollector) so parallel sweeps export deterministically.

@@ -1,6 +1,6 @@
 // Time-series sampler: components register probe callbacks (queue depths,
 // occupancy, utilization) at telemetry-attach time; a periodic event on the
-// simulator's queue (scheduled by the Testbed) evaluates every probe and
+// simulator's queue (scheduled by the topology) evaluates every probe and
 // appends one row. Rows export as tidy CSV (label,time_us,metric,value) so
 // the crossover plots in EXPERIMENTS.md can be explained by queue dynamics.
 //

@@ -1,7 +1,7 @@
-// Telemetry bundle: one per simulation (the Testbed owns one and attaches
+// Telemetry bundle: one per simulation (the topology owns one and attaches
 // it to every component), plus a process-wide collector that harvests
 // finished runs so bench binaries can export a single trace/metrics file
-// covering every testbed they built.
+// covering every topology they built.
 #ifndef SRC_TELEMETRY_TELEMETRY_H_
 #define SRC_TELEMETRY_TELEMETRY_H_
 

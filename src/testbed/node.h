@@ -54,7 +54,7 @@ class Node {
   //           bitstreams survive — they are stable state a restart recovers.
   //   kHost — the machine power-cycles: everything a kNic crash kills, plus
   //           host software state (sessions/leases are the workload layer's
-  //           problem; it observes the crash via Fabric crash listeners).
+  //           problem; it observes the crash via topology crash listeners).
   // While the NIC is dead, every ingress and egress frame is dropped on the
   // floor (counted). Restart() re-arms the same kind; restarting a host also
   // restarts its NIC (same power domain).

@@ -1,11 +1,12 @@
 // Wire-level observability tests: pcapng writer/reader round trips, the
-// time-series sampler, and end-to-end capture + stromtrace inspection of
-// clean and fault-injected testbed runs.
+// time-series sampler, end-to-end capture + stromtrace inspection of clean
+// and fault-injected testbed runs, and the testbed's flow-stats deposit.
 #include <gtest/gtest.h>
 
 #include <fstream>
 
 #include "src/proto/packet.h"
+#include "src/telemetry/flow_stats.h"
 #include "src/telemetry/pcap_reader.h"
 #include "src/telemetry/pcap_writer.h"
 #include "src/telemetry/sampler.h"
@@ -344,6 +345,55 @@ TEST(CaptureIntegration, InjectedFaultsAreFlaggedExactly) {
   // The dropped frame never reached the receiver: it is absent here, not
   // annotated (no dropped_frame anomaly on the RX side).
   EXPECT_EQ(CountAnomalies(*rx, AnomalyKind::kDroppedFrame), 0u);
+}
+
+TEST(CaptureIntegration, CableFlowStatsCsvAccountsEveryCompletedWr) {
+  // bench --flow-stats on the cable: node 0 streams WRITEs and READs to
+  // node 1, and the run's .flows.csv must hold one completion per
+  // completed WR.
+  FlowStatsSink sink;
+  Testbed::telemetry_defaults.flow_sink = &sink;
+  constexpr int kOps = 16;
+  uint64_t completed = 0;
+  {
+    Testbed bed(Profile10G());
+    EXPECT_NE(bed.flow_stats(), nullptr);
+    bed.ConnectQp(0, kQp, 1, kQp);
+    RoceDriver& drv = bed.node(0).driver();
+    const VirtAddr local = drv.AllocBuffer(MiB(1))->addr;
+    const VirtAddr remote = bed.node(1).driver().AllocBuffer(MiB(1))->addr;
+    EXPECT_TRUE(drv.WriteHost(local, RandomBytes(kOps * KiB(4), 5)).ok());
+    for (int op = 0; op < kOps; ++op) {
+      const VirtAddr src = local + uint64_t(op) * KiB(4);
+      const VirtAddr dst = remote + uint64_t(op) * KiB(4);
+      const auto done = [&completed](Status st) {
+        EXPECT_TRUE(st.ok()) << st;
+        completed += st.ok() ? 1 : 0;
+      };
+      if (op % 2 == 0) {
+        drv.PostWrite(kQp, src, dst, static_cast<uint32_t>(KiB(4)), done);
+      } else {
+        drv.PostRead(kQp, src, dst, static_cast<uint32_t>(KiB(4)), done);
+      }
+    }
+    bed.sim().RunUntilIdle();
+  }  // teardown deposits the flow stats
+  Testbed::telemetry_defaults.flow_sink = nullptr;
+  EXPECT_EQ(completed, uint64_t(kOps));
+
+  const std::string path = TempPath("cable.flows.csv");
+  ASSERT_TRUE(sink.WriteCsv(path).ok());
+  Result<FlowCsvReport> csv = LoadFlowCsv(path);
+  ASSERT_TRUE(csv.ok()) << csv.status();
+  EXPECT_EQ(csv->malformed_rows, 0u);
+  ASSERT_FALSE(csv->flows.empty());
+  double completions = 0;
+  for (const FlowCsvReport::Flow& flow : csv->flows) {
+    for (const auto& [name, value] : flow.metrics) {
+      completions += name == "completions" ? value : 0;
+    }
+  }
+  EXPECT_EQ(completions, double(completed));
 }
 
 TEST(CaptureIntegration, SamplingAloneKeepsRunUntilIdleTerminating) {

@@ -407,6 +407,66 @@ TEST(FaultE2e, PlanAppliedToSwitchTopologyTargetsPerPortSides) {
 
 // --- crash-restart failure domain -------------------------------------------
 
+// --- plan targets the topology lacks -----------------------------------------
+// ApplyFaultPlan dies on the first episode CheckFaultPlan rejects; calling the
+// check directly keeps it in this process, where coverage sees it.
+
+Status CheckPlanLine(const Topology& topology, const std::string& line) {
+  Result<FaultPlan> plan = FaultPlan::Parse("seed 1\n" + line + "\n");
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  return plan.ok() ? topology.CheckFaultPlan(*plan) : plan.status();
+}
+
+void ExpectRejectedNamingEpisode(const Topology& topology, const std::string& line) {
+  const Status st = CheckPlanLine(topology, line);
+  EXPECT_FALSE(st.ok()) << line;
+  EXPECT_NE(st.message().find("fault plan episode '" + line + "'"), std::string::npos) << st;
+}
+
+TEST(FaultPlanTargets, CableRejectsComponentsItLacks) {
+  // One link (sides 0 and 1), two hosts, no switches.
+  Testbed bed(Profile10G());
+  for (const char* line :
+       {"link1 down 10us 20us", "dma1 read_error 10us - p=0.1", "host1 crash 10us -",
+        "nic0 crash 10us - restart_after=5us", "link* jitter 10us - max=1us",
+        "switch* crash 1ms -"}) {
+    EXPECT_TRUE(CheckPlanLine(bed, line).ok()) << line;
+  }
+  for (const char* line : {"link2 down 10us 20us", "link40 down 10us -",
+                           "dma2 write_error 10us - p=0.5", "host9 crash 10us -",
+                           "nic2 crash 10us -", "switch0 crash 1ms -"}) {
+    ExpectRejectedNamingEpisode(bed, line);
+  }
+}
+
+TEST(FaultPlanTargets, RackRejectsComponentsItLacks) {
+  // A 3-host single-leaf rack: three host links (sides 0..5), one switch.
+  FabricTopologyConfig rack;
+  rack.num_hosts = 3;
+  Fabric fabric(Profile10G(), rack);
+  for (const char* line : {"link5 down 10us 20us", "dma2 read_error 10us - p=0.1",
+                           "host2 crash 10us -", "switch0 crash 1ms - restart_after=5us"}) {
+    EXPECT_TRUE(CheckPlanLine(fabric, line).ok()) << line;
+  }
+  for (const char* line :
+       {"link6 down 10us 20us", "dma3 read_error 10us - p=0.1", "host9 crash 10us -",
+        "nic3 crash 10us -", "switch1 crash 1ms -", "switch4 crash 1ms -"}) {
+    ExpectRejectedNamingEpisode(fabric, line);
+  }
+
+  // Two leaves and two spines: each leaf owns two host links and two
+  // uplinks (sides 0..15), and the spines are switches 2 and 3.
+  FabricTopologyConfig leaf_spine;
+  leaf_spine.num_hosts = 4;
+  leaf_spine.num_leaves = 2;
+  leaf_spine.num_spines = 2;
+  Fabric two_tier(Profile10G(), leaf_spine);
+  EXPECT_TRUE(CheckPlanLine(two_tier, "link15 down 10us 20us").ok());
+  EXPECT_TRUE(CheckPlanLine(two_tier, "switch3 crash 1ms -").ok());
+  ExpectRejectedNamingEpisode(two_tier, "link16 down 10us 20us");
+  ExpectRejectedNamingEpisode(two_tier, "switch4 crash 1ms -");
+}
+
 TEST(CrashE2e, LocalNicCrashFlushesInFlightWriteAndCountsArmedTimers) {
   // nic0 dies mid-WRITE. The crash must flush the in-flight WR with an
   // errored completion at the crash instant (exactly one terminal state) and

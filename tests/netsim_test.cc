@@ -4,8 +4,8 @@
 
 #include <vector>
 
-#include "src/fabric/fabric_switch.h"
 #include "src/netsim/arp_table.h"
+#include "src/netsim/fabric_switch.h"
 #include "src/netsim/link.h"
 #include "src/sim/simulator.h"
 

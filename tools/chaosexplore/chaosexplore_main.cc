@@ -1,14 +1,15 @@
 // chaosexplore: deterministic chaos-schedule explorer for the crash-recovery
 // failure domain.
 //
-//   chaosexplore [--budget N] [--seed S] [--hosts N] [--switches N]
-//                [--duration-us U] [--shrink-runs N] [--out reproducer.plan]
+//   chaosexplore [--budget N] [--seed S] [--hosts N] [--duration-us U]
+//                [--shrink-runs N] [--out reproducer.plan]
 //   chaosexplore --replay plan-file [--hosts N] [--duration-us U]
 //
 // Search mode enumerates seeded crash schedules (MakeCrashPlan seeds S,
 // S+1, ...), runs each against a YCSB-under-crash-recovery rack, and on the
 // first invariant violation shrinks the schedule to a minimal reproducer,
-// written to --out as a replayable fault-plan file.
+// written to --out as a replayable fault-plan file. Switch crashes draw from
+// the rack's own switches.
 //
 // Replay mode runs exactly one plan file through the same scenario and
 // reports the classification — the loop a developer runs while fixing the
@@ -35,7 +36,6 @@ struct Options {
   int budget = 24;
   uint64_t seed = 1;
   int hosts = 3;
-  int switches = 1;  // informs MakeCrashPlan; the rack itself is single-switch
   int64_t duration_us = 400;
   int shrink_runs = 48;
   std::string out = "chaos_reproducer.plan";
@@ -44,8 +44,8 @@ struct Options {
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--budget N] [--seed S] [--hosts N] [--switches N]\n"
-               "          [--duration-us U] [--shrink-runs N] [--out file]\n"
+               "usage: %s [--budget N] [--seed S] [--hosts N] [--duration-us U]\n"
+               "          [--shrink-runs N] [--out file]\n"
                "       %s --replay plan-file [--hosts N] [--duration-us U]\n",
                argv0, argv0);
 }
@@ -77,8 +77,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       parsed = ParseNumber(arg, v, &opt->seed);
     } else if (arg == "--hosts" && (v = next())) {
       parsed = ParseNumber(arg, v, &opt->hosts);
-    } else if (arg == "--switches" && (v = next())) {
-      parsed = ParseNumber(arg, v, &opt->switches);
     } else if (arg == "--duration-us" && (v = next())) {
       parsed = ParseNumber(arg, v, &opt->duration_us);
     } else if (arg == "--shrink-runs" && (v = next())) {
@@ -96,7 +94,7 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     }
   }
   // The horizon becomes picoseconds: cap it well inside SimTime.
-  if (opt->budget < 1 || opt->hosts < 2 || opt->switches < 0 || opt->duration_us < 50 ||
+  if (opt->budget < 1 || opt->hosts < 2 || opt->duration_us < 50 ||
       opt->duration_us > 1'000'000'000 || opt->shrink_runs < 0) {
     std::fprintf(stderr, "implausible option values\n");
     return false;
@@ -145,16 +143,17 @@ int Replay(const Options& opt) {
 }
 
 int Search(const Options& opt) {
+  const CrashScenarioConfig scenario = ScenarioFor(opt);
   SearchConfig search;
   search.base_seed = opt.seed;
   search.budget = opt.budget;
   search.horizon = Us(opt.duration_us);
-  search.num_hosts = opt.hosts;
-  search.num_switches = opt.switches;
+  // MakeCrashPlan draws its targets from the rack the schedules run on.
+  search.num_hosts = scenario.topo.num_hosts;
+  search.num_switches = scenario.topo.num_leaves + scenario.topo.num_spines;
   search.max_shrink_runs = opt.shrink_runs;
 
   int runs = 0;
-  const CrashScenarioConfig scenario = ScenarioFor(opt);
   const ScheduleRunner base = MakeCrashScheduleRunner(scenario);
   const ScheduleRunner runner = [&](const FaultPlan& plan) {
     ++runs;
