@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/common/frame_buf.h"
@@ -16,7 +16,6 @@
 #include "src/common/parallel.h"
 #include "src/common/paranoid.h"
 #include "src/faults/fault_plan.h"
-#include "src/sim/perf_stats.h"
 #include "src/sim/task.h"
 #include "src/telemetry/audit.h"
 #include "src/telemetry/flow_stats.h"
@@ -27,26 +26,38 @@ namespace strom::bench {
 namespace {
 constexpr Qpn kQp = 1;
 
+// Completion check for a WRITE nothing else waits on: a crash in a
+// --fault-plan that fails it stops the run here, not in a poll that spins
+// forever on the word it never wrote.
+void CheckWrite(Status st) { STROM_CHECK(st.ok()) << st; }
+
 std::string g_trace_out;
 std::string g_metrics_out;
 std::string g_capture_out;
-std::string g_perf_out;
 SimTime g_sample_interval = 0;
 int g_jobs = 1;
 std::unique_ptr<Auditor> g_auditor;
 FlowStatsSink g_flow_sink;
-std::vector<std::pair<std::string, double>> g_perf_extras;
-std::chrono::steady_clock::time_point g_wall_start;
-double g_sweep_wall_seconds = 0;
 
 // Consumes "--name=value" from argv; returns true and sets *value on match.
-bool TakeFlag(const char* arg, const char* name, std::string* value) {
+template <typename S>
+bool TakeFlag(const char* arg, const char* name, S* value) {
   const size_t n = std::strlen(name);
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') {
     return false;
   }
   *value = arg + n + 1;
   return true;
+}
+
+// A flag that only shapes what another flag writes is a usage error without
+// it: the run would write nothing.
+void RequireFlag(bool given, const char* flag, const std::string& needed_value,
+                 const char* needed) {
+  if (given && needed_value.empty()) {
+    std::fprintf(stderr, "%s needs %s: without it nothing is written\n", flag, needed);
+    std::exit(2);
+  }
 }
 
 struct SweepPoint {
@@ -99,8 +110,6 @@ bool ParseBoolFlag(const char* name, const std::string& value) {
   return value == "1";
 }
 
-int SweepJobs() { return g_jobs; }
-
 void DefineSweepPoint(std::string key, std::function<std::vector<double>()> fn) {
   SweepPoints().push_back(SweepPoint{std::move(key), std::move(fn), {}});
 }
@@ -110,7 +119,6 @@ const std::vector<double>& SweepResult(const std::string& key) {
   static bool ran = false;
   if (!ran) {
     ran = true;
-    const auto start = std::chrono::steady_clock::now();
     ParallelFor(points.size(), g_jobs, [&points](size_t i) {
       // The ordinal makes every side effect of the point (run labels,
       // collector merge order, capture gating) a function of its position in
@@ -119,8 +127,6 @@ const std::vector<double>& SweepResult(const std::string& key) {
       points[i].result = points[i].fn();
       Testbed::run_ordinal = -1;
     });
-    g_sweep_wall_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   }
   for (const SweepPoint& p : points) {
     if (p.key == key) {
@@ -133,10 +139,9 @@ const std::vector<double>& SweepResult(const std::string& key) {
 }
 
 void InitBenchTelemetry(int* argc, char** argv) {
-  g_wall_start = std::chrono::steady_clock::now();
-  std::string sample = "1";
-  std::string capture_runs = "1";
-  std::string sample_interval_us = "0";
+  std::optional<std::string> sample;
+  std::optional<std::string> capture_runs;
+  std::optional<std::string> sample_interval_us;
   std::string jobs = "1";
   std::string fault_plan_path;
   std::string audit_mode;
@@ -152,7 +157,6 @@ void InitBenchTelemetry(int* argc, char** argv) {
         TakeFlag(argv[i], "--capture-runs", &capture_runs) ||
         TakeFlag(argv[i], "--sample-interval-us", &sample_interval_us) ||
         TakeFlag(argv[i], "--jobs", &jobs) ||
-        TakeFlag(argv[i], "--perf-out", &g_perf_out) ||
         TakeFlag(argv[i], "--fault-plan", &fault_plan_path) ||
         TakeFlag(argv[i], "--postmortem-out", &postmortem_stem)) {
       continue;  // telemetry flag: keep it away from google/benchmark
@@ -174,9 +178,15 @@ void InitBenchTelemetry(int* argc, char** argv) {
   }
   *argc = out;
   g_jobs = ParseIntFlag("--jobs", jobs, 1);
-  const int sample_every = ParseIntFlag("--trace-sample", sample, 1);
-  const int capture_run_count = ParseIntFlag("--capture-runs", capture_runs, 1);
-  g_sample_interval = Us(ParseIntFlag("--sample-interval-us", sample_interval_us, 0));
+  const int sample_every = ParseIntFlag("--trace-sample", sample.value_or("1"), 1);
+  const int capture_run_count = ParseIntFlag("--capture-runs", capture_runs.value_or("1"), 1);
+  g_sample_interval =
+      Us(ParseIntFlag("--sample-interval-us", sample_interval_us.value_or("0"), 0));
+  RequireFlag(sample.has_value(), "--trace-sample", g_trace_out, "--trace-out");
+  RequireFlag(capture_runs.has_value(), "--capture-runs", g_capture_out, "--capture-out");
+  RequireFlag(sample_interval_us.has_value(), "--sample-interval-us", g_metrics_out,
+              "--metrics-out");
+  RequireFlag(flow_stats, "--flow-stats", g_metrics_out, "--metrics-out");
 
   TestbedTelemetryDefaults& defaults = Testbed::telemetry_defaults;
   defaults.enable_trace = !g_trace_out.empty();
@@ -211,51 +221,8 @@ void InitBenchTelemetry(int* argc, char** argv) {
   }
 }
 
-namespace {
-
-// Simulator-performance report (BENCH_simperf.json in CI): how fast the
-// simulator itself ran, as opposed to the simulated metrics it produced.
-int WritePerfReport(const std::string& path) {
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - g_wall_start).count();
-  const SimPerfStats& stats = GlobalSimPerfStats();
-  const double events = static_cast<double>(stats.events_processed.load());
-  const double frames = static_cast<double>(stats.frames_sent.load());
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    STROM_LOG(kError) << "cannot open perf report file: " << path;
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"jobs\": %d,\n"
-               "  \"wall_seconds\": %.3f,\n"
-               "  \"sweep_wall_seconds\": %.3f,\n"
-               "  \"events_processed\": %.0f,\n"
-               "  \"frames_sent\": %.0f,\n"
-               "  \"events_per_sec\": %.0f,\n"
-               "  \"frames_per_sec\": %.0f",
-               g_jobs, wall, g_sweep_wall_seconds, events, frames,
-               wall > 0 ? events / wall : 0.0, wall > 0 ? frames / wall : 0.0);
-  for (const auto& [key, value] : g_perf_extras) {
-    std::fprintf(f, ",\n  \"%s\": %.3f", key.c_str(), value);
-  }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-  return 0;
-}
-
-}  // namespace
-
-void RecordPerfExtra(const std::string& key, double value) {
-  g_perf_extras.emplace_back(key, value);
-}
-
 int ExportBenchTelemetry() {
   int rc = 0;
-  if (!g_perf_out.empty()) {
-    rc |= WritePerfReport(g_perf_out);
-  }
   if (!g_trace_out.empty()) {
     Status st = Collector().WriteChromeTrace(g_trace_out);
     if (!st.ok()) {
@@ -345,7 +312,7 @@ LatencyStats MeasureWriteLatency(const Profile& profile, size_t payload, int rou
       auto poll = drv.PollU64(seq_addr, static_cast<uint64_t>(r - 1));
       const uint64_t seq = co_await poll;
       drv.WriteHostU64(c.src1 + c.payload - 8, seq);
-      drv.PostWrite(kQp, c.src1, c.pong, static_cast<uint32_t>(c.payload));
+      drv.PostWrite(kQp, c.src1, c.pong, static_cast<uint32_t>(c.payload), CheckWrite);
     }
   };
 
@@ -355,7 +322,7 @@ LatencyStats MeasureWriteLatency(const Profile& profile, size_t payload, int rou
     for (int r = 1; r <= c.rounds; ++r) {
       drv.WriteHostU64(c.src0 + c.payload - 8, static_cast<uint64_t>(r));
       const SimTime start = c.bed.sim().now();
-      drv.PostWrite(kQp, c.src0, c.ping, static_cast<uint32_t>(c.payload));
+      drv.PostWrite(kQp, c.src0, c.ping, static_cast<uint32_t>(c.payload), CheckWrite);
       auto poll = drv.PollU64(seq_addr, static_cast<uint64_t>(r - 1));
       co_await poll;
       const SimTime rtt = c.bed.sim().now() - start;

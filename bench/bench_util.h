@@ -23,16 +23,19 @@ namespace strom::bench {
 // bench_main.cc strips these flags before google/benchmark sees argv:
 //   --trace-out=<file>     write a Chrome-trace (Perfetto-loadable) JSON of
 //                          every testbed built during the run; enables tracing
-//   --trace-sample=<N>     trace 1-in-N messages (default 1 = all)
+//   --trace-sample=<N>     trace 1-in-N messages (default 1 = all); needs
+//                          --trace-out
 //   --metrics-out=<file>   write per-run metrics; .csv suffix -> CSV else JSON
 //   --capture-out=<prefix> tap wire + NIC boundaries into pcapng files named
 //                          "<prefix>[.runN].{wire,node<i>.nic}.pcapng"
 //                          (inspect with tools/stromtrace or Wireshark)
 //   --capture-runs=<N>     capture the first N testbeds built (default 1;
-//                          benches build one testbed per iteration)
+//                          benches build one testbed per iteration); needs
+//                          --capture-out
 //   --sample-interval-us=<T>  sample queue depths / occupancy / utilization
 //                          every T simulated microseconds; rows land next to
-//                          --metrics-out as "<stem>.timeseries.csv"
+//                          --metrics-out as "<stem>.timeseries.csv", so it
+//                          needs --metrics-out
 //   --paranoid             disable the per-packet fast-path caches and
 //                          cross-check every cached value against the wire
 //                          bytes (equivalent to STROM_PARANOID=1; aborts on
@@ -52,7 +55,8 @@ namespace strom::bench {
 //   --flow-stats           collect per-QP flow stats (RTT/goodput/retransmit/
 //                          CNP counters + a sampled DCQCN timeline) per run;
 //                          rows land next to --metrics-out as
-//                          "<stem>.flows.csv" (decode: stromtrace --flows)
+//                          "<stem>.flows.csv" (decode: stromtrace --flows),
+//                          so it needs --metrics-out
 //   --postmortem-out=<stem> keep a flight recorder of recent protocol events
 //                          and dump "<stem>.{flightrec.bin,metrics.csv,
 //                          frames.pcapng}" at teardown — and automatically on
@@ -61,7 +65,8 @@ namespace strom::bench {
 //
 // The numeric flags (--trace-sample, --capture-runs, --sample-interval-us,
 // --jobs) must be integers in range; anything else prints the flag and its
-// value and exits 2.
+// value and exits 2. A flag given without the flag it needs would run and
+// write nothing, so it also exits 2, naming both.
 
 // Checked numeric flag values, shared with scenario runners (ycsb_rack) that
 // parse their own flags. A value that is not a whole number (int) or a
@@ -91,9 +96,6 @@ int ExportBenchTelemetry();
 //                     (default 1 = inline, in registration order). This is
 //                     the only parallelism: each simulation runs on one
 //                     thread, on one event queue.
-//   --perf-out=<file> write a simulator-performance report (wall seconds,
-//                     events/sec, frames/sec) after the run; the CI
-//                     perf-smoke job uploads it as BENCH_simperf.json
 //
 // A sweep bench registers every (benchmark, argument) point once at
 // static-init time and reads results inside the benchmark body. The first
@@ -102,15 +104,6 @@ int ExportBenchTelemetry();
 // no mutable state, and results are keyed by name — the reported numbers are
 // byte-identical for any --jobs value. Sweep benches must build exactly one
 // Testbed per point (the ordinal labels runs and gates pcapng capture).
-
-// Value of --jobs.
-int SweepJobs();
-
-// Adds a named scalar to the --perf-out JSON report. Used for simulated
-// metrics CI wants to soft-gate alongside wall clock (e.g. ycsb_rack's
-// incast p999: perfdiff compares any "p999"-prefixed keys present in both
-// reports). Keys appear in insertion order after the standard fields.
-void RecordPerfExtra(const std::string& key, double value);
 
 // Registers a sweep point. Keys must be unique per binary; registration
 // order fixes the point's ordinal (run label, capture gating, merge order).

@@ -2,7 +2,7 @@
 // behaviour): event-queue push/pop, CRC32/CRC64 bulk throughput, pooled
 // frame allocation/cloning, and RoCE frame encode/parse. These are the paths
 // the slab-pooled frame buffers, calendar event queue and slice-by-8 CRC
-// tables optimize; run with --perf-out to capture events/sec alongside.
+// tables optimize. perfbench/run.py measures the simulator end to end.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

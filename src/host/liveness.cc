@@ -80,18 +80,12 @@ void LivenessMonitor::OnTimer(size_t peer_slot) {
         return;
       }
       ++p.attempt;
-      if (config_.max_attempts > 0 && p.attempt >= config_.max_attempts) {
-        ++counters_.reconnects_abandoned;
-        p.state = PeerState::kAbandoned;
-        return;
-      }
       p.backoff = std::min<SimTime>(p.backoff * 2, config_.backoff_max);
       Arm(p, p.backoff);
       return;
     }
-    case PeerState::kAbandoned:
     case PeerState::kLocalDown:
-      return;  // stale fire after abandon/crash; timer stays idle
+      return;  // stale fire after a local crash; timer stays idle
   }
 }
 
@@ -144,7 +138,6 @@ void LivenessMonitor::AttachTelemetry(Telemetry* telemetry, const std::string& p
   gauge("peers_declared_dead", counters_.peers_declared_dead);
   gauge("reconnect_attempts", counters_.reconnect_attempts);
   gauge("leases_acquired", counters_.leases_acquired);
-  gauge("reconnects_abandoned", counters_.reconnects_abandoned);
   gauge("timers_cancelled_at_crash", counters_.timers_cancelled_at_crash);
 }
 

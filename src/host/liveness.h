@@ -7,8 +7,7 @@
 //                 allocation, no new handle).
 //   kDead         the probe failed: the peer is declared dead (kPeerDead
 //                 flight record) and the same timer re-arms as an
-//                 exponential-backoff reconnect attempt.
-//   kAbandoned    max_attempts exhausted (only with max_attempts > 0).
+//                 exponential-backoff reconnect attempt, until one succeeds.
 //
 // The keepalive probe reads the peer's ground-truth alive flag through a
 // caller-provided closure instead of exchanging probe packets. This keeps
@@ -37,7 +36,6 @@ struct LivenessConfig {
   SimTime lease_interval = Us(20);  // keepalive period == lease duration
   SimTime backoff_initial = Us(10);
   SimTime backoff_max = Us(640);  // exponential backoff cap
-  int max_attempts = 0;           // 0 = retry forever
 };
 
 struct LivenessCounters {
@@ -45,7 +43,6 @@ struct LivenessCounters {
   uint64_t peers_declared_dead = 0;
   uint64_t reconnect_attempts = 0;
   uint64_t leases_acquired = 0;
-  uint64_t reconnects_abandoned = 0;
   uint64_t timers_cancelled_at_crash = 0;
 };
 
@@ -88,7 +85,7 @@ class LivenessMonitor {
   const LivenessCounters& counters() const { return counters_; }
 
  private:
-  enum class PeerState { kHealthy, kDead, kAbandoned, kLocalDown };
+  enum class PeerState { kHealthy, kDead, kLocalDown };
 
   struct Peer {
     int index = -1;

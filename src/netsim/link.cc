@@ -4,17 +4,12 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/sim/perf_stats.h"
 #include "src/sim/time.h"
 
 namespace strom {
 
 PointToPointLink::PointToPointLink(Simulator& sim, LinkConfig config)
     : sim_(sim), config_(config) {}
-
-PointToPointLink::~PointToPointLink() {
-  AddSimFramesSent(sides_[0].counters.frames_sent + sides_[1].counters.frames_sent);
-}
 
 void PointToPointLink::AttachTelemetry(Telemetry* telemetry, const std::string& process) {
   tracer_ = &telemetry->tracer;

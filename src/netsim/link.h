@@ -64,7 +64,6 @@ class PointToPointLink {
   using FaultHook = std::function<LinkFaultDecision(int side, SimTime now)>;
 
   PointToPointLink(Simulator& sim, LinkConfig config);
-  ~PointToPointLink();
 
   const LinkConfig& config() const { return config_; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
-#include "src/sim/perf_stats.h"
 #include "src/sim/task.h"
 
 namespace strom {
@@ -11,7 +10,6 @@ namespace strom {
 Simulator::Simulator() = default;
 
 Simulator::~Simulator() {
-  AddSimEventsProcessed(events_processed_);
   // Drop pending events before destroying suspended coroutine frames so no
   // event outlives the frame it would resume.
   queue_.Clear();

@@ -116,7 +116,14 @@ int Replay(const Options& opt) {
                  plan.status().ToString().c_str());
     return 1;
   }
-  const CrashScenarioResult r = RunCrashScenario(ScenarioFor(opt), *plan);
+  // A plan naming a component the rack lacks is a config error, not a run.
+  const CrashScenarioConfig scenario = ScenarioFor(opt);
+  const Status fits = Fabric(Profile10G(), scenario.topo).CheckFaultPlan(*plan);
+  if (!fits.ok()) {
+    std::fprintf(stderr, "%s: %s\n", opt.replay.c_str(), fits.ToString().c_str());
+    return 1;
+  }
+  const CrashScenarioResult r = RunCrashScenario(scenario, *plan);
   std::printf("replay: %s\n", opt.replay.c_str());
   std::printf("  ops: arrived=%llu completed=%llu failed=%llu fenced=%llu "
               "deadline_hit=%d\n",
