@@ -42,8 +42,8 @@ double RunShuffleStream(const Profile& profile) {
   config.partition_bits = 10;
   config.region_base = dest;
   config.region_stride = stride;
-  drv.PostRpc(kShuffleRpcOpcode, kQp, config.Encode());
-  drv.PostRpcWrite(kShuffleRpcOpcode, kQp, input, kStreamBytes);
+  drv.PostRpc(kShuffleRpcOpcode, kQp, config.Encode(), bench::CheckWrite);
+  drv.PostRpcWrite(kShuffleRpcOpcode, kQp, input, kStreamBytes, bench::CheckWrite);
 
   bool done = false;
   struct Ctx {
@@ -86,8 +86,8 @@ double RunHllStream(const Profile& profile) {
   const SimTime start = bed.sim().now();
   HllParams params;
   params.target_addr = resp;
-  drv.PostRpc(kHllRpcOpcode, kQp, params.Encode());
-  drv.PostRpcWrite(kHllRpcOpcode, kQp, input, kStreamBytes);
+  drv.PostRpc(kHllRpcOpcode, kQp, params.Encode(), bench::CheckWrite);
+  drv.PostRpcWrite(kHllRpcOpcode, kQp, input, kStreamBytes, bench::CheckWrite);
 
   bool done = false;
   struct Ctx {

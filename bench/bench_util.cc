@@ -23,13 +23,10 @@
 
 namespace strom::bench {
 
+void CheckWrite(Status st) { STROM_CHECK(st.ok()) << st; }
+
 namespace {
 constexpr Qpn kQp = 1;
-
-// Completion check for a WRITE nothing else waits on: a crash in a
-// --fault-plan that fails it stops the run here, not in a poll that spins
-// forever on the word it never wrote.
-void CheckWrite(Status st) { STROM_CHECK(st.ok()) << st; }
 
 std::string g_trace_out;
 std::string g_metrics_out;

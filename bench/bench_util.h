@@ -112,6 +112,12 @@ void DefineSweepPoint(std::string key, std::function<std::vector<double>()> fn);
 // Result of the point registered under `key`; runs the batch on first call.
 const std::vector<double>& SweepResult(const std::string& key);
 
+// Completion check for a verb whose result the caller polls for instead (a
+// ping-pong WRITE, a StRoM RPC): a crash in a --fault-plan that fails it
+// stops the run here, not in a poll that spins forever on a word nobody
+// writes.
+void CheckWrite(Status st);
+
 // Median latency of an RDMA WRITE, measured as RTT/2 of the paper's §6.1
 // ping-pong (initiator writes, remote polls and writes back, initiator
 // polls).

@@ -112,7 +112,7 @@ LatencyStats RunStrom(int length) {
       drv.FillHost(c.tb.resp, kValueSize + 8, 0);
       const SimTime start = c.tb.bed.sim().now();
       drv.PostRpc(kTraversalRpcOpcode, kQp,
-                  c.tb.list->LookupParams(key, c.tb.resp).Encode());
+                  c.tb.list->LookupParams(key, c.tb.resp).Encode(), bench::CheckWrite);
       auto poll = drv.PollU64(c.tb.resp + kValueSize, 0);
       const uint64_t status = co_await poll;
       STROM_CHECK(StatusWordCode(status) == KernelStatusCode::kOk);

@@ -20,6 +20,7 @@ constexpr Qpn kQp = 1;
 constexpr int kLookups = 100;
 constexpr uint32_t kNumKeys = 64;
 constexpr uint16_t kRpcPort = 9000;
+constexpr SimTime kStromDeadline = Ms(100);
 
 struct TableBed {
   explicit TableBed(uint32_t value_size) : bed(Profile10G()) {
@@ -104,7 +105,7 @@ LatencyStats RunStrom(uint32_t value_size) {
       drv.WriteHostU64(c.tb.resp + c.value_size, 0);
       const SimTime start = c.tb.bed.sim().now();
       drv.PostRpc(kTraversalRpcOpcode, kQp,
-                  c.tb.table->LookupParams(key, c.tb.resp).Encode());
+                  c.tb.table->LookupParams(key, c.tb.resp).Encode(), bench::CheckWrite);
       auto poll = drv.PollU64(c.tb.resp + c.value_size, 0);
       const uint64_t status = co_await poll;
       STROM_CHECK(StatusWordCode(status) == KernelStatusCode::kOk);
@@ -113,7 +114,13 @@ LatencyStats RunStrom(uint32_t value_size) {
     *c.finished = true;
   };
   tb.bed.sim().Spawn(getter(Ctx{tb, value_size, &stats, &finished}));
-  tb.bed.sim().RunUntil([&] { return finished; });
+  // A crash in a --fault-plan can kill the responder's kernel after it
+  // acknowledged the RPC: no completion fails, and the response the poll
+  // waits for never comes. A clean run takes about 1 ms of simulated time.
+  const SimTime deadline = tb.bed.sim().now() + kStromDeadline;
+  tb.bed.sim().RunUntil([&] { return finished || tb.bed.sim().now() >= deadline; });
+  STROM_CHECK(finished) << "StRoM GET got no response within " << ToSec(kStromDeadline)
+                        << " s of simulated time";
   return stats;
 }
 

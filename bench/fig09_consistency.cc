@@ -80,7 +80,7 @@ LatencyStats Run(Mode mode, uint32_t object_size) {
           params.target_addr = c.tb.resp;
           params.remote_addr = obj;
           params.length = c.size;
-          drv.PostRpc(kConsistencyRpcOpcode, kQp, params.Encode());
+          drv.PostRpc(kConsistencyRpcOpcode, kQp, params.Encode(), bench::CheckWrite);
           auto poll = drv.PollU64(c.tb.resp + c.size, 0);
           const uint64_t status = co_await poll;
           STROM_CHECK(StatusWordCode(status) == KernelStatusCode::kOk);

@@ -7,6 +7,16 @@
 
 namespace strom {
 
+HostMemory::PagePtr HostMemory::NewPage() {
+  // calloc does not fill memory it takes fresh from the OS, which is where a
+  // block this large comes from until the process frees one (glibc then
+  // serves it from the heap, and a reused block is filled). The host OS
+  // commits each 4 KiB page of a fresh block when it is first written.
+  auto* page = static_cast<uint8_t*>(std::calloc(kHugePageSize, 1));
+  STROM_CHECK(page != nullptr) << "out of host memory for a simulated page";
+  return PagePtr(page);
+}
+
 uint8_t* HostMemory::PageFor(PhysAddr addr, bool create) {
   const uint64_t base = HugePageBase(addr);
   if (base == cached_base_) {
@@ -17,9 +27,7 @@ uint8_t* HostMemory::PageFor(PhysAddr addr, bool create) {
     if (!create) {
       return nullptr;
     }
-    auto page = std::make_unique<uint8_t[]>(kHugePageSize);
-    std::memset(page.get(), 0, kHugePageSize);
-    it = pages_.emplace(base, std::move(page)).first;
+    it = pages_.emplace(base, NewPage()).first;
   }
   cached_base_ = base;
   cached_page_ = it->second.get();
@@ -41,11 +49,7 @@ const uint8_t* HostMemory::PageForRead(PhysAddr addr) const {
 }
 
 const uint8_t* HostMemory::ZeroPage() {
-  static const std::unique_ptr<uint8_t[]> zero = [] {
-    auto page = std::make_unique<uint8_t[]>(kHugePageSize);
-    std::memset(page.get(), 0, kHugePageSize);
-    return page;
-  }();
+  static const PagePtr zero = NewPage();
   return zero.get();
 }
 

@@ -1,12 +1,15 @@
 // Simulated host DRAM, physically addressed, organized as sparse 2 MiB huge
-// pages (the unit the driver pins and the TLB maps, paper §4.2). Pages are
-// materialized on first touch so multi-GiB address spaces cost only what is
-// actually written.
+// pages (the unit the driver pins and the TLB maps, paper §4.2). A page
+// exists once it is pinned (AllocPage) or first written; each is one
+// std::calloc block, so the host OS commits only the 4 KiB pages the
+// simulation writes. A pinned page nothing writes costs address space, not
+// memory, and nothing is zeroed by hand.
 #ifndef SRC_PCIE_HOST_MEMORY_H_
 #define SRC_PCIE_HOST_MEMORY_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <vector>
@@ -74,7 +77,8 @@ class HostMemory {
 
   size_t materialized_pages() const { return pages_.size(); }
 
-  // Allocates a fresh, zeroed physical huge page and returns its base address.
+  // Allocates a fresh, zero-reading physical huge page and returns its base
+  // address.
   // Page addresses are deliberately non-consecutive (stride > page size) so
   // that code assuming physical contiguity across pages fails loudly; the TLB
   // must be used to translate (paper §4.2: "physically they might not be
@@ -82,12 +86,19 @@ class HostMemory {
   PhysAddr AllocPage();
 
  private:
+  struct FreePage {
+    void operator()(uint8_t* page) const { std::free(page); }
+  };
+  using PagePtr = std::unique_ptr<uint8_t[], FreePage>;
+
+  // A zero-filled page whose host memory is committed on first write.
+  static PagePtr NewPage();
   uint8_t* PageFor(PhysAddr addr, bool create);
   const uint8_t* PageForRead(PhysAddr addr) const;
   // Shared all-zero page backing reads of unmapped memory.
   static const uint8_t* ZeroPage();
 
-  std::map<uint64_t, std::unique_ptr<uint8_t[]>> pages_;
+  std::map<uint64_t, PagePtr> pages_;
   uint64_t next_page_index_ = 1;
   // One-entry lookup cache: DMA bursts and poll loops hammer the same page,
   // and the std::map find dominated the access cost. Map nodes are stable

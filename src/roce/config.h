@@ -10,6 +10,15 @@
 
 namespace strom {
 
+// TX payload staging (paper §4.1: the NIC fetches payload by DMA as it
+// packetizes). At most this many payload-fetch DMA commands are in flight,
+// and one message holds at most this many chunks fetched or in flight but
+// not yet sent, in a ring of this many slots. Deep enough that PCIe read
+// latency never caps the message rate below the host command-issue limit
+// (paper §7: the host is the limiter), and small enough that a long message
+// stages 16 chunks, not the whole message.
+inline constexpr uint32_t kTxFetchWindow = 16;
+
 // DCQCN-style per-QP congestion control (Zhu et al., SIGCOMM'15, simplified):
 // fabric switches mark ECN-capable packets CE above an egress-queue
 // threshold, the receiver echoes the mark back in the BECN bit of its next
@@ -57,10 +66,6 @@ struct RoceConfig {
   // Requester sets the BTH ack-request bit every N packets inside a long
   // message so the retransmission window stays bounded.
   uint32_t ack_request_interval = 32;
-  // Max in-flight payload-fetch DMA commands while packetizing messages.
-  // Deep enough that PCIe read latency never caps the message rate below
-  // the host command-issue limit (paper §7: the host is the limiter).
-  uint32_t tx_fetch_window = 16;
   // Mark outgoing data packets ECT(0) so fabric switches may CE-mark them.
   // Off by default: the 2-node testbed has no marking switch, and ECT=0
   // keeps seed captures byte-identical.

@@ -337,22 +337,24 @@ IbOpcode RoceStack::DataOpcode(const PendingWr& wr, uint32_t idx) const {
 void RoceStack::FetchPayloads() {
   // Pipeline payload fetches across queued messages, in post order, so
   // back-to-back small messages are not serialized on PCIe read latency. A
-  // WR leaves the fetch queue once its last fetch is issued.
-  while (!fetch_queue_.empty()) {
-    const WrPtr& wr = fetch_queue_.front();
-    while (wr->next_fetch < wr->send_pkts) {
-      if (fetches_in_flight_ >= config_.tx_fetch_window) {
+  // WR at its kTxFetchWindow bound is skipped, not waited on: under DCQCN a
+  // paced QP's long message must not hold back another QP's fetch. A WR
+  // leaves the fetch queue once its last fetch is issued.
+  for (auto it = fetch_queue_.begin(); it != fetch_queue_.end();) {
+    const WrPtr& wr = *it;
+    while (wr->CanFetch()) {
+      if (fetches_in_flight_ >= kTxFetchWindow) {
         return;
       }
       const uint32_t idx = wr->next_fetch++;
       if (wr->req.kind == WorkRequest::Kind::kRead) {
-        wr->ready[idx] = FrameBuf{};  // read requests carry no payload
+        wr->PutChunk(idx, FrameBuf{});  // read requests carry no payload
         continue;
       }
       const uint32_t chunk = wr->ChunkLen(idx, pmtu_payload_);
       if (!wr->req.inline_data.empty() || chunk == 0) {
         const uint8_t* base = wr->req.inline_data.data() + static_cast<size_t>(idx) * pmtu_payload_;
-        wr->ready[idx] = FrameBuf::Copy(ByteSpan(base, chunk));
+        wr->PutChunk(idx, FrameBuf::Copy(ByteSpan(base, chunk)));
         continue;
       }
       ++fetches_in_flight_;
@@ -363,12 +365,12 @@ void RoceStack::FetchPayloads() {
           STROM_LOG(kError) << "TX payload fetch failed: " << data.status();
           FailPayloadFetch(wr, data.status());
         } else {
-          wr->ready[idx] = std::move(*data);
+          wr->PutChunk(idx, std::move(*data));
         }
         PumpTx();
       }, wr->req.trace);
     }
-    fetch_queue_.pop_front();
+    it = wr->next_fetch == wr->send_pkts ? fetch_queue_.erase(it) : it + 1;
   }
 }
 
@@ -434,7 +436,7 @@ bool RoceStack::TrySendNextDataPacket() {
     // Legacy path: strict FIFO, the oldest unsent WR blocks the queue until
     // its next chunk is fetched. Byte-identical to the uncontrolled stack.
     wr = Qp(send_heads_.front().qpn).unsent.front();
-    if (wr->ready.find(wr->next_send) == wr->ready.end()) {
+    if (!wr->ChunkReady(wr->next_send)) {
       return false;  // waiting for the payload fetch
     }
   } else {
@@ -446,7 +448,7 @@ bool RoceStack::TrySendNextDataPacket() {
     for (const SendHead& head : send_heads_) {
       QpState& cand_qp = Qp(head.qpn);
       const WrPtr& cand = cand_qp.unsent.front();
-      if (cand->ready.find(cand->next_send) == cand->ready.end()) {
+      if (!cand->ChunkReady(cand->next_send)) {
         continue;  // fetch pending; let other QPs proceed
       }
       MaybeRecoverRate(head.qpn, cand_qp.cc);
@@ -480,10 +482,8 @@ bool RoceStack::TrySendNextDataPacket() {
       return false;
     }
   }
-  auto it = wr->ready.find(wr->next_send);
   const uint32_t idx = wr->next_send++;
-  FrameBuf payload = std::move(it->second);
-  wr->ready.erase(it);
+  FrameBuf payload = wr->TakeChunk(idx);
 
   QpState& qp = Qp(wr->req.qpn);
   const IbOpcode opcode = DataOpcode(*wr, idx);

@@ -11,6 +11,7 @@
 #ifndef SRC_ROCE_STACK_H_
 #define SRC_ROCE_STACK_H_
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
@@ -153,14 +154,35 @@ class RoceStack {
     bool is_read_response = false;  // responder role: PSNs preassigned, no ACK
     uint32_t next_fetch = 0;  // next packet index whose payload fetch is issued
     uint32_t next_send = 0;   // next packet index to transmit (in order)
-    std::map<uint32_t, FrameBuf> ready;  // fetched chunks keyed by index
+    // Chunks [next_send, next_fetch), fetched or in flight, each in slot
+    // index % kTxFetchWindow; bit s of ready_mask is set while slot s holds
+    // a fetched chunk.
+    std::array<FrameBuf, kTxFetchWindow> ring;
+    uint32_t ready_mask = 0;
     bool completed = false;
     SimTime posted_at = 0;  // when PostRequest accepted the message
     // Position in the TX engine's post order, across all QPs.
     uint64_t post_seq = 0;
 
     uint32_t ChunkLen(uint32_t idx, uint32_t pmtu) const;
+    // Whether another chunk may be fetched: the message has one left and
+    // fewer than kTxFetchWindow staged.
+    bool CanFetch() const {
+      return next_fetch < send_pkts && next_fetch - next_send < kTxFetchWindow;
+    }
+    bool ChunkReady(uint32_t idx) const {
+      return (ready_mask >> (idx % kTxFetchWindow) & 1) != 0;
+    }
+    void PutChunk(uint32_t idx, FrameBuf chunk) {
+      ring[idx % kTxFetchWindow] = std::move(chunk);
+      ready_mask |= 1u << (idx % kTxFetchWindow);
+    }
+    FrameBuf TakeChunk(uint32_t idx) {
+      ready_mask &= ~(1u << (idx % kTxFetchWindow));
+      return std::move(ring[idx % kTxFetchWindow]);
+    }
   };
+  static_assert(kTxFetchWindow <= 32, "ready_mask holds one bit per ring slot");
   using WrPtr = std::shared_ptr<PendingWr>;
 
   // Descriptor of one unacknowledged request packet (requester role).
@@ -306,7 +328,8 @@ class RoceStack {
   // in the order a walk of one post-order queue would first meet them, so
   // the DCQCN pick visits each active QP once, and its front holds the
   // oldest unsent WR (the CC-off FIFO pick). `fetch_queue_` holds, in post
-  // order, the WRs whose payload fetches are not all issued yet.
+  // order, the WRs whose payload fetches are not all issued yet; a WR at its
+  // kTxFetchWindow bound stays queued but is skipped.
   std::vector<SendHead> send_heads_;
   std::deque<WrPtr> fetch_queue_;
   size_t unsent_wrs_ = 0;  // total over all send lists (wr_queue_depth)

@@ -4,9 +4,11 @@
 // (the poll lane against the heap-event poll loop it replaced).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
+#include "src/common/frame_buf.h"
 #include "src/sim/task.h"
 #include "src/testbed/calibration.h"
 #include "src/testbed/testbed.h"
@@ -16,6 +18,10 @@ namespace strom {
 namespace {
 
 constexpr Qpn kQp = 1;
+// Simulated completion time of a 4 MiB WRITE on the 10 G cable, recorded
+// when the TX engine staged every fetched chunk of a message (up to 2,433
+// live frame blocks).
+constexpr SimTime kLongWriteCompletion = 3'551'731'306;
 
 class RoceStackTest : public ::testing::Test {
  protected:
@@ -195,6 +201,33 @@ TEST_F(RoceStackTest, PipelinedWritesAllComplete) {
   }
   RunUntilDone(&all);
   EXPECT_EQ(*bed_.node(1).driver().ReadHost(remote_, kWrites * 64), data);
+}
+
+// The TX engine stages at most kTxFetchWindow chunks of a message that are
+// fetched or in flight but not yet sent, so a long WRITE does not hold a
+// frame per packet. The bound leaves the WRITE's timing as it was when the
+// whole message could be staged.
+TEST_F(RoceStackTest, LongWriteStagesABoundedNumberOfChunks) {
+  const uint32_t len = static_cast<uint32_t>(MiB(4));  // ~2,900 packets
+  const int64_t base = static_cast<int64_t>(FrameBlocksOutstanding());
+  int64_t peak = 0;
+  SimTime done_at = -1;
+  const SimTime start = bed_.sim().now();
+  bed_.node(0).driver().PostWrite(kQp, local_, remote_, len, [&](Status st) {
+    EXPECT_TRUE(st.ok()) << st;
+    done_at = bed_.sim().now();
+  });
+  while (done_at < 0 && bed_.sim().Step()) {
+    peak = std::max(peak, static_cast<int64_t>(FrameBlocksOutstanding()) - base);
+  }
+  ASSERT_GE(done_at, 0);
+  // 84 at the peak: at most 16 staged chunks, and frames waiting for the
+  // cable, whose backlog grows by about 2 per 100 us of the message (the
+  // NIC takes a packet per data-path word of its IP-to-ICRC bytes, the wire
+  // also carries the Ethernet header and PHY overhead). Staging the whole
+  // message peaked at 2,433.
+  EXPECT_LT(peak, 128);
+  EXPECT_EQ(done_at - start, kLongWriteCompletion);
 }
 
 TEST_F(RoceStackTest, OutstandingReadsBoundedByMultiQueue) {
@@ -445,6 +478,65 @@ TEST_F(RoceStackTest, WriteLatencyInPaperRange) {
   const double us = ToUs(done_at - start);
   EXPECT_GT(us, 1.0);
   EXPECT_LT(us, 6.0);  // one-way delivery of a 64 B write
+}
+
+// Under DCQCN a paced QP's long message sits at its TX staging bound for
+// most of its life. The fetch loop skips it rather than stopping there, so a
+// short WRITE posted after it on another QP is fetched and sent at once
+// (about 7 us), not after the long message's last fetch (about 85 ms at
+// the floor rate). Before the bound, all of the long message's fetches went
+// out first and the short WRITE took 151 us.
+TEST(TxStaging, PacedLongMessageDoesNotHoldBackAnotherQpsFetch) {
+  constexpr Qpn kPaced = 1;
+  constexpr Qpn kOther = 2;
+  Profile profile = Profile10G();
+  profile.roce.dcqcn.enable = true;
+  profile.roce.dcqcn.rate_cut_interval = 0;    // every CNP cuts the rate
+  profile.roce.dcqcn.increase_interval = Sec(1);  // and nothing recovers it
+  Testbed bed(profile);
+  bed.ConnectQp(0, kPaced, 1, kPaced);
+  bed.ConnectQp(0, kOther, 1, kOther);
+  RoceDriver& drv = bed.node(0).driver();
+  const VirtAddr local = drv.AllocBuffer(MiB(2))->addr;
+  const VirtAddr remote = bed.node(1).driver().AllocBuffer(MiB(2))->addr;
+
+  // Cut the paced QP to its rate floor (1% of line rate) with CNPs: ACKs
+  // that carry the BECN bit and acknowledge nothing new.
+  RoceStack& stack = bed.node(0).stack();
+  RocePacket cnp;
+  cnp.src_ip = bed.node(1).ip();
+  cnp.dst_ip = bed.node(0).ip();
+  cnp.bth.opcode = IbOpcode::kAck;
+  cnp.bth.dest_qp = kPaced;
+  cnp.bth.psn = PsnAdd(stack.state_table().Entry(kPaced).oldest_unacked, kPsnMask);
+  cnp.bth.becn = true;
+  cnp.aeth = AethHeader{};
+  const MacAddr mac1{0x02, 0, 0, 0, 0, 2};
+  const MacAddr mac0{0x02, 0, 0, 0, 0, 1};
+  for (int i = 0; i < 8; ++i) {
+    stack.OnFrame(EncodeRoceFrame(mac1, mac0, cnp));
+  }
+  bed.sim().RunUntilIdle();
+  ASSERT_EQ(stack.counters().dcqcn_rate_cuts, 8u);
+
+  bool long_done = false;
+  SimTime short_done_at = -1;
+  const SimTime posted = bed.sim().now();
+  drv.PostWrite(kPaced, local, remote, static_cast<uint32_t>(MiB(1)),
+                [&](Status st) {
+                  EXPECT_TRUE(st.ok()) << st;
+                  long_done = true;
+                });
+  drv.PostWrite(kOther, local + MiB(1), remote + MiB(1), 64, [&](Status st) {
+    EXPECT_TRUE(st.ok()) << st;
+    short_done_at = bed.sim().now();
+  });
+  bed.sim().RunUntil(
+      [&] { return short_done_at >= 0 || bed.sim().now() > posted + Ms(10); });
+  ASSERT_GE(short_done_at, 0) << "the short WRITE waited behind the paced message";
+  EXPECT_LT(short_done_at - posted, Us(50));
+  EXPECT_FALSE(long_done);  // ~85 ms at the floor rate
+  EXPECT_GT(stack.counters().pacing_deferrals, 0u);
 }
 
 // The poll loop PollU64 ran before the poll lane: one heap event per
