@@ -1,6 +1,7 @@
-// QpnMap: a pooled, QPN-keyed open-addressing hash table backing the RoCE
-// stack's per-QP state (State Table, MSN Table, Multi-Queue metadata,
-// retransmission timers, requester QP state).
+// QpnMap: a pooled, QPN-keyed open-addressing hash table holding the RoCE
+// stack's one record per QP (RoceStack::QpState: the QP's State Table, MSN
+// Table, Multi-Queue and retransmission timer entries and its requester
+// state).
 //
 // The paper's hardware keeps fixed BRAM arrays indexed by QPN, which is the
 // right model for a 500-QP on-chip design but wrong for rack-scale runs where

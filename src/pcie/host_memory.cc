@@ -1,5 +1,7 @@
 #include "src/pcie/host_memory.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
 
@@ -8,13 +10,18 @@
 namespace strom {
 
 HostMemory::PagePtr HostMemory::NewPage() {
-  // calloc does not fill memory it takes fresh from the OS, which is where a
-  // block this large comes from until the process frees one (glibc then
-  // serves it from the heap, and a reused block is filled). The host OS
-  // commits each 4 KiB page of a fresh block when it is first written.
-  auto* page = static_cast<uint8_t*>(std::calloc(kHugePageSize, 1));
-  STROM_CHECK(page != nullptr) << "out of host memory for a simulated page";
-  return PagePtr(page);
+  // An anonymous mapping reads as zero, and the host OS commits each of its
+  // 4 KiB pages when it is first written. A heap block would not do: once a
+  // process frees a block this large, glibc serves later ones from its heap,
+  // and calloc fills a reused block.
+  void* page = mmap(nullptr, kHugePageSize, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  STROM_CHECK(page != MAP_FAILED) << "out of host memory for a simulated page";
+  return PagePtr(static_cast<uint8_t*>(page));
+}
+
+void HostMemory::UnmapPage::operator()(uint8_t* page) const {
+  munmap(page, kHugePageSize);
 }
 
 uint8_t* HostMemory::PageFor(PhysAddr addr, bool create) {

@@ -1,7 +1,7 @@
 // Simulated host DRAM, physically addressed, organized as sparse 2 MiB huge
 // pages (the unit the driver pins and the TLB maps, paper §4.2). A page
-// exists once it is pinned (AllocPage) or first written; each is one
-// std::calloc block, so the host OS commits only the 4 KiB pages the
+// exists once it is pinned (AllocPage) or first written; each is its own
+// anonymous mapping, so the host OS commits only the 4 KiB pages the
 // simulation writes. A pinned page nothing writes costs address space, not
 // memory, and nothing is zeroed by hand.
 #ifndef SRC_PCIE_HOST_MEMORY_H_
@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <vector>
@@ -86,10 +85,10 @@ class HostMemory {
   PhysAddr AllocPage();
 
  private:
-  struct FreePage {
-    void operator()(uint8_t* page) const { std::free(page); }
+  struct UnmapPage {
+    void operator()(uint8_t* page) const;
   };
-  using PagePtr = std::unique_ptr<uint8_t[], FreePage>;
+  using PagePtr = std::unique_ptr<uint8_t[], UnmapPage>;
 
   // A zero-filled page whose host memory is committed on first write.
   static PagePtr NewPage();

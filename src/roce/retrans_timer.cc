@@ -2,34 +2,23 @@
 
 #include <algorithm>
 
-#include "src/common/logging.h"
-
 namespace strom {
 
-RetransTimer::RetransTimer(Simulator& sim, uint32_t num_qps, SimTime timeout,
-                           SimTime timeout_max)
-    : sim_(sim), timeout_(timeout), timeout_max_(timeout_max) {
-  (void)num_qps;  // pooled per-QP entries; the configured depth no longer sizes storage
-}
+RetransTimer::RetransTimer(Simulator& sim, SimTime timeout, SimTime timeout_max)
+    : sim_(sim), timeout_(timeout), timeout_max_(timeout_max) {}
 
-void RetransTimer::Arm(Qpn qpn) {
-  Entry& e = timers_[qpn];
+void RetransTimer::Arm(Qpn qpn, Entry& e) {
   e.current_timeout = timeout_;
   ArmAt(qpn, e);
 }
 
-void RetransTimer::RearmBackoff(Qpn qpn) {
-  Entry& e = timers_[qpn];
+void RetransTimer::RearmBackoff(Qpn qpn, Entry& e) {
   e.current_timeout = std::min(e.current_timeout * 2, timeout_max_);
   ArmAt(qpn, e);
 }
 
-void RetransTimer::Cancel(Qpn qpn) {
-  Entry* e = timers_.Find(qpn);
-  if (e == nullptr) {
-    return;
-  }
-  if (sim_.Cancel(e->handle)) {
+void RetransTimer::Cancel(const Entry& e) {
+  if (sim_.Cancel(e.handle)) {
     ++timers_cancelled_;
     ++stale_expiries_eliminated_;
   }

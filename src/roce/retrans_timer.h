@@ -4,13 +4,13 @@
 // equivalent keeps one cancellable simulator timer per QP: re-arming
 // physically moves the pending deadline and cancelling physically removes
 // it, so no stale expiry event ever pops through the event queue.
-// Exponential backoff doubles the interval on consecutive timeouts.
+// Exponential backoff doubles the interval on consecutive timeouts. A QP's
+// timer entry is part of its one record (RoceStack::QpState).
 #ifndef SRC_ROCE_RETRANS_TIMER_H_
 #define SRC_ROCE_RETRANS_TIMER_H_
 
 #include <functional>
 
-#include "src/common/qpn_map.h"
 #include "src/common/types.h"
 #include "src/sim/simulator.h"
 
@@ -20,21 +20,26 @@ class RetransTimer {
  public:
   using ExpiryHandler = std::function<void(Qpn)>;
 
-  RetransTimer(Simulator& sim, uint32_t num_qps, SimTime timeout, SimTime timeout_max);
+  // One QP's timer. The simulator timer is created at the first arm and
+  // kept for good: a cancellable timer holds its event-queue slot for life
+  // (DESIGN.md §13), so an entry is never reset.
+  struct Entry {
+    Simulator::TimerHandle handle;
+    SimTime current_timeout = 0;
+  };
+
+  RetransTimer(Simulator& sim, SimTime timeout, SimTime timeout_max);
 
   void SetExpiryHandler(ExpiryHandler handler) { on_expiry_ = std::move(handler); }
 
-  // Arms (or re-arms, resetting backoff) the QP's timer.
-  void Arm(Qpn qpn);
+  // Arms (or re-arms, resetting backoff) QP `qpn`'s timer.
+  void Arm(Qpn qpn, Entry& e);
   // Re-arms keeping the current backoff level (after a timeout-driven resend).
-  void RearmBackoff(Qpn qpn);
-  // Stops the QP's timer (all outstanding packets acknowledged).
-  void Cancel(Qpn qpn);
+  void RearmBackoff(Qpn qpn, Entry& e);
+  // Stops the timer (all outstanding packets acknowledged).
+  void Cancel(const Entry& e);
 
-  bool IsArmed(Qpn qpn) const {
-    const Entry* e = timers_.Find(qpn);
-    return e != nullptr && sim_.TimerPending(e->handle);
-  }
+  bool IsArmed(const Entry& e) const { return sim_.TimerPending(e.handle); }
   uint64_t expirations() const { return expirations_; }
 
   // Timer-churn counters (metrics registry): arms/re-arms, cancels of a
@@ -46,18 +51,12 @@ class RetransTimer {
   uint64_t stale_expiries_eliminated() const { return stale_expiries_eliminated_; }
 
  private:
-  struct Entry {
-    Simulator::TimerHandle handle;
-    SimTime current_timeout = 0;
-  };
-
   void ArmAt(Qpn qpn, Entry& e);
   void Fire(Qpn qpn);
 
   Simulator& sim_;
   SimTime timeout_;
   SimTime timeout_max_;
-  QpnMap<Entry> timers_;
   ExpiryHandler on_expiry_;
   uint64_t expirations_ = 0;
   uint64_t timers_armed_ = 0;

@@ -14,7 +14,7 @@ uint32_t RoceConfig::PayloadPerPacket() const {
   return static_cast<uint32_t>(RocePayloadPerPacket(ip_mtu));
 }
 
-uint32_t RoceStack::PendingWr::ChunkLen(uint32_t idx, uint32_t pmtu) const {
+uint32_t PendingWr::ChunkLen(uint32_t idx, uint32_t pmtu) const {
   const uint64_t len = req.length;
   if (len == 0) {
     return 0;
@@ -32,11 +32,8 @@ RoceStack::RoceStack(Simulator& sim, RoceConfig config, DmaEngine& dma, Ipv4Addr
       local_ip_(local_ip),
       local_mac_(local_mac),
       arp_(arp),
-      state_table_(config.max_qps),
-      msn_table_(config.max_qps),
-      multi_queue_(config.max_qps, config.multi_queue_total),
-      timer_(sim, config.max_qps, config.retransmission_timeout,
-             config.retransmission_timeout_max),
+      multi_queue_(config.multi_queue_total),
+      timer_(sim, config.retransmission_timeout, config.retransmission_timeout_max),
       pmtu_payload_(config.PayloadPerPacket()) {
   timer_.SetExpiryHandler([this](Qpn qpn) { OnTimeout(qpn); });
 }
@@ -120,11 +117,12 @@ void RoceStack::AttachSampler(Telemetry* telemetry, const std::string& process) 
     qps_.ForEach([&n](Qpn, const QpState& qp) { n += qp.outstanding.size(); });
     return double(n);
   });
-  s.AddProbe(prefix + "outstanding_reads",
-             [this](SimTime) { return double(pending_reads_.size()); });
-  s.AddProbe(prefix + "multi_queue_occupancy", [this](SimTime) {
+  // Every outstanding READ holds one Multi-Queue element.
+  const auto reads = [this](SimTime) {
     return double(multi_queue_.total_elements() - multi_queue_.free_elements());
-  });
+  };
+  s.AddProbe(prefix + "outstanding_reads", reads);
+  s.AddProbe(prefix + "multi_queue_occupancy", reads);
 }
 
 void RoceStack::AttachFlowStats(FlowStats* stats, int host_index) {
@@ -149,18 +147,19 @@ Status RoceStack::ConnectQp(Qpn local_qpn, Qpn remote_qpn, Ipv4Addr remote_ip, P
   if (local_qpn >= config_.max_qps) {
     return OutOfRangeError("QPN beyond configured max_qps");
   }
-  STROM_RETURN_IF_ERROR(state_table_.Activate(local_qpn, remote_psn, local_psn));
-  // Touch every per-QP table now so steady-state packet processing is
-  // lookup-only: the pooled maps then never rehash (and never invalidate
-  // held references) outside connection setup.
-  msn_table_.Entry(local_qpn);
   QpState& qp = qps_[local_qpn];
+  if (qp.connected) {
+    return AlreadyExistsError("QP already active");
+  }
   qp.connected = true;
-  qp.remote_qpn = remote_qpn;
-  qp.remote_ip = remote_ip;
   // Re-establishing the QP ends its fencing window: the peer has seen the
   // new epoch out of band.
-  stale_qps_.erase(local_qpn);
+  qp.stale = false;
+  qp.remote_qpn = remote_qpn;
+  qp.remote_ip = remote_ip;
+  qp.state.epsn = remote_psn & kPsnMask;
+  qp.state.next_psn = local_psn & kPsnMask;
+  qp.state.oldest_unacked = qp.state.next_psn;
   return Status::Ok();
 }
 
@@ -181,10 +180,11 @@ Status RoceStack::PostRequest(WorkRequest wr) {
     }
     return st;
   };
-  if (!QpConnected(wr.qpn)) {
+  QpState* qp = qps_.Find(wr.qpn);
+  if (qp == nullptr || !qp->connected) {
     return fail(FailedPreconditionError("QP not connected"));
   }
-  if (state_table_.Entry(wr.qpn).phase == QpPhase::kError) {
+  if (qp->state.phase == QpPhase::kError) {
     return fail(FailedPreconditionError("QP in Error state (ResetQp + ConnectQp required)"));
   }
   if (!wr.inline_data.empty()) {
@@ -193,12 +193,18 @@ Status RoceStack::PostRequest(WorkRequest wr) {
   if (wr.kind == WorkRequest::Kind::kRpc && wr.inline_data.size() > pmtu_payload_) {
     return fail(InvalidArgumentError("RPC parameters exceed one MTU"));
   }
+  if (wr.kind == WorkRequest::Kind::kRead && wr.length == 0) {
+    return fail(InvalidArgumentError("zero-length read"));
+  }
+  if (wr.kind == WorkRequest::Kind::kRead && multi_queue_.full()) {
+    return fail(ResourceExhaustedError("multi-queue full (too many outstanding reads)"));
+  }
 
   auto pending = std::make_shared<PendingWr>();
   pending->req = std::move(wr);
   pending->posted_at = sim_.now();
 
-  StateTableEntry& st = state_table_.Entry(pending->req.qpn);
+  StateTableEntry& st = qp->state;
   pending->first_psn = st.next_psn;
 
   switch (pending->req.kind) {
@@ -212,44 +218,27 @@ Status RoceStack::PostRequest(WorkRequest wr) {
       pending->psn_span = 1;
       break;
     case WorkRequest::Kind::kRead: {
-      if (pending->req.length == 0) {
-        Status bad = InvalidArgumentError("zero-length read");
-        if (pending->req.on_complete) {
-          pending->req.on_complete(bad);
-        }
-        return bad;
-      }
       pending->send_pkts = 1;
       pending->psn_span = config_.PacketsForLength(pending->req.length);
       ReadContext ctx;
+      ctx.wr = pending;
       ctx.local_addr = pending->req.local_addr;
       ctx.length = pending->req.length;
       ctx.first_psn = pending->first_psn;
-      ctx.num_packets = pending->psn_span;
-      ctx.wr_id = next_read_token_++;
-      pending_reads_[ctx.wr_id] = pending;
-      if (!multi_queue_.Push(pending->req.qpn, ctx)) {
-        pending_reads_.erase(ctx.wr_id);
-        Status full = ResourceExhaustedError("multi-queue full (too many outstanding reads)");
-        if (pending->req.on_complete) {
-          pending->req.on_complete(full);
-        }
-        return full;
-      }
+      multi_queue_.Push(qp->reads, std::move(ctx));
       break;
     }
   }
   pending->last_psn = PsnAdd(pending->first_psn, pending->psn_span - 1);
   st.next_psn = PsnAdd(st.next_psn, pending->psn_span);
 
-  QueueUnsent(std::move(pending));
+  QueueUnsent(*qp, std::move(pending));
   PumpTx();
   return Status::Ok();
 }
 
-void RoceStack::QueueUnsent(WrPtr wr) {
+void RoceStack::QueueUnsent(QpState& qp, WrPtr wr) {
   wr->post_seq = next_post_seq_++;
-  QpState& qp = Qp(wr->req.qpn);
   if (qp.unsent.empty()) {
     // The newest WR of all: its QP goes to the back of the index.
     send_heads_.push_back(SendHead{wr->post_seq, wr->req.qpn});
@@ -432,10 +421,12 @@ bool RoceStack::TrySendNextDataPacket() {
     return false;
   }
   WrPtr wr;
+  QpState* picked = nullptr;  // wr's QP
   if (!config_.dcqcn.enable) {
     // Legacy path: strict FIFO, the oldest unsent WR blocks the queue until
     // its next chunk is fetched. Byte-identical to the uncontrolled stack.
-    wr = Qp(send_heads_.front().qpn).unsent.front();
+    picked = &Qp(send_heads_.front().qpn);
+    wr = picked->unsent.front();
     if (!wr->ChunkReady(wr->next_send)) {
       return false;  // waiting for the payload fetch
     }
@@ -460,6 +451,7 @@ bool RoceStack::TrySendNextDataPacket() {
         continue;
       }
       wr = cand;
+      picked = &cand_qp;
       break;
     }
     if (wr == nullptr) {
@@ -485,7 +477,7 @@ bool RoceStack::TrySendNextDataPacket() {
   const uint32_t idx = wr->next_send++;
   FrameBuf payload = wr->TakeChunk(idx);
 
-  QpState& qp = Qp(wr->req.qpn);
+  QpState& qp = *picked;
   const IbOpcode opcode = DataOpcode(*wr, idx);
   const bool last = idx + 1 == wr->send_pkts;
 
@@ -513,7 +505,7 @@ bool RoceStack::TrySendNextDataPacket() {
     if (OpcodeHasAeth(opcode)) {
       AethHeader aeth;
       aeth.syndrome = AckSyndrome::kAck;
-      aeth.msn = msn_table_.Entry(wr->req.qpn).msn;
+      aeth.msn = qp.msn.msn;
       pkt.aeth = aeth;
     }
   } else {
@@ -536,7 +528,7 @@ bool RoceStack::TrySendNextDataPacket() {
     const bool was_empty = qp.outstanding.empty();
     qp.outstanding.push_back(std::move(desc));
     if (was_empty) {
-      timer_.Arm(wr->req.qpn);
+      timer_.Arm(wr->req.qpn, qp.timer);
     }
   }
 
@@ -548,14 +540,13 @@ bool RoceStack::TrySendNextDataPacket() {
   EmitFrame(pkt);
 
   if (last) {
-    FinishSending(wr);
+    FinishSending(qp, wr);
   }
   return true;
 }
 
-void RoceStack::FinishSending(const WrPtr& wr) {
+void RoceStack::FinishSending(QpState& qp, const WrPtr& wr) {
   // Both picks send only QP heads, so the finished WR is its QP's head.
-  QpState& qp = Qp(wr->req.qpn);
   STROM_CHECK(qp.unsent.front() == wr);
   PopUnsentHead(wr->req.qpn, qp);
   if (wr->is_read_response || wr->req.kind == WorkRequest::Kind::kRead) {
@@ -570,8 +561,8 @@ void RoceStack::FailPayloadFetch(const WrPtr& wr, const Status& status) {
     // response and tell the requester the operation failed fatally — no
     // retransmission can repair a failed host read.
     EraseUnsent(wr);
-    SendAck(wr->req.qpn, wr->first_psn, AckSyndrome::kNakRemoteOperationalError,
-            wr->req.trace);
+    SendAck(wr->req.qpn, Qp(wr->req.qpn), wr->first_psn,
+            AckSyndrome::kNakRemoteOperationalError, wr->req.trace);
     return;
   }
   // Requester role: the whole QP goes to Error (the flush completes `wr`,
@@ -759,8 +750,8 @@ void RoceStack::OnFrame(FrameBuf frame, TraceContext trace) {
 
 void RoceStack::ProcessPacket(RocePacket pkt) {
   const Qpn qpn = pkt.bth.dest_qp;
-  if (!QpConnected(qpn)) {
-    const auto tomb = stale_qps_.find(qpn);
+  QpState* found = qps_.Find(qpn);
+  if (found == nullptr || !found->connected) {
     // Epoch fence: the QP existed before this stack crashed. The peer that
     // sent this never saw the crash — answer requests with a semantic NAK
     // carrying the new memory-region epoch instead of letting them silently
@@ -768,13 +759,13 @@ void RoceStack::ProcessPacket(RocePacket pkt) {
     // stale-epoch NAKs from a peer that also crashed) are never answered:
     // fencing an ACK buys nothing and two restarted peers must not NAK each
     // other forever.
-    if (tomb != stale_qps_.end() && pkt.bth.opcode != IbOpcode::kAck) {
+    if (found != nullptr && found->stale && pkt.bth.opcode != IbOpcode::kAck) {
       ++counters_.tx_stale_naks;
       RocePacket nak;
       nak.src_ip = local_ip_;
-      nak.dst_ip = tomb->second.remote_ip;
+      nak.dst_ip = found->remote_ip;
       nak.bth.opcode = IbOpcode::kAck;
-      nak.bth.dest_qp = tomb->second.remote_qpn;
+      nak.bth.dest_qp = found->remote_qpn;
       nak.bth.psn = pkt.bth.psn;
       AethHeader aeth;
       aeth.syndrome = AckSyndrome::kNakStaleEpoch;
@@ -787,7 +778,8 @@ void RoceStack::ProcessPacket(RocePacket pkt) {
     ++counters_.unknown_qp_drops;
     return;
   }
-  if (state_table_.Entry(qpn).phase == QpPhase::kError) {
+  QpState& qp = *found;
+  if (qp.state.phase == QpPhase::kError) {
     // An errored QP neither responds nor accepts: everything is dropped
     // until ResetQp + ConnectQp re-establish it.
     ++counters_.qp_error_drops;
@@ -799,15 +791,15 @@ void RoceStack::ProcessPacket(RocePacket pkt) {
   // packet is this stack's CNP.
   if (pkt.ecn_ce) {
     ++counters_.rx_ecn_ce;
-    Qp(qpn).ce_to_echo = true;
+    qp.ce_to_echo = true;
     if (flow_stats_ != nullptr) {
       flow_stats_->OnCe(sim_.now(), host_index_, qpn);
     }
   }
   if (pkt.bth.becn) {
     ++counters_.rx_cnp;
-    OnCnp(qpn);
-    const QpState::Dcqcn& cc = Qp(qpn).cc;
+    OnCnp(qpn, qp);
+    const QpState::Dcqcn& cc = qp.cc;
     if (flight_recorder_ != nullptr) {
       flight_recorder_->Record(sim_.now(), host_index_, FlightRecordType::kCnp,
                                uint8_t(pkt.bth.opcode), qpn, pkt.bth.psn,
@@ -819,30 +811,29 @@ void RoceStack::ProcessPacket(RocePacket pkt) {
   }
   switch (pkt.bth.opcode) {
     case IbOpcode::kAck:
-      HandleAck(pkt);
+      HandleAck(pkt, qp);
       return;
     case IbOpcode::kReadRespFirst:
     case IbOpcode::kReadRespMiddle:
     case IbOpcode::kReadRespLast:
     case IbOpcode::kReadRespOnly:
-      HandleReadResponse(pkt);
+      HandleReadResponse(pkt, qp);
       return;
     default:
-      HandleResponderPacket(pkt);
+      HandleResponderPacket(pkt, qp);
       return;
   }
 }
 
-void RoceStack::HandleResponderPacket(const RocePacket& pkt) {
+void RoceStack::HandleResponderPacket(const RocePacket& pkt, QpState& qp) {
   const Qpn qpn = pkt.bth.dest_qp;
-  StateTableEntry& st = state_table_.Entry(qpn);
+  StateTableEntry& st = qp.state;
 
-  const PsnCheck check = state_table_.CheckRequestPsn(qpn, pkt.bth.psn);
+  const PsnCheck check = CheckRequestPsn(st.epsn, pkt.bth.psn);
   if (check == PsnCheck::kInvalid) {
     ++counters_.psn_out_of_order_drops;
     if (st.nak_armed) {
       st.nak_armed = false;
-      QpState& qp = Qp(qpn);
       RocePacket nak;
       nak.src_ip = local_ip_;
       nak.dst_ip = qp.remote_ip;
@@ -851,7 +842,7 @@ void RoceStack::HandleResponderPacket(const RocePacket& pkt) {
       nak.bth.psn = st.epsn;  // the PSN we expect: retransmit from here
       AethHeader aeth;
       aeth.syndrome = AckSyndrome::kNakSequenceError;
-      aeth.msn = msn_table_.Entry(qpn).msn;
+      aeth.msn = qp.msn.msn;
       nak.aeth = aeth;
       nak.trace = pkt.trace;
       SendControlPacket(std::move(nak));
@@ -862,9 +853,9 @@ void RoceStack::HandleResponderPacket(const RocePacket& pkt) {
     ++counters_.duplicate_psn_packets;
     if (OpcodeIsWriteLike(pkt.bth.opcode)) {
       // Re-ACK so a requester whose ACK was lost can make progress.
-      SendAck(qpn, pkt.bth.psn, AckSyndrome::kAck, pkt.trace);
+      SendAck(qpn, qp, pkt.bth.psn, AckSyndrome::kAck, pkt.trace);
     } else if (pkt.bth.opcode == IbOpcode::kReadRequest) {
-      HandleReadRequest(pkt);  // reads are idempotent: re-execute
+      HandleReadRequest(pkt, qp);  // reads are idempotent: re-execute
     }
     return;
   }
@@ -876,34 +867,31 @@ void RoceStack::HandleResponderPacket(const RocePacket& pkt) {
     STROM_CHECK(pkt.reth.has_value());
     st.epsn = PsnAdd(st.epsn, config_.PacketsForLength(pkt.reth->dma_length));
     AuditEpsnAdvance(qpn, prev_epsn, st.epsn);
-    HandleReadRequest(pkt);
+    HandleReadRequest(pkt, qp);
     return;
   }
   st.epsn = PsnAdd(st.epsn, 1);
   AuditEpsnAdvance(qpn, prev_epsn, st.epsn);
 
   if (OpcodeIsStrom(pkt.bth.opcode)) {
-    HandleRpc(pkt);
+    HandleRpc(pkt, qp);
     return;
   }
-  HandleWritePayload(pkt);
+  HandleWritePayload(pkt, qp);
 }
 
-void RoceStack::HandleWritePayload(const RocePacket& pkt) {
+void RoceStack::HandleWritePayload(const RocePacket& pkt, QpState& qp) {
   const Qpn qpn = pkt.bth.dest_qp;
-  MsnTableEntry& msn = msn_table_.Entry(qpn);
+  MsnTableEntry& msn = qp.msn;
   counters_.rx_payload_bytes += pkt.payload.size();
 
   const IbOpcode op = pkt.bth.opcode;
   if (op == IbOpcode::kWriteFirst || op == IbOpcode::kWriteOnly) {
     STROM_CHECK(pkt.reth.has_value());
     msn.dma_addr = pkt.reth->virt_addr;
-    msn.bytes_remaining = pkt.reth->dma_length;
-    msn.in_message = op == IbOpcode::kWriteFirst;
   }
   const VirtAddr target = msn.dma_addr;
   msn.dma_addr += pkt.payload.size();
-  msn.bytes_remaining -= std::min<uint64_t>(msn.bytes_remaining, pkt.payload.size());
 
   const bool ends = OpcodeEndsMessage(op);
   if (!pkt.payload.empty()) {
@@ -912,7 +900,7 @@ void RoceStack::HandleWritePayload(const RocePacket& pkt) {
       // The host write was rejected: nothing was placed, so ACKing would
       // falsely promise the data landed. Surface a fatal NAK instead —
       // retransmission cannot repair a failing DMA path.
-      SendAck(qpn, pkt.bth.psn, AckSyndrome::kNakRemoteOperationalError, pkt.trace);
+      SendAck(qpn, qp, pkt.bth.psn, AckSyndrome::kNakRemoteOperationalError, pkt.trace);
       return;
     }
   }
@@ -920,15 +908,14 @@ void RoceStack::HandleWritePayload(const RocePacket& pkt) {
     stream_tap_(qpn, pkt.payload, ends);
   }
   if (ends) {
-    msn.in_message = false;
     ++msn.msn;
   }
   if (ends || pkt.bth.ack_request) {
-    SendAck(qpn, pkt.bth.psn, AckSyndrome::kAck, pkt.trace);
+    SendAck(qpn, qp, pkt.bth.psn, AckSyndrome::kAck, pkt.trace);
   }
 }
 
-void RoceStack::HandleReadRequest(const RocePacket& pkt) {
+void RoceStack::HandleReadRequest(const RocePacket& pkt, QpState& qp) {
   STROM_CHECK(pkt.reth.has_value());
   // The responder streams the data back with the PSNs the requester
   // pre-calculated (paper §5.1 explains this constraint of read semantics).
@@ -944,13 +931,13 @@ void RoceStack::HandleReadRequest(const RocePacket& pkt) {
   response->send_pkts = config_.PacketsForLength(pkt.reth->dma_length);
   response->psn_span = response->send_pkts;
   response->last_psn = PsnAdd(response->first_psn, response->psn_span - 1);
-  QueueUnsent(std::move(response));
+  QueueUnsent(qp, std::move(response));
   PumpTx();
 }
 
-void RoceStack::HandleRpc(const RocePacket& pkt) {
+void RoceStack::HandleRpc(const RocePacket& pkt, QpState& qp) {
   const Qpn qpn = pkt.bth.dest_qp;
-  MsnTableEntry& msn = msn_table_.Entry(qpn);
+  MsnTableEntry& msn = qp.msn;
   counters_.rx_payload_bytes += pkt.payload.size();
 
   RpcDelivery delivery;
@@ -968,7 +955,6 @@ void RoceStack::HandleRpc(const RocePacket& pkt) {
     if (op == IbOpcode::kRpcWriteFirst || op == IbOpcode::kRpcWriteOnly) {
       STROM_CHECK(pkt.reth.has_value());
       msn.rpc_opcode = static_cast<uint32_t>(pkt.reth->virt_addr);
-      msn.rpc_in_flight = true;
       delivery.message_length = pkt.reth->dma_length;
     }
     delivery.rpc_opcode = msn.rpc_opcode;
@@ -978,7 +964,6 @@ void RoceStack::HandleRpc(const RocePacket& pkt) {
 
   const bool ends = OpcodeEndsMessage(op);
   if (ends) {
-    msn.rpc_in_flight = false;
     ++msn.msn;
   }
 
@@ -986,18 +971,18 @@ void RoceStack::HandleRpc(const RocePacket& pkt) {
   if (matched) {
     ++counters_.rpc_dispatched;
     if (ends || pkt.bth.ack_request) {
-      SendAck(qpn, pkt.bth.psn, AckSyndrome::kAck, pkt.trace);
+      SendAck(qpn, qp, pkt.bth.psn, AckSyndrome::kAck, pkt.trace);
     }
   } else {
     // No deployed kernel matched the RPC op-code: report an error to the
     // requesting node (paper §5.1).
     ++counters_.rpc_unmatched;
-    SendAck(qpn, pkt.bth.psn, AckSyndrome::kNakInvalidRequest, pkt.trace);
+    SendAck(qpn, qp, pkt.bth.psn, AckSyndrome::kNakInvalidRequest, pkt.trace);
   }
 }
 
-void RoceStack::SendAck(Qpn local_qpn, Psn psn, AckSyndrome syndrome, TraceContext trace) {
-  QpState& qp = Qp(local_qpn);
+void RoceStack::SendAck(Qpn local_qpn, QpState& qp, Psn psn, AckSyndrome syndrome,
+                        TraceContext trace) {
   RocePacket ack;
   ack.src_ip = local_ip_;
   ack.dst_ip = qp.remote_ip;
@@ -1015,7 +1000,7 @@ void RoceStack::SendAck(Qpn local_qpn, Psn psn, AckSyndrome syndrome, TraceConte
   ack.trace = trace;
   AethHeader aeth;
   aeth.syndrome = syndrome;
-  aeth.msn = msn_table_.Entry(local_qpn).msn;
+  aeth.msn = qp.msn.msn;
   ack.aeth = aeth;
   SendControlPacket(std::move(ack));
 }
@@ -1024,9 +1009,8 @@ void RoceStack::SendAck(Qpn local_qpn, Psn psn, AckSyndrome syndrome, TraceConte
 // Requester-side response handling
 // ---------------------------------------------------------------------------
 
-void RoceStack::AdvanceCumulativeAck(Qpn qpn, Psn acked_psn) {
-  QpState& qp = Qp(qpn);
-  StateTableEntry& st = state_table_.Entry(qpn);
+void RoceStack::AdvanceCumulativeAck(Qpn qpn, QpState& qp, Psn acked_psn) {
+  StateTableEntry& st = qp.state;
   qp.consecutive_retries = 0;  // any ACK/NAK is proof of responder life
 
   while (!qp.outstanding.empty() &&
@@ -1061,28 +1045,28 @@ void RoceStack::AdvanceCumulativeAck(Qpn qpn, Psn acked_psn) {
 
   // The timer must stay armed while reads are pending even if every request
   // descriptor has been retired: their response streams can still be lost.
-  if (qp.outstanding.empty() && multi_queue_.Empty(qpn)) {
-    timer_.Cancel(qpn);
+  if (qp.outstanding.empty() && MultiQueue::Empty(qp.reads)) {
+    timer_.Cancel(qp.timer);
   } else {
-    timer_.Arm(qpn);  // progress: reset timeout and backoff
+    timer_.Arm(qpn, qp.timer);  // progress: reset timeout and backoff
   }
 }
 
-void RoceStack::HandleAck(const RocePacket& pkt) {
+void RoceStack::HandleAck(const RocePacket& pkt, QpState& qp) {
   STROM_CHECK(pkt.aeth.has_value());
   const Qpn qpn = pkt.bth.dest_qp;
   ++counters_.rx_acks;
 
   switch (pkt.aeth->syndrome) {
     case AckSyndrome::kAck:
-      AdvanceCumulativeAck(qpn, pkt.bth.psn);
+      AdvanceCumulativeAck(qpn, qp, pkt.bth.psn);
       return;
     case AckSyndrome::kNakSequenceError:
       ++counters_.rx_naks;
       // The BTH PSN of the NAK is the responder's ePSN: everything before it
       // arrived; retransmit from there.
-      AdvanceCumulativeAck(qpn, PsnAdd(pkt.bth.psn, kPsnMask));  // psn-1
-      RetransmitFrom(qpn, pkt.bth.psn);
+      AdvanceCumulativeAck(qpn, qp, PsnAdd(pkt.bth.psn, kPsnMask));  // psn-1
+      RetransmitFrom(qpn, qp, pkt.bth.psn);
       return;
     case AckSyndrome::kNakInvalidRequest: {
       ++counters_.rx_naks;
@@ -1090,14 +1074,13 @@ void RoceStack::HandleAck(const RocePacket& pkt) {
       // this PSN *before* the cumulative advance would complete it as OK
       // (CompleteWr is idempotent, so the advance below is then a no-op for
       // the failed request).
-      QpState& qp = Qp(qpn);
       for (const WrPtr& wr : qp.awaiting_ack) {
         if (PsnDistance(wr->first_psn, pkt.bth.psn) >= 0 &&
             PsnDistance(pkt.bth.psn, wr->last_psn) >= 0) {
           CompleteWr(wr, InvalidArgumentError("remote NAK: invalid request / unmatched RPC"));
         }
       }
-      AdvanceCumulativeAck(qpn, pkt.bth.psn);
+      AdvanceCumulativeAck(qpn, qp, pkt.bth.psn);
       return;
     }
     case AckSyndrome::kNakRemoteOperationalError:
@@ -1122,14 +1105,13 @@ void RoceStack::HandleAck(const RocePacket& pkt) {
   }
 }
 
-void RoceStack::HandleReadResponse(const RocePacket& pkt) {
+void RoceStack::HandleReadResponse(const RocePacket& pkt, QpState& qp) {
   const Qpn qpn = pkt.bth.dest_qp;
-  QpState& qp = Qp(qpn);
-  if (multi_queue_.Empty(qpn)) {
+  if (MultiQueue::Empty(qp.reads)) {
     ++counters_.duplicate_psn_packets;  // stale response after completion
     return;
   }
-  ReadContext& ctx = multi_queue_.Head(qpn);
+  ReadContext& ctx = multi_queue_.Head(qp.reads);
   const int32_t idx = PsnDistance(ctx.first_psn, pkt.bth.psn);
   const uint32_t expected_idx = ctx.bytes_placed / pmtu_payload_;
   if (idx < 0 || static_cast<uint32_t>(idx) != expected_idx) {
@@ -1148,28 +1130,25 @@ void RoceStack::HandleReadResponse(const RocePacket& pkt) {
     // Response data streaming in is progress: restart the retransmission
     // timer so a long response (many packets queued behind other reads)
     // does not spuriously time out mid-stream.
-    timer_.Arm(qpn);
+    timer_.Arm(qpn, qp.timer);
   }
 
-  // Locate the read-request WR for completion before popping state.
+  // Take the read's WR for completion before popping its element.
   WrPtr read_wr;
   if (last) {
-    auto pending_it = pending_reads_.find(ctx.wr_id);
-    if (pending_it != pending_reads_.end()) {
-      read_wr = pending_it->second;
-      pending_reads_.erase(pending_it);
-    }
+    read_wr = ctx.wr;
+    const Psn first_psn = ctx.first_psn;
     STROM_CHECK_EQ(ctx.bytes_placed, ctx.length);
-    multi_queue_.PopHead(qpn);
+    multi_queue_.PopHead(qp.reads);
     // Drop the request descriptor: the read is complete.
     std::erase_if(qp.outstanding, [&](const OutstandingPacket& d) {
-      return d.opcode == IbOpcode::kReadRequest && d.psn == ctx.first_psn;
+      return d.opcode == IbOpcode::kReadRequest && d.psn == first_psn;
     });
     // Implicit ack: response proves the request arrived.
-    if (qp.outstanding.empty() && multi_queue_.Empty(qpn)) {
-      timer_.Cancel(qpn);
+    if (qp.outstanding.empty() && MultiQueue::Empty(qp.reads)) {
+      timer_.Cancel(qp.timer);
     } else {
-      timer_.Arm(qpn);
+      timer_.Arm(qpn, qp.timer);
     }
   }
 
@@ -1210,8 +1189,7 @@ void RoceStack::AuditEpsnAdvance(Qpn qpn, Psn prev_epsn, Psn new_epsn) {
   }
 }
 
-void RoceStack::RetransmitFrom(Qpn qpn, Psn psn) {
-  QpState& qp = Qp(qpn);
+void RoceStack::RetransmitFrom(Qpn qpn, QpState& qp, Psn psn) {
   retransmit_queue_.clear();
   retransmit_payload_.reset();
   ++retransmit_epoch_;
@@ -1228,21 +1206,21 @@ void RoceStack::RetransmitFrom(Qpn qpn, Psn psn) {
     flow_stats_->OnRetransmit(sim_.now(), host_index_, qpn);
   }
   if (!retransmit_queue_.empty()) {
-    timer_.RearmBackoff(qpn);
+    timer_.RearmBackoff(qpn, qp.timer);
   }
   PumpTx();
 }
 
 void RoceStack::OnTimeout(Qpn qpn) {
   QpState& qp = Qp(qpn);
-  const bool reads_pending = !multi_queue_.Empty(qpn);
+  const bool reads_pending = !MultiQueue::Empty(qp.reads);
   if (qp.outstanding.empty() && !reads_pending) {
     return;
   }
   ++counters_.timeouts;
   if (flight_recorder_ != nullptr) {
     flight_recorder_->Record(sim_.now(), host_index_, FlightRecordType::kTimeout, 0,
-                             qpn, state_table_.Entry(qpn).oldest_unacked,
+                             qpn, qp.state.oldest_unacked,
                              uint32_t(qp.consecutive_retries + 1));
   }
   if (flow_stats_ != nullptr) {
@@ -1257,44 +1235,39 @@ void RoceStack::OnTimeout(Qpn qpn) {
   // For reads that timed out mid-response, rewind placement progress: the
   // responder will re-send the whole response.
   if (reads_pending) {
-    multi_queue_.Head(qpn).bytes_placed = 0;
+    multi_queue_.Head(qp.reads).bytes_placed = 0;
   }
 
   if (qp.outstanding.empty()) {
     // The head read's request descriptor was retired by a later cumulative
     // ACK, but its response stream was lost: re-issue the read request.
-    ReadContext& ctx = multi_queue_.Head(qpn);
-    auto it = pending_reads_.find(ctx.wr_id);
-    if (it == pending_reads_.end()) {
-      return;
-    }
+    const ReadContext& ctx = multi_queue_.Head(qp.reads);
     OutstandingPacket desc;
     desc.psn = ctx.first_psn;
     desc.opcode = IbOpcode::kReadRequest;
-    desc.remote_addr = it->second->req.remote_addr;
+    desc.remote_addr = ctx.wr->req.remote_addr;
     desc.len = ctx.length;
-    desc.wr = it->second;
+    desc.wr = ctx.wr;
     retransmit_queue_.clear();
     retransmit_payload_.reset();
     ++retransmit_epoch_;
     retransmit_queue_.push_back(std::move(desc));
-    timer_.RearmBackoff(qpn);
+    timer_.RearmBackoff(qpn, qp.timer);
     PumpTx();
     return;
   }
-  RetransmitFrom(qpn, state_table_.Entry(qpn).oldest_unacked);
+  RetransmitFrom(qpn, qp, qp.state.oldest_unacked);
 }
 
 // ---------------------------------------------------------------------------
 // Error state machine
 // ---------------------------------------------------------------------------
 
-void RoceStack::FlushQp(Qpn qpn, const Status& status) {
+void RoceStack::FlushQp(Qpn qpn, QpState& qp, const Status& status) {
   // The caller has put the QP in Error: a completion fired below that posts
   // on this QP is rejected (its one completion), never queued.
-  STROM_CHECK(state_table_.Entry(qpn).phase == QpPhase::kError);
-  QpState& qp = Qp(qpn);
-  timer_.Cancel(qpn);
+  STROM_CHECK(qp.state.phase == QpPhase::kError);
+  timer_.Cancel(qp.timer);
 
   // TX engine: any retransmit state or queued message belonging to this QP
   // must not reach the wire.
@@ -1328,19 +1301,14 @@ void RoceStack::FlushQp(Qpn qpn, const Status& status) {
   }
   qp.awaiting_ack.clear();
 
-  // Outstanding reads: drain this QP's multi-queue contexts and complete
-  // their work requests in error.
-  while (!multi_queue_.Empty(qpn)) {
-    const uint64_t token = multi_queue_.Head(qpn).wr_id;
-    multi_queue_.PopHead(qpn);
-    auto it = pending_reads_.find(token);
-    if (it != pending_reads_.end()) {
-      WrPtr wr = it->second;
-      pending_reads_.erase(it);
-      if (!wr->completed) {
-        ++counters_.wrs_flushed;
-        CompleteWr(wr, status);
-      }
+  // Outstanding reads: drain this QP's multi-queue list and complete their
+  // work requests in error.
+  while (!MultiQueue::Empty(qp.reads)) {
+    const WrPtr wr = multi_queue_.Head(qp.reads).wr;
+    multi_queue_.PopHead(qp.reads);
+    if (!wr->completed) {
+      ++counters_.wrs_flushed;
+      CompleteWr(wr, status);
     }
   }
   STROM_CHECK(qp.unsent.empty());
@@ -1348,46 +1316,57 @@ void RoceStack::FlushQp(Qpn qpn, const Status& status) {
   PumpTx();  // other QPs' traffic continues
 }
 
+void RoceStack::WipeQp(QpState& qp, bool stale) {
+  QpState wiped;
+  // The timer entry stays as it is: a cancellable timer keeps its
+  // event-queue slot for good, so a fresh entry per reconnect would leak one
+  // and arm a second timer (DESIGN.md §13).
+  wiped.timer = qp.timer;
+  if (stale) {
+    wiped.stale = true;
+    wiped.remote_qpn = qp.remote_qpn;
+    wiped.remote_ip = qp.remote_ip;
+  }
+  qp = std::move(wiped);
+}
+
 void RoceStack::ErrorQp(Qpn qpn, const Status& status) {
-  if (!QpConnected(qpn)) {
+  QpState* qp = qps_.Find(qpn);
+  if (qp == nullptr || !qp->connected || qp->state.phase == QpPhase::kError) {
     return;
   }
-  StateTableEntry& st = state_table_.Entry(qpn);
-  if (st.phase == QpPhase::kError) {
-    return;
-  }
-  st.phase = QpPhase::kError;
+  qp->state.phase = QpPhase::kError;
   ++counters_.qp_errors;
   if (flight_recorder_ != nullptr) {
     flight_recorder_->Record(sim_.now(), host_index_, FlightRecordType::kQpState, 0,
-                             qpn, st.oldest_unacked, /*aux=*/1);
+                             qpn, qp->state.oldest_unacked, /*aux=*/1);
   }
   STROM_LOG(kWarning) << "QP " << qpn << " -> Error: " << status;
-  FlushQp(qpn, status);
+  FlushQp(qpn, *qp, status);
   if (qp_error_handler_) {
     qp_error_handler_(qpn, status);
   }
 }
 
 Status RoceStack::ResetQp(Qpn qpn) {
-  if (!QpConnected(qpn)) {
-    // Idempotent: a crash already wiped this QP (stale_qps_ tombstone), or it
-    // was never connected. Either way the post-reset state is what the
-    // caller wants, and the reconnect path must not fail on it.
+  QpState* qp = qps_.Find(qpn);
+  if (qp == nullptr || !qp->connected) {
+    // Idempotent: a crash already wiped this QP (its record is a
+    // tombstone), or it was never connected. Either way the post-reset
+    // state is what the caller wants, and the reconnect path must not fail
+    // on it.
     return Status::Ok();
   }
   ++counters_.qp_resets;
   if (flight_recorder_ != nullptr) {
     flight_recorder_->Record(sim_.now(), host_index_, FlightRecordType::kQpState, 0,
-                             qpn, state_table_.Entry(qpn).oldest_unacked, /*aux=*/0);
+                             qpn, qp->state.oldest_unacked, /*aux=*/0);
   }
-  // Gate posts for the flush, as ErrorQp and Crash do; Deactivate below
-  // clears the phase again.
-  state_table_.Entry(qpn).phase = QpPhase::kError;
-  FlushQp(qpn, UnavailableError("QP reset"));
-  state_table_.Deactivate(qpn);
-  msn_table_.Entry(qpn) = MsnTableEntry{};
-  qps_[qpn] = QpState{};
+  // Gate posts for the flush, as ErrorQp and Crash do; the wipe clears the
+  // phase again.
+  qp->state.phase = QpPhase::kError;
+  FlushQp(qpn, *qp, UnavailableError("QP reset"));
+  WipeQp(*qp, /*stale=*/false);
   return Status::Ok();
 }
 
@@ -1407,7 +1386,7 @@ void RoceStack::Crash() {
   // completions it fires) runs in QPN order.
   std::sort(connected.begin(), connected.end());
   for (Qpn qpn : connected) {
-    if (timer_.IsArmed(qpn)) {
+    if (timer_.IsArmed(Qp(qpn).timer)) {
       ++counters_.timers_cancelled_at_crash;
     }
   }
@@ -1418,17 +1397,14 @@ void RoceStack::Crash() {
   // may try to post follow-up work, which must be rejected with an errored
   // completion (exactly one terminal state), not queued into the corpse.
   for (Qpn qpn : connected) {
-    state_table_.Entry(qpn).phase = QpPhase::kError;
+    Qp(qpn).state.phase = QpPhase::kError;
   }
   const Status crashed = UnavailableError("local crash");
   for (Qpn qpn : connected) {
-    FlushQp(qpn, crashed);  // cancels the QP's retransmission timer too
-    // Tombstone for epoch fencing, then wipe the pair completely.
-    QpState& qp = qps_[qpn];
-    stale_qps_[qpn] = StaleQp{qp.remote_qpn, qp.remote_ip};
-    state_table_.Deactivate(qpn);
-    msn_table_.Entry(qpn) = MsnTableEntry{};
-    qps_[qpn] = QpState{};
+    QpState& qp = Qp(qpn);
+    FlushQp(qpn, qp, crashed);  // cancels the QP's retransmission timer too
+    // Wipe the pair completely, leaving the tombstone for epoch fencing.
+    WipeQp(qp, /*stale=*/true);
   }
   // TX engine: everything still queued dies with the NIC. FlushQp emptied
   // every connected QP's send list (read responses included), and only
@@ -1454,11 +1430,11 @@ void RoceStack::Crash() {
 // Congestion control: DCQCN-style rate limiting
 // ---------------------------------------------------------------------------
 
-void RoceStack::OnCnp(Qpn qpn) {
+void RoceStack::OnCnp(Qpn qpn, QpState& qp) {
   if (!config_.dcqcn.enable) {
     return;  // counted, but inert without the rate machine
   }
-  QpState::Dcqcn& cc = Qp(qpn).cc;
+  QpState::Dcqcn& cc = qp.cc;
   const double line = config_.LineRateBps();
   if (cc.rate_bps <= 0) {
     cc.rate_bps = line;

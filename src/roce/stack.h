@@ -1,8 +1,9 @@
 // RoCE v2 network stack (paper §4.1, Fig 2): two pipelined data paths with
 // state kept in the State Table, MSN Table, Multi-Queue and Retransmission
-// Timer. Supports RDMA WRITE, RDMA READ, and the StRoM RDMA RPC / RDMA RPC
-// WRITE verbs. Reliability: cumulative ACKs, NAK on PSN gap, go-back-N
-// retransmission driven by per-QP timers.
+// Timer, all indexed by QPN; here one record per QP holds a QP's entry of
+// each (QpState). Supports RDMA WRITE, RDMA READ, and the StRoM RDMA RPC /
+// RDMA RPC WRITE verbs. Reliability: cumulative ACKs, NAK on PSN gap,
+// go-back-N retransmission driven by per-QP timers.
 //
 // Timing model: the TX data path emits one packet every `Words(width)` clock
 // cycles (II=1 word-serial pipeline — exactly line rate), both pipelines add
@@ -14,7 +15,6 @@
 #include <array>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -37,6 +37,46 @@ namespace strom {
 class Auditor;
 class FlightRecorder;
 class FlowStats;
+
+// A message being packetized / awaiting acknowledgment.
+struct PendingWr {
+  WorkRequest req;
+  Psn first_psn = 0;
+  uint32_t psn_span = 0;   // PSNs consumed (response packet count for reads)
+  uint32_t send_pkts = 0;  // wire packets this WR emits (1 for read requests)
+  Psn last_psn = 0;
+  bool is_read_response = false;  // responder role: PSNs preassigned, no ACK
+  uint32_t next_fetch = 0;  // next packet index whose payload fetch is issued
+  uint32_t next_send = 0;   // next packet index to transmit (in order)
+  // Chunks [next_send, next_fetch), fetched or in flight, each in slot
+  // index % kTxFetchWindow; bit s of ready_mask is set while slot s holds
+  // a fetched chunk.
+  std::array<FrameBuf, kTxFetchWindow> ring;
+  uint32_t ready_mask = 0;
+  bool completed = false;
+  SimTime posted_at = 0;  // when PostRequest accepted the message
+  // Position in the TX engine's post order, across all QPs.
+  uint64_t post_seq = 0;
+
+  uint32_t ChunkLen(uint32_t idx, uint32_t pmtu) const;
+  // Whether another chunk may be fetched: the message has one left and
+  // fewer than kTxFetchWindow staged.
+  bool CanFetch() const {
+    return next_fetch < send_pkts && next_fetch - next_send < kTxFetchWindow;
+  }
+  bool ChunkReady(uint32_t idx) const {
+    return (ready_mask >> (idx % kTxFetchWindow) & 1) != 0;
+  }
+  void PutChunk(uint32_t idx, FrameBuf chunk) {
+    ring[idx % kTxFetchWindow] = std::move(chunk);
+    ready_mask |= 1u << (idx % kTxFetchWindow);
+  }
+  FrameBuf TakeChunk(uint32_t idx) {
+    ready_mask &= ~(1u << (idx % kTxFetchWindow));
+    return std::move(ring[idx % kTxFetchWindow]);
+  }
+};
+static_assert(kTxFetchWindow <= 32, "ready_mask holds one bit per ring slot");
 
 class RoceStack {
  public:
@@ -103,7 +143,7 @@ class RoceStack {
 
   // Tears a QP down: flushes every queued work request as an errored
   // completion (a post on `qpn` from one of those completions is rejected)
-  // and returns the state-table entry to its reset state so ConnectQp can
+  // and returns the QP's record to its reset state so ConnectQp can
   // re-establish the pair with fresh PSNs. The reset/reconnect path after a
   // QP error (leave in-flight wire traffic time to drain before
   // reconnecting, or stale PSNs may collide with the new epoch).
@@ -123,11 +163,12 @@ class RoceStack {
   // errored) and then wiped; all TX/retransmit/control state is dropped; all
   // timers the stack owns — per-QP retransmission and DCQCN pacing — are
   // mass-cancelled, with the armed-at-crash census in
-  // RoceCounters::timers_cancelled_at_crash. Each wiped QP leaves a
-  // tombstone: after restart, packets addressed to a pre-crash QPN are
-  // answered with NAK(stale epoch) carrying the new memory-region epoch, so
-  // a requester that never saw the crash is fenced instead of silently
-  // touching re-registered memory. ConnectQp clears the tombstone.
+  // RoceCounters::timers_cancelled_at_crash. Each wiped QP's record stays
+  // as a tombstone (QpState::stale): after restart, packets addressed to a
+  // pre-crash QPN are answered with NAK(stale epoch) carrying the new
+  // memory-region epoch, so a requester that never saw the crash is fenced
+  // instead of silently touching re-registered memory. ConnectQp clears
+  // the tombstone.
   void Crash();
 
   // Memory-region epoch: bumped on every Crash(). Stale-epoch NAKs carry it
@@ -135,54 +176,6 @@ class RoceStack {
   uint64_t mr_epoch() const { return mr_epoch_; }
 
   // --- introspection -------------------------------------------------------
-  const RoceConfig& config() const { return config_; }
-  const RoceCounters& counters() const { return counters_; }
-  Ipv4Addr local_ip() const { return local_ip_; }
-  const StateTable& state_table() const { return state_table_; }
-  const MultiQueue& multi_queue() const { return multi_queue_; }
-  uint64_t timer_expirations() const { return timer_.expirations(); }
-  const RetransTimer& retrans_timer() const { return timer_; }
-
- private:
-  // A message being packetized / awaiting acknowledgment.
-  struct PendingWr {
-    WorkRequest req;
-    Psn first_psn = 0;
-    uint32_t psn_span = 0;   // PSNs consumed (response packet count for reads)
-    uint32_t send_pkts = 0;  // wire packets this WR emits (1 for read requests)
-    Psn last_psn = 0;
-    bool is_read_response = false;  // responder role: PSNs preassigned, no ACK
-    uint32_t next_fetch = 0;  // next packet index whose payload fetch is issued
-    uint32_t next_send = 0;   // next packet index to transmit (in order)
-    // Chunks [next_send, next_fetch), fetched or in flight, each in slot
-    // index % kTxFetchWindow; bit s of ready_mask is set while slot s holds
-    // a fetched chunk.
-    std::array<FrameBuf, kTxFetchWindow> ring;
-    uint32_t ready_mask = 0;
-    bool completed = false;
-    SimTime posted_at = 0;  // when PostRequest accepted the message
-    // Position in the TX engine's post order, across all QPs.
-    uint64_t post_seq = 0;
-
-    uint32_t ChunkLen(uint32_t idx, uint32_t pmtu) const;
-    // Whether another chunk may be fetched: the message has one left and
-    // fewer than kTxFetchWindow staged.
-    bool CanFetch() const {
-      return next_fetch < send_pkts && next_fetch - next_send < kTxFetchWindow;
-    }
-    bool ChunkReady(uint32_t idx) const {
-      return (ready_mask >> (idx % kTxFetchWindow) & 1) != 0;
-    }
-    void PutChunk(uint32_t idx, FrameBuf chunk) {
-      ring[idx % kTxFetchWindow] = std::move(chunk);
-      ready_mask |= 1u << (idx % kTxFetchWindow);
-    }
-    FrameBuf TakeChunk(uint32_t idx) {
-      ready_mask &= ~(1u << (idx % kTxFetchWindow));
-      return std::move(ring[idx % kTxFetchWindow]);
-    }
-  };
-  static_assert(kTxFetchWindow <= 32, "ready_mask holds one bit per ring slot");
   using WrPtr = std::shared_ptr<PendingWr>;
 
   // Descriptor of one unacknowledged request packet (requester role).
@@ -195,10 +188,22 @@ class RoceStack {
     WrPtr wr;
   };
 
+  // Everything the NIC keeps about one QP, in one record found by one QPN
+  // lookup. The paper's per-QP tables are arrays indexed by the same QPN
+  // (§4.1); each keeps its name here as a part of the record.
   struct QpState {
     bool connected = false;
+    // Crash tombstone: the QP existed before this stack crashed. Its record
+    // keeps `remote_qpn` and `remote_ip` so a post-restart packet addressed
+    // to it draws a NAK(stale epoch) instead of a silent unknown-QP drop.
+    // ConnectQp clears it.
+    bool stale = false;
     Qpn remote_qpn = 0;
     Ipv4Addr remote_ip = 0;
+    StateTableEntry state;       // State Table
+    MsnTableEntry msn;           // MSN Table
+    MultiQueue::List reads;      // Multi-Queue list of outstanding READs
+    RetransTimer::Entry timer;   // Retransmission Timer; survives resets
     std::deque<OutstandingPacket> outstanding;  // PSN order
     std::deque<WrPtr> awaiting_ack;             // fully sent writes/RPCs
     // Retransmission timeouts since the last sign of responder life (any
@@ -224,6 +229,14 @@ class RoceStack {
     std::vector<WrPtr> unsent;
   };
 
+  const RoceConfig& config() const { return config_; }
+  const RoceCounters& counters() const { return counters_; }
+  Ipv4Addr local_ip() const { return local_ip_; }
+  // The QP's record, or null if the stack never connected it.
+  const QpState* FindQp(Qpn qpn) const { return qps_.Find(qpn); }
+  uint64_t timer_expirations() const { return timer_.expirations(); }
+
+ private:
   // Entry of the send-head index: a QP with unsent WRs, keyed by the post
   // order of its oldest one.
   struct SendHead {
@@ -239,7 +252,7 @@ class RoceStack {
   void EmitFrame(const RocePacket& pkt);
   IbOpcode DataOpcode(const PendingWr& wr, uint32_t idx) const;
   // Appends a message to its QP's send list and to the fetch queue.
-  void QueueUnsent(WrPtr wr);
+  void QueueUnsent(QpState& qp, WrPtr wr);
   // Removes the QP's oldest unsent WR.
   void PopUnsentHead(Qpn qpn, QpState& qp);
   // Removes `wr`, if still queued, from wherever it sits in its QP's send
@@ -248,24 +261,27 @@ class RoceStack {
   // Moves `qpn`'s index entry from `old_seq` to its new head's post order,
   // or drops it when the QP has no unsent WR left.
   void ReindexHead(Qpn qpn, uint64_t old_seq, const PendingWr* new_head);
-  void FinishSending(const WrPtr& wr);
+  void FinishSending(QpState& qp, const WrPtr& wr);
   void CompleteWr(const WrPtr& wr, const Status& status);
   void FailPayloadFetch(const WrPtr& wr, const Status& status);
 
   // --- RX path -------------------------------------------------------------
+  // The handlers take the record of the packet's QP (`pkt.bth.dest_qp`),
+  // looked up once in ProcessPacket.
   void ProcessPacket(RocePacket pkt);
-  void HandleResponderPacket(const RocePacket& pkt);
-  void HandleAck(const RocePacket& pkt);
-  void HandleReadResponse(const RocePacket& pkt);
-  void HandleWritePayload(const RocePacket& pkt);
-  void HandleReadRequest(const RocePacket& pkt);
-  void HandleRpc(const RocePacket& pkt);
-  void SendAck(Qpn local_qpn, Psn psn, AckSyndrome syndrome, TraceContext trace = {});
+  void HandleResponderPacket(const RocePacket& pkt, QpState& qp);
+  void HandleAck(const RocePacket& pkt, QpState& qp);
+  void HandleReadResponse(const RocePacket& pkt, QpState& qp);
+  void HandleWritePayload(const RocePacket& pkt, QpState& qp);
+  void HandleReadRequest(const RocePacket& pkt, QpState& qp);
+  void HandleRpc(const RocePacket& pkt, QpState& qp);
+  void SendAck(Qpn local_qpn, QpState& qp, Psn psn, AckSyndrome syndrome,
+               TraceContext trace = {});
 
   // --- congestion control ---------------------------------------------------
   // CNP reaction (DCQCN): update alpha, apply a (held-off) multiplicative
   // rate cut.
-  void OnCnp(Qpn qpn);
+  void OnCnp(Qpn qpn, QpState& qp);
   // Lazy additive recovery: advances the QP's rate toward line rate for
   // every elapsed increase period since the last CNP cut.
   void MaybeRecoverRate(Qpn qpn, QpState::Dcqcn& cc);
@@ -273,17 +289,21 @@ class RoceStack {
   void ChargePacing(QpState& qp, size_t wire_bytes);
 
   // --- reliability ----------------------------------------------------------
-  void RetransmitFrom(Qpn qpn, Psn psn);
+  void RetransmitFrom(Qpn qpn, QpState& qp, Psn psn);
   void OnTimeout(Qpn qpn);
-  void AdvanceCumulativeAck(Qpn qpn, Psn acked_psn);
+  void AdvanceCumulativeAck(Qpn qpn, QpState& qp, Psn acked_psn);
   // Auditor hook: responder ePSN must strictly advance when an expected
   // packet is consumed (no-op when no auditor is attached).
   void AuditEpsnAdvance(Qpn qpn, Psn prev_epsn, Psn new_epsn);
   // Completes every queued/outstanding work request of `qpn` with `status`
   // and clears its TX/retransmit/multi-queue state. Shared by ErrorQp,
   // ResetQp and Crash, which put the QP in Error first.
-  void FlushQp(Qpn qpn, const Status& status);
+  void FlushQp(Qpn qpn, QpState& qp, const Status& status);
+  // Returns a flushed QP's record to its never-connected state, except for
+  // its timer entry; `stale` leaves the crash tombstone.
+  static void WipeQp(QpState& qp, bool stale);
 
+  // The record of a QP known to exist.
   QpState& Qp(Qpn qpn);
 
   Simulator& sim_;
@@ -297,30 +317,16 @@ class RoceStack {
   StreamTap stream_tap_;
   QpErrorHandler qp_error_handler_;
 
-  StateTable state_table_;
-  MsnTable msn_table_;
+  // One record per QP, created by its first ConnectQp and never erased, so
+  // a held reference stays valid (src/common/qpn_map.h).
+  QpnMap<QpState> qps_;
   MultiQueue multi_queue_;
   RetransTimer timer_;
-  QpnMap<QpState> qps_;
   RoceCounters counters_;
-  // Epoch fencing: QPs wiped by Crash(), remembered so post-restart packets
-  // addressed to them draw a NAK(stale epoch) instead of a silent
-  // unknown-QP drop. Erased by ConnectQp.
-  struct StaleQp {
-    Qpn remote_qpn = 0;
-    Ipv4Addr remote_ip = 0;
-  };
-  std::map<Qpn, StaleQp> stale_qps_;
   uint64_t mr_epoch_ = 0;
   // Bumped by Crash(); RX-pipeline events scheduled before the crash carry
   // the epoch they were born under and die silently if it moved.
   uint32_t crash_epoch_ = 0;
-  // Read completion handles, keyed by an internal token carried in the
-  // multi-queue context. Kept separately from `outstanding` because a
-  // cumulative ACK for a later request may retire the read *request*
-  // descriptor while its response data is still streaming in.
-  std::map<uint64_t, WrPtr> pending_reads_;
-  uint64_t next_read_token_ = 1;
 
   // TX engine state. Unsent messages live in their QP's send list
   // (QpState::unsent). `send_heads_` lists the QPs that have any,

@@ -1,17 +1,17 @@
-// State Table and MSN Table (paper §4.1, Fig 2/3).
+// State Table and MSN Table entries (paper §4.1, Fig 2/3).
 //
 // The State Table stores, per queue pair, the packet sequence numbers that
 // define the valid / invalid / duplicate PSN regions — once for the NIC's
 // responder role and once for its requester role. The MSN Table stores the
 // message sequence number and the current DMA address, needed because for
-// multi-packet writes only the first packet carries the address.
+// multi-packet writes only the first packet carries the address. The NIC
+// indexes both tables by QPN; here each entry is part of the QP's one record
+// (RoceStack::QpState).
 #ifndef SRC_ROCE_STATE_TABLE_H_
 #define SRC_ROCE_STATE_TABLE_H_
 
 #include <cstdint>
 
-#include "src/common/qpn_map.h"
-#include "src/common/status.h"
 #include "src/common/types.h"
 
 namespace strom {
@@ -23,6 +23,15 @@ enum class PsnCheck {
   kInvalid,    // ahead of ePSN: NAK(sequence error) and drop
 };
 
+// The Fig 3 check: classifies a request's `psn` against the ePSN.
+inline PsnCheck CheckRequestPsn(Psn epsn, Psn psn) {
+  const int32_t d = PsnDistance(epsn, psn);
+  if (d == 0) {
+    return PsnCheck::kExpected;
+  }
+  return d < 0 ? PsnCheck::kDuplicate : PsnCheck::kInvalid;
+}
+
 // QP lifecycle. kReady QPs move packets; a QP enters kError when its retry
 // budget exhausts or a remote/DMA operational error surfaces, after which
 // every queued and future work request completes in error until ResetQp +
@@ -33,7 +42,6 @@ enum class QpPhase {
 };
 
 struct StateTableEntry {
-  bool valid = false;
   QpPhase phase = QpPhase::kReady;
   // Responder role.
   Psn epsn = 0;              // expected PSN of the next request packet
@@ -43,63 +51,10 @@ struct StateTableEntry {
   Psn oldest_unacked = 0;    // retransmission point
 };
 
-// Backed by a pooled QPN-keyed map (see src/common/qpn_map.h): memory is
-// O(QPs actually touched), not O(max_qps). `max_qps` stays the logical bound
-// Activate enforces, mirroring the hardware's configured table depth.
-class StateTable {
- public:
-  explicit StateTable(uint32_t max_qps) : max_qps_(max_qps) {}
-
-  uint32_t capacity() const { return max_qps_; }
-  size_t active_entries() const { return entries_.size(); }
-
-  Status Activate(Qpn qpn, Psn initial_epsn, Psn initial_psn);
-  // Returns the entry to its reset state so Activate can be called again
-  // (the ResetQp / reconnect path). No-op on an inactive entry.
-  void Deactivate(Qpn qpn);
-  bool IsActive(Qpn qpn) const;
-
-  StateTableEntry& Entry(Qpn qpn);
-  const StateTableEntry& Entry(Qpn qpn) const;
-
-  // The Fig 3 check: classifies `psn` against the entry's ePSN.
-  PsnCheck CheckRequestPsn(Qpn qpn, Psn psn) const;
-
- private:
-  uint32_t max_qps_;
-  QpnMap<StateTableEntry> entries_;
-};
-
 struct MsnTableEntry {
   uint32_t msn = 0;           // completed message count (returned in AETH)
   VirtAddr dma_addr = 0;      // current write target for in-flight message
-  uint64_t bytes_remaining = 0;
-  bool in_message = false;    // between FIRST and LAST of a multi-packet write
   uint32_t rpc_opcode = 0;    // in-flight RPC WRITE stream target kernel
-  bool rpc_in_flight = false;
-};
-
-class MsnTable {
- public:
-  explicit MsnTable(uint32_t max_qps) : max_qps_(max_qps) {}
-
-  MsnTableEntry& Entry(Qpn qpn) {
-    STROM_CHECK_LT(qpn, max_qps_);
-    return entries_[qpn];
-  }
-  const MsnTableEntry& Entry(Qpn qpn) const {
-    STROM_CHECK_LT(qpn, max_qps_);
-    const MsnTableEntry* e = entries_.Find(qpn);
-    if (e != nullptr) {
-      return *e;
-    }
-    static const MsnTableEntry kDefault{};
-    return kDefault;
-  }
-
- private:
-  uint32_t max_qps_;
-  QpnMap<MsnTableEntry> entries_;
 };
 
 }  // namespace strom

@@ -305,6 +305,74 @@ TEST_F(RoceStackTest, UnknownQpPacketsDropped) {
   EXPECT_EQ(bed_.node(1).stack().counters().unknown_qp_drops, 1u);
 }
 
+// ConnectQp is where the max_qps bound is enforced: a QPN at the bound or
+// at the top of the 24-bit QPN space gets no record, so the packet and post
+// paths treat it as any unconnected QP without checking the bound again.
+TEST_F(RoceStackTest, QpnsAtTheEdgesGetNoRecord) {
+  RoceStack& stack = bed_.node(1).stack();
+  for (const Qpn qpn : {Qpn{stack.config().max_qps}, Qpn{0xFFFFFF}}) {
+    SCOPED_TRACE(qpn);
+    EXPECT_EQ(stack.ConnectQp(qpn, kQp, bed_.node(0).ip(), 0, 0).code(),
+              StatusCode::kOutOfRange);
+    EXPECT_EQ(stack.FindQp(qpn), nullptr);
+
+    int completions = 0;
+    WorkRequest wr;
+    wr.kind = WorkRequest::Kind::kRead;
+    wr.qpn = qpn;
+    wr.local_addr = remote_;
+    wr.remote_addr = local_;
+    wr.length = 64;
+    wr.on_complete = [&](Status st) {
+      EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+      ++completions;
+    };
+    EXPECT_EQ(stack.PostRequest(std::move(wr)).code(), StatusCode::kFailedPrecondition);
+
+    const uint64_t drops = stack.counters().unknown_qp_drops;
+    RocePacket pkt;
+    pkt.src_ip = bed_.node(0).ip();
+    pkt.dst_ip = bed_.node(1).ip();
+    pkt.bth.opcode = IbOpcode::kWriteOnly;
+    pkt.bth.dest_qp = qpn;
+    RethHeader reth;
+    reth.virt_addr = remote_;
+    reth.dma_length = 8;
+    pkt.reth = reth;
+    pkt.payload.assign(8, 0xFF);
+    stack.OnFrame(EncodeRoceFrame(MacAddr{0x02, 0, 0, 0, 0, 1}, MacAddr{0x02, 0, 0, 0, 0, 2},
+                                  pkt));
+    bed_.sim().RunUntilIdle();
+    EXPECT_EQ(stack.counters().unknown_qp_drops, drops + 1);
+    EXPECT_EQ(completions, 1);
+    EXPECT_EQ(stack.FindQp(qpn), nullptr);
+  }
+}
+
+// A cancellable timer keeps its event-queue slot for life, so a QP's record
+// keeps its retransmission timer across a reset: the reconnected QP re-arms
+// the same timer rather than creating (and leaking) a second one.
+TEST_F(RoceStackTest, ResetQpKeepsTheRetransmissionTimer) {
+  auto write_once = [this] {
+    bool done = false;
+    bed_.node(0).driver().PostWrite(kQp, local_, remote_, 64, [&](Status st) {
+      EXPECT_TRUE(st.ok()) << st;
+      done = true;
+    });
+    RunUntilDone(&done);
+  };
+  write_once();
+  RoceStack& stack = bed_.node(0).stack();
+  const Simulator::TimerHandle timer = stack.FindQp(kQp)->timer.handle;
+  ASSERT_TRUE(timer.valid());
+
+  bed_.ReconnectQp(0, kQp, 1, kQp);
+  EXPECT_EQ(stack.FindQp(kQp)->timer.handle.idx, timer.idx);
+  write_once();
+  EXPECT_EQ(stack.FindQp(kQp)->timer.handle.idx, timer.idx);
+  EXPECT_EQ(stack.counters().qp_resets, 1u);
+}
+
 TEST_F(RoceStackTest, PostToUnconnectedQpFailsFast) {
   WorkRequest wr;
   wr.kind = WorkRequest::Kind::kWrite;
@@ -424,7 +492,7 @@ TEST_F(FlushReentrancyTest, ResetQpRejectsSameQpPostFromSentWriteAndOutstandingR
   }
   ASSERT_EQ(c.tx_packets, 2u);
   ASSERT_TRUE(flushed_.empty());
-  ASSERT_EQ(bed_.node(0).stack().multi_queue().Size(kQp), 1u);
+  ASSERT_EQ(bed_.node(0).stack().FindQp(kQp)->reads.count, 1u);
 
   ASSERT_TRUE(bed_.node(0).stack().ResetQp(kQp).ok());
   bed_.sim().RunUntilIdle();
@@ -508,7 +576,7 @@ TEST(TxStaging, PacedLongMessageDoesNotHoldBackAnotherQpsFetch) {
   cnp.dst_ip = bed.node(0).ip();
   cnp.bth.opcode = IbOpcode::kAck;
   cnp.bth.dest_qp = kPaced;
-  cnp.bth.psn = PsnAdd(stack.state_table().Entry(kPaced).oldest_unacked, kPsnMask);
+  cnp.bth.psn = PsnAdd(stack.FindQp(kPaced)->state.oldest_unacked, kPsnMask);
   cnp.bth.becn = true;
   cnp.aeth = AethHeader{};
   const MacAddr mac1{0x02, 0, 0, 0, 0, 2};
