@@ -1,6 +1,7 @@
 #include "src/faults/fault_plan.h"
 
-#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -57,6 +58,16 @@ const char* TargetPrefix(FaultTargetKind kind) {
   return "?";
 }
 
+// A whole decimal number that fits in T and is the whole token.
+template <typename T>
+bool ParseWhole(const std::string& tok, T* out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
+  return !tok.empty() && ec == std::errc() && ptr == end;
+}
+
+// A time that is a whole number of nanoseconds inside SimTime, so that
+// FormatTime writes it back exactly; '-' reads as -1.
 bool ParseTime(const std::string& tok, SimTime* out) {
   if (tok == "-") {
     *out = -1;
@@ -64,7 +75,7 @@ bool ParseTime(const std::string& tok, SimTime* out) {
   }
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || v < 0) {
+  if (end == tok.c_str() || !(v >= 0)) {  // also rejects NaN
     return false;
   }
   const std::string unit(end);
@@ -80,7 +91,13 @@ bool ParseTime(const std::string& tok, SimTime* out) {
   } else {
     return false;
   }
-  *out = SimTime(v * scale);
+  // Infinity and anything past SimTime's range (~106 days) would convert
+  // out of range.
+  const double ps = std::round(v * scale);
+  if (!(ps < 0x1p63) || std::fmod(ps, double(kNs)) != 0) {
+    return false;
+  }
+  *out = SimTime(ps);
   return true;
 }
 
@@ -101,20 +118,44 @@ std::string FormatTime(SimTime t) {
   return std::to_string(t / kNs) + "ns";
 }
 
+// The shortest text that parses back to exactly `p`.
 std::string FormatProb(double p) {
-  std::ostringstream os;
-  os << p;
-  return os.str();
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), p).ptr);
 }
 
 bool ParseProb(const std::string& tok, double* out) {
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || *end != '\0' || v < 0 || v > 1) {
+  if (end == tok.c_str() || *end != '\0' || !(v >= 0 && v <= 1)) {  // also rejects NaN
     return false;
   }
   *out = v;
   return true;
+}
+
+// Whether `type` reads the field `key` sets, so that ToString writes it back.
+bool KeyApplies(FaultType type, const std::string& key) {
+  switch (type) {
+    case FaultType::kBurstLoss:
+      return key == "p_gb" || key == "p_bg" || key == "loss_good" || key == "loss_bad";
+    case FaultType::kReorder:
+      return key == "p" || key == "delay" || key == "max";
+    case FaultType::kJitter:
+      return key == "delay" || key == "max";
+    case FaultType::kDuplicate:
+    case FaultType::kSilentDrop:
+    case FaultType::kDmaReadError:
+    case FaultType::kDmaWriteError:
+      return key == "p";
+    case FaultType::kLinkDown:
+      return false;
+    case FaultType::kHostCrash:
+    case FaultType::kNicCrash:
+    case FaultType::kSwitchCrash:
+      return key == "restart_after";
+  }
+  return false;
 }
 
 Status LineError(int line, const std::string& msg) {
@@ -174,9 +215,7 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       if (tok.size() != 2) {
         return LineError(lineno, "expected 'seed <N>'");
       }
-      char* end = nullptr;
-      plan.seed = std::strtoull(tok[1].c_str(), &end, 10);
-      if (*end != '\0') {
+      if (!ParseWhole(tok[1], &plan.seed)) {
         return LineError(lineno, "bad seed '" + tok[1] + "'");
       }
       continue;
@@ -200,12 +239,8 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
     const std::string index = target.substr(prefix->len);
     if (index == "*") {
       ep.target = -1;
-    } else {
-      char* end = nullptr;
-      ep.target = int(std::strtol(index.c_str(), &end, 10));
-      if (index.empty() || *end != '\0' || ep.target < 0) {
-        return LineError(lineno, "bad target index '" + target + "'");
-      }
+    } else if (!ParseWhole(index, &ep.target) || ep.target < 0) {
+      return LineError(lineno, "bad target index '" + target + "'");
     }
     // Type: the name plus the target kind pick the entry, so "crash" resolves
     // to host/nic/switch crash by prefix.
@@ -263,15 +298,15 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       } else if (key == "delay" || key == "max") {
         ok = ParseTime(value, &ep.delay) && ep.delay >= 0;
       } else if (key == "restart_after") {
-        if (!IsCrashFault(ep.type)) {
-          return LineError(lineno, "'restart_after' only applies to crash episodes");
-        }
         ok = ParseTime(value, &ep.restart_after) && ep.restart_after >= 0;
       } else {
         return LineError(lineno, "unknown key '" + key + "'");
       }
       if (!ok) {
         return LineError(lineno, "bad value for '" + key + "': '" + value + "'");
+      }
+      if (!KeyApplies(ep.type, key)) {
+        return LineError(lineno, "'" + key + "' does not apply to '" + tok[1] + "' episodes");
       }
     }
     plan.episodes.push_back(ep);

@@ -44,7 +44,7 @@ FaultPlan ShrinkPlan(const FaultPlan& plan, const ScheduleRunner& runner,
   FaultPlan best = plan;
 
   // Phase 1: greedy single-episode removal to a fixpoint. With the small
-  // schedules MakeCrashPlan emits (<= 4 episodes) this finds the same minima
+  // schedules the generators emit (<= 7 episodes) this finds the same minima
   // as full ddmin without the subset bookkeeping.
   bool removed = true;
   while (removed && best.episodes.size() > 1 && verify.budget_left()) {
@@ -111,12 +111,12 @@ FaultPlan ShrinkPlan(const FaultPlan& plan, const ScheduleRunner& runner,
   return best;
 }
 
-SearchResult ExploreSchedules(const SearchConfig& config, const ScheduleRunner& runner) {
+SearchResult ExploreSchedules(const SearchConfig& config, const PlanGenerator& generate,
+                              const ScheduleRunner& runner) {
   SearchResult result;
   for (int k = 0; k < config.budget; ++k) {
     const uint64_t seed = config.base_seed + uint64_t(k);
-    const FaultPlan plan =
-        MakeCrashPlan(seed, config.horizon, config.num_hosts, config.num_switches);
+    const FaultPlan plan = generate(seed);
     ++result.schedules_run;
     const ScheduleOutcome outcome = runner(plan);
     if (!outcome.violation) {

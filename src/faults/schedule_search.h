@@ -1,19 +1,18 @@
-// Deterministic chaos-schedule explorer: enumerates seeded crash/fault
-// schedules (MakeCrashPlan — crash points x restart delays x concurrent link
-// faults), runs each through a caller-supplied ScheduleRunner, and when a run
-// violates an invariant shrinks the schedule delta-debugging-style to a
-// minimal reproducer.
+// Deterministic chaos-schedule explorer: enumerates seeded fault schedules
+// from a caller-supplied PlanGenerator, runs each through a caller-supplied
+// ScheduleRunner, and when a run violates an invariant shrinks the schedule
+// delta-debugging-style to a minimal reproducer.
 //
 // The explorer is pure control flow over FaultPlans: it knows nothing about
-// testbeds or workloads. The runner closure owns the expensive part (build a
-// fabric, apply the plan, run the workload, classify the outcome), which keeps
-// this library free of upward dependencies and lets tests drive the search
-// with synthetic oracles.
+// testbeds or workloads. The scenario (src/workload/chaos_scenario.h) owns
+// the expensive part (build a topology, apply the plan, run the workload,
+// classify the outcome), which keeps this library free of upward
+// dependencies and lets tests drive the search with synthetic oracles.
 //
 // Everything is deterministic: schedule k of a search is
-// MakeCrashPlan(base_seed + k, ...), shrink candidates are tried in a fixed
-// order, and re-verification uses the same runner — so a found reproducer
-// replays bit-for-bit from its plan file alone.
+// generate(base_seed + k), shrink candidates are tried in a fixed order, and
+// re-verification uses the same runner — so a found reproducer replays
+// bit-for-bit from its plan file alone.
 #ifndef SRC_FAULTS_SCHEDULE_SEARCH_H_
 #define SRC_FAULTS_SCHEDULE_SEARCH_H_
 
@@ -37,13 +36,12 @@ struct ScheduleOutcome {
 // Runs one fault plan against the system under test and classifies the
 // result. Must be deterministic in the plan (same plan -> same outcome).
 using ScheduleRunner = std::function<ScheduleOutcome(const FaultPlan&)>;
+// Draws the schedule for one seed. Must be deterministic in the seed.
+using PlanGenerator = std::function<FaultPlan(uint64_t seed)>;
 
 struct SearchConfig {
   uint64_t base_seed = 1;
-  int budget = 32;         // schedules enumerated before giving up
-  SimTime horizon = Ms(2); // crash-plan horizon, normally the workload window
-  int num_hosts = 3;
-  int num_switches = 1;
+  int budget = 32;           // schedules enumerated before giving up
   int max_shrink_runs = 64;  // runner invocations the shrinker may spend
 };
 
@@ -58,10 +56,11 @@ struct SearchResult {
                              // smaller still violates)
 };
 
-// Enumerates schedules seed = base_seed, base_seed+1, ... and runs each until
-// one violates or the budget is exhausted. On violation, shrinks and returns
-// immediately (first violation wins — later seeds are never run).
-SearchResult ExploreSchedules(const SearchConfig& config, const ScheduleRunner& runner);
+// Runs generate(base_seed), generate(base_seed + 1), ... until one violates
+// or the budget is exhausted. On violation, shrinks and returns immediately
+// (first violation wins — later seeds are never run).
+SearchResult ExploreSchedules(const SearchConfig& config, const PlanGenerator& generate,
+                              const ScheduleRunner& runner);
 
 // Shrinks `plan` to a smaller schedule that still produces a violation of
 // `violation_kind` under `runner`:

@@ -241,29 +241,28 @@ void RoceStack::QueueUnsent(QpState& qp, WrPtr wr) {
   wr->post_seq = next_post_seq_++;
   if (qp.unsent.empty()) {
     // The newest WR of all: its QP goes to the back of the index.
-    send_heads_.push_back(SendHead{wr->post_seq, wr->req.qpn});
+    send_heads_.push_back(SendHead{wr->post_seq, &qp});
   }
   fetch_queue_.push_back(wr);
   qp.unsent.push_back(std::move(wr));
   ++unsent_wrs_;
 }
 
-void RoceStack::PopUnsentHead(Qpn qpn, QpState& qp) {
+void RoceStack::PopUnsentHead(QpState& qp) {
   const uint64_t old_seq = qp.unsent.front()->post_seq;
   qp.unsent.erase(qp.unsent.begin());
   --unsent_wrs_;
-  ReindexHead(qpn, old_seq, qp.unsent.empty() ? nullptr : qp.unsent.front().get());
+  ReindexHead(qp, old_seq, qp.unsent.empty() ? nullptr : qp.unsent.front().get());
 }
 
 void RoceStack::EraseUnsent(const WrPtr& wr) {
-  const Qpn qpn = wr->req.qpn;
-  QpState& qp = Qp(qpn);
+  QpState& qp = Qp(wr->req.qpn);
   const auto it = std::find(qp.unsent.begin(), qp.unsent.end(), wr);
   if (it == qp.unsent.end()) {
     return;
   }
   if (it == qp.unsent.begin()) {
-    PopUnsentHead(qpn, qp);
+    PopUnsentHead(qp);
   } else {
     qp.unsent.erase(it);
     --unsent_wrs_;
@@ -271,10 +270,10 @@ void RoceStack::EraseUnsent(const WrPtr& wr) {
   std::erase(fetch_queue_, wr);
 }
 
-void RoceStack::ReindexHead(Qpn qpn, uint64_t old_seq, const PendingWr* new_head) {
+void RoceStack::ReindexHead(QpState& qp, uint64_t old_seq, const PendingWr* new_head) {
   const auto by_seq = [](const SendHead& h, uint64_t seq) { return h.post_seq < seq; };
   const auto at = std::lower_bound(send_heads_.begin(), send_heads_.end(), old_seq, by_seq);
-  STROM_CHECK(at != send_heads_.end() && at->qpn == qpn);
+  STROM_CHECK(at != send_heads_.end() && at->qp == &qp);
   if (new_head == nullptr) {
     send_heads_.erase(at);
     return;
@@ -282,7 +281,7 @@ void RoceStack::ReindexHead(Qpn qpn, uint64_t old_seq, const PendingWr* new_head
   // A younger head only moves back: shift the entries it passes forward.
   const auto to = std::lower_bound(at + 1, send_heads_.end(), new_head->post_seq, by_seq);
   std::move(at + 1, to, at);
-  *(to - 1) = SendHead{new_head->post_seq, qpn};
+  *(to - 1) = SendHead{new_head->post_seq, &qp};
 }
 
 IbOpcode RoceStack::DataOpcode(const PendingWr& wr, uint32_t idx) const {
@@ -425,7 +424,7 @@ bool RoceStack::TrySendNextDataPacket() {
   if (!config_.dcqcn.enable) {
     // Legacy path: strict FIFO, the oldest unsent WR blocks the queue until
     // its next chunk is fetched. Byte-identical to the uncontrolled stack.
-    picked = &Qp(send_heads_.front().qpn);
+    picked = send_heads_.front().qp;
     wr = picked->unsent.front();
     if (!wr->ChunkReady(wr->next_send)) {
       return false;  // waiting for the payload fetch
@@ -437,12 +436,12 @@ bool RoceStack::TrySendNextDataPacket() {
     SimTime earliest = 0;
     bool deferred = false;
     for (const SendHead& head : send_heads_) {
-      QpState& cand_qp = Qp(head.qpn);
+      QpState& cand_qp = *head.qp;
       const WrPtr& cand = cand_qp.unsent.front();
       if (!cand->ChunkReady(cand->next_send)) {
         continue;  // fetch pending; let other QPs proceed
       }
-      MaybeRecoverRate(head.qpn, cand_qp.cc);
+      MaybeRecoverRate(cand->req.qpn, cand_qp.cc);
       if (cand_qp.cc.next_allowed > sim_.now()) {
         deferred = true;
         if (earliest == 0 || cand_qp.cc.next_allowed < earliest) {
@@ -548,7 +547,7 @@ bool RoceStack::TrySendNextDataPacket() {
 void RoceStack::FinishSending(QpState& qp, const WrPtr& wr) {
   // Both picks send only QP heads, so the finished WR is its QP's head.
   STROM_CHECK(qp.unsent.front() == wr);
-  PopUnsentHead(wr->req.qpn, qp);
+  PopUnsentHead(qp);
   if (wr->is_read_response || wr->req.kind == WorkRequest::Kind::kRead) {
     return;  // responses need no ACK; reads complete via response data
   }
@@ -1281,7 +1280,7 @@ void RoceStack::FlushQp(Qpn qpn, QpState& qp, const Status& status) {
   const std::vector<WrPtr> unsent = std::move(qp.unsent);
   qp.unsent.clear();
   if (!unsent.empty()) {
-    ReindexHead(qpn, unsent.front()->post_seq, nullptr);
+    ReindexHead(qp, unsent.front()->post_seq, nullptr);
     std::erase_if(fetch_queue_, [qpn](const WrPtr& w) { return w->req.qpn == qpn; });
     unsent_wrs_ -= unsent.size();
   }

@@ -238,10 +238,11 @@ class RoceStack {
 
  private:
   // Entry of the send-head index: a QP with unsent WRs, keyed by the post
-  // order of its oldest one.
+  // order of its oldest one. Records never move (qps_), so the entry holds
+  // the record itself and the picks need no QPN lookup.
   struct SendHead {
     uint64_t post_seq = 0;
-    Qpn qpn = 0;
+    QpState* qp = nullptr;
   };
 
   // --- TX path -------------------------------------------------------------
@@ -254,13 +255,13 @@ class RoceStack {
   // Appends a message to its QP's send list and to the fetch queue.
   void QueueUnsent(QpState& qp, WrPtr wr);
   // Removes the QP's oldest unsent WR.
-  void PopUnsentHead(Qpn qpn, QpState& qp);
+  void PopUnsentHead(QpState& qp);
   // Removes `wr`, if still queued, from wherever it sits in its QP's send
   // list and from the fetch queue.
   void EraseUnsent(const WrPtr& wr);
-  // Moves `qpn`'s index entry from `old_seq` to its new head's post order,
+  // Moves the QP's index entry from `old_seq` to its new head's post order,
   // or drops it when the QP has no unsent WR left.
-  void ReindexHead(Qpn qpn, uint64_t old_seq, const PendingWr* new_head);
+  void ReindexHead(QpState& qp, uint64_t old_seq, const PendingWr* new_head);
   void FinishSending(QpState& qp, const WrPtr& wr);
   void CompleteWr(const WrPtr& wr, const Status& status);
   void FailPayloadFetch(const WrPtr& wr, const Status& status);

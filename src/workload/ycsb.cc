@@ -1,8 +1,6 @@
 #include "src/workload/ycsb.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/kernels/traversal.h"
 #include "src/sim/task.h"
@@ -94,10 +92,6 @@ void YcsbEngine::EnableCrashRecovery(const LivenessConfig& liveness) {
   STROM_CHECK(setup_done_) << "EnableCrashRecovery needs the QP lanes from Setup()";
   STROM_CHECK(!crash_recovery_);
   crash_recovery_ = true;
-  if (const char* bug = std::getenv("STROM_CHAOS_BUG");
-      bug != nullptr && std::strcmp(bug, "no_fence") == 0) {
-    chaos_bug_no_fence_ = true;
-  }
   const int n = fabric_.num_hosts();
   pair_incarnation_.assign(size_t(n) * size_t(n), 0);
   for (int i = 0; i < n; ++i) {
@@ -190,7 +184,7 @@ void YcsbEngine::HandleHostCrash(int index, bool host_level) {
   // NIC state is gone either way: responses to this host's in-flight GETs
   // can never arrive (the QPs are tombstoned), and GETs other hosts aimed
   // *at* this node died inside its kernel pipelines. Fence both directions.
-  if (chaos_bug_no_fence_) {
+  if (skip_fence_pokes_) {
     return;
   }
   for (uint32_t s = 0; s < h.slots.size(); ++s) {
@@ -352,9 +346,9 @@ void YcsbEngine::Post(int host, const Op& op) {
       // a flushed/NAKed parameter send means the kernel never saw the
       // request, so the response will never come — poke the status word
       // instead of polling forever. (Without the callback, a lost response
-      // is exactly the hang STROM_CHAOS_BUG=no_fence demonstrates.)
+      // is exactly the hang skip_fence_pokes_ demonstrates.)
       std::function<void(Status)> on_post;
-      if (crash_recovery_ && !chaos_bug_no_fence_) {
+      if (crash_recovery_ && !skip_fence_pokes_) {
         on_post = [this, host, slot](Status st) {
           if (!st.ok()) {
             FenceSlot(host, slot);

@@ -108,8 +108,6 @@ class YcsbEngine {
   //     made unreachable (see KernelStatusCode::kFencedStale);
   //   * arrival-stream pause/resume and backlog fast-fail across host
   //     crashes, so every op reaches exactly one terminal state.
-  // Honors STROM_CHAOS_BUG=no_fence: skips the fence pokes, reintroducing
-  // the lost-response hang for chaos-explorer demos.
   void EnableCrashRecovery(const LivenessConfig& liveness = {});
   LivenessMonitor* liveness(int host) {
     return crash_recovery_ ? liveness_.at(host).get() : nullptr;
@@ -184,7 +182,11 @@ class YcsbEngine {
   bool setup_done_ = false;
   bool deadline_hit_ = false;
   bool crash_recovery_ = false;
-  bool chaos_bug_no_fence_ = false;  // STROM_CHAOS_BUG=no_fence
+  // Skips the fence pokes, reintroducing the lost-response hang. Only the
+  // chaos explorer's test sets it, through its friend peer, to show the
+  // explorer finds a recovery bug.
+  friend class YcsbEngineTestPeer;
+  static inline bool skip_fence_pokes_ = false;
   std::vector<std::unique_ptr<LivenessMonitor>> liveness_;
   // Reconnect incarnation per unordered host pair: each reconnect draws a
   // fresh PSN block so frames from any earlier incarnation land outside the

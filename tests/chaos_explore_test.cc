@@ -1,23 +1,37 @@
-// Tests for the deterministic chaos-schedule explorer (DESIGN.md §14):
+// Tests for the deterministic chaos-schedule explorer (DESIGN.md §14.3):
 //   * ShrinkPlan against synthetic oracles — greedy episode removal to a
 //     fixpoint, coordinate shrinking of crash/restart times, budget respect,
 //     and the guarantee that the result is always a verified reproducer;
 //   * ExploreSchedules enumeration order and budget exhaustion;
-//   * the end-to-end acceptance demo: with the fence-poke recovery bug
-//     reintroduced (STROM_CHAOS_BUG=no_fence), the explorer finds a violating
-//     schedule within a small budget and shrinks it to a replayable plan of
-//     <= 3 episodes; with the bug off, the same minimal plan recovers clean.
+//   * the rack scenario: with the fence-poke recovery bug reintroduced
+//     through YcsbEngineTestPeer, the explorer finds a violating schedule
+//     within a small budget and shrinks it to a replayable plan of <= 3
+//     episodes; with the bug off, the same minimal plan recovers clean;
+//   * the cable scenario: the soak seeds at 10 G and 100 G, and same-seed
+//     byte-identical captures.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "src/faults/fault_plan.h"
 #include "src/faults/schedule_search.h"
-#include "src/workload/crash_scenario.h"
+#include "src/workload/chaos_scenario.h"
+#include "tests/sha256_test_util.h"
 
 namespace strom {
+
+// Reintroduces the lost-GET-response hang for its lifetime: YCSB engines
+// skip the fence pokes that give crash-orphaned GET slots a terminal state.
+class YcsbEngineTestPeer {
+ public:
+  YcsbEngineTestPeer() { YcsbEngine::skip_fence_pokes_ = true; }
+  ~YcsbEngineTestPeer() { YcsbEngine::skip_fence_pokes_ = false; }
+};
+
 namespace {
+
+FaultPlan SmallCrashPlan(uint64_t seed) { return MakeCrashPlan(seed, Us(400), 3, 1); }
 
 FaultEpisode CrashEpisode(FaultType type, int target, SimTime start,
                           SimTime restart_after) {
@@ -142,13 +156,11 @@ TEST(ExploreSchedules, ExhaustsBudgetWhenNothingViolates) {
   SearchConfig sc;
   sc.base_seed = 1;
   sc.budget = 5;
-  sc.horizon = Us(400);
   int runs = 0;
-  const SearchResult res =
-      ExploreSchedules(sc, [&runs](const FaultPlan&) {
-        ++runs;
-        return ScheduleOutcome{};
-      });
+  const SearchResult res = ExploreSchedules(sc, SmallCrashPlan, [&runs](const FaultPlan&) {
+    ++runs;
+    return ScheduleOutcome{};
+  });
   EXPECT_FALSE(res.found);
   EXPECT_EQ(res.schedules_run, 5);
   EXPECT_EQ(runs, 5);
@@ -161,10 +173,9 @@ TEST(ExploreSchedules, FirstViolationWinsAndGetsShrunk) {
   SearchConfig sc;
   sc.base_seed = 10;
   sc.budget = 8;
-  sc.horizon = Us(400);
   sc.max_shrink_runs = 16;
   int search_runs = 0;
-  const SearchResult res = ExploreSchedules(sc, [&](const FaultPlan& p) {
+  const SearchResult res = ExploreSchedules(sc, SmallCrashPlan, [&](const FaultPlan& p) {
     if (p.seed == 13) {  // any schedule from the violating seed, incl. shrink candidates
       return ScheduleOutcome{true, "synthetic", "seed 13 trips"};
     }
@@ -182,36 +193,34 @@ TEST(ExploreSchedules, FirstViolationWinsAndGetsShrunk) {
   EXPECT_LE(res.minimal.episodes.size(), res.original.episodes.size());
 }
 
-// --- end-to-end: find the reintroduced recovery bug --------------------------
+// --- the scenarios: clean searches, and the reintroduced recovery bug -------
 
 TEST(ChaosExplorer, CleanRecoveryYieldsNoViolationAcrossSeeds) {
   // Sanity for the search substrate: with recovery intact, a handful of
-  // enumerated crash schedules all classify clean.
+  // enumerated schedules of each scenario all classify clean.
   SearchConfig sc;
   sc.base_seed = 1;
   sc.budget = 4;
-  sc.horizon = Us(400);
-  const SearchResult res =
-      ExploreSchedules(sc, MakeCrashScheduleRunner(CrashScenarioConfig::Small()));
-  EXPECT_FALSE(res.found) << res.outcome.violation_kind << ": " << res.outcome.detail;
-  EXPECT_EQ(res.schedules_run, 4);
+  for (const ChaosScenario& scenario :
+       {RackScenario(RackScenarioConfig::Small()), CableScenario(false), CableScenario(true)}) {
+    const SearchResult res = ExploreSchedules(sc, scenario.generate, scenario.run);
+    EXPECT_FALSE(res.found) << res.outcome.violation_kind << ": " << res.outcome.detail;
+    EXPECT_EQ(res.schedules_run, 4);
+  }
 }
 
 TEST(ChaosExplorer, FindsAndShrinksReintroducedFenceBug) {
-  // The acceptance demo: STROM_CHAOS_BUG=no_fence suppresses the fence poke
-  // that gives crash-orphaned GET slots their terminal state, reintroducing
-  // the lost-response hang. The explorer must find a violating schedule
-  // within a small budget and shrink it to <= 3 episodes; replaying the
-  // minimal plan with the fence restored must come back clean.
-  ASSERT_EQ(setenv("STROM_CHAOS_BUG", "no_fence", 1), 0);
+  // The explorer must find a violating schedule within a small budget and
+  // shrink it to <= 3 episodes; replaying the minimal plan with the fence
+  // restored must come back clean.
   SearchConfig sc;
   sc.base_seed = 1;
   sc.budget = 6;
-  sc.horizon = Us(400);
   sc.max_shrink_runs = 48;
-  const CrashScenarioConfig cfg = CrashScenarioConfig::Small();
-  const SearchResult res = ExploreSchedules(sc, MakeCrashScheduleRunner(cfg));
-  unsetenv("STROM_CHAOS_BUG");
+  const RackScenarioConfig cfg = RackScenarioConfig::Small();
+  const ChaosScenario rack = RackScenario(cfg);
+  std::optional<YcsbEngineTestPeer> no_fence(std::in_place);
+  const SearchResult res = ExploreSchedules(sc, rack.generate, rack.run);
 
   ASSERT_TRUE(res.found) << "explorer must find the reintroduced bug in budget";
   EXPECT_EQ(res.outcome.violation_kind, "non-terminal-ops") << res.outcome.detail;
@@ -223,17 +232,62 @@ TEST(ChaosExplorer, FindsAndShrinksReintroducedFenceBug) {
   ASSERT_TRUE(replay.ok()) << replay.status();
 
   // ...still violating with the bug present...
-  ASSERT_EQ(setenv("STROM_CHAOS_BUG", "no_fence", 1), 0);
-  const CrashScenarioResult buggy = RunCrashScenario(cfg, *replay);
-  unsetenv("STROM_CHAOS_BUG");
+  const RackScenarioResult buggy = RunRackScenario(cfg, *replay);
   EXPECT_TRUE(buggy.outcome.violation);
   EXPECT_EQ(buggy.outcome.violation_kind, "non-terminal-ops");
 
   // ...and clean once the fence is back: the schedule indicts the bug, not
   // the recovery machinery.
-  const CrashScenarioResult fixed = RunCrashScenario(cfg, *replay);
+  no_fence.reset();
+  const RackScenarioResult fixed = RunRackScenario(cfg, *replay);
   EXPECT_FALSE(fixed.outcome.violation)
       << fixed.outcome.violation_kind << ": " << fixed.outcome.detail;
+}
+
+// --- the cable scenario: the soak's invariants ------------------------------
+
+void ExpectSoakInvariants(const CableScenarioResult& r) {
+  EXPECT_FALSE(r.outcome.violation) << r.outcome.violation_kind << ": " << r.outcome.detail;
+  EXPECT_GT(r.audit_checks, 0u) << "auditor attached but never consulted";
+  // The plans always include a link flap; the workload must make real
+  // progress around it.
+  EXPECT_GT(r.completed_ok, 0);
+  // The plan must actually have bitten: a run where no fault ever fired
+  // proves nothing about the error paths.
+  EXPECT_GT(r.faults.frames_dropped + r.faults.frames_delayed + r.faults.frames_duplicated +
+                r.faults.dma_read_errors + r.faults.dma_write_errors,
+            0u);
+}
+
+TEST(ChaosSoak, SeededPlansCompleteOrError) {
+  // Seeds 10, 16 and 21 add a DMA-error episode at the current
+  // MakeRandomPlan, driving the full QP Error -> flush -> reconnect ->
+  // resume path; seed 1 recovers clean.
+  for (const bool use_100g : {false, true}) {
+    const ChaosScenario cable = CableScenario(use_100g);
+    for (const uint64_t seed : {1, 10, 16, 21}) {
+      const FaultPlan plan = cable.generate(seed);
+      SCOPED_TRACE(std::string(use_100g ? "100g" : "10g") + " plan:\n" + plan.ToString());
+      ExpectSoakInvariants(RunCableScenario(use_100g, plan));
+    }
+  }
+}
+
+TEST(ChaosSoak, SameSeedProducesIdenticalCaptures) {
+  const FaultPlan plan = CableScenario(false).generate(1);
+  const std::string dir = ::testing::TempDir();
+  const CableScenarioResult a = RunCableScenario(false, plan, dir + "chaos_rerun_a");
+  const CableScenarioResult b = RunCableScenario(false, plan, dir + "chaos_rerun_b");
+  ExpectSoakInvariants(a);
+  EXPECT_EQ(a.completed_ok, b.completed_ok);
+  EXPECT_EQ(a.completed_error, b.completed_error);
+  EXPECT_EQ(a.reconnects, b.reconnects);
+  ASSERT_FALSE(a.capture_paths.empty());
+  ASSERT_EQ(a.capture_paths.size(), b.capture_paths.size());
+  for (size_t i = 0; i < a.capture_paths.size(); ++i) {
+    EXPECT_EQ(Sha256File(a.capture_paths[i]), Sha256File(b.capture_paths[i]))
+        << a.capture_paths[i] << " vs " << b.capture_paths[i];
+  }
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #include "src/sim/simulator.h"
 #include "src/testbed/testbed.h"
 #include "src/testbed/workload.h"
-#include "src/workload/crash_scenario.h"
+#include "src/workload/chaos_scenario.h"
 
 namespace strom {
 namespace {
@@ -61,6 +61,9 @@ TEST(FaultPlan, ParsesEpisodesAndRoundTrips) {
   EXPECT_EQ(plan->episodes[6].type, FaultType::kDmaWriteError);
   EXPECT_EQ(plan->episodes[6].target, -1);
 
+  // A decimal time reads as the nearest picosecond: 0.3us is 300 ns.
+  EXPECT_EQ(FaultPlan::Parse("link0 down 0.3us -\n")->episodes.at(0).start, Ns(300));
+
   // ToString() -> Parse() must reproduce the plan exactly.
   Result<FaultPlan> again = FaultPlan::Parse(plan->ToString());
   ASSERT_TRUE(again.ok()) << again.status();
@@ -84,6 +87,23 @@ TEST(FaultPlan, RejectsMalformedInput) {
   EXPECT_FALSE(FaultPlan::Parse("link0 down 10parsecs 20us\n").ok());
   // Bad target.
   EXPECT_FALSE(FaultPlan::Parse("nvme0 down 0us -\n").ok());
+  // Input that used to parse as something else: an index past int (read as
+  // link1), an end time past SimTime, infinite or NaN (read as open-ended), a
+  // NaN probability, a negative seed (read as 2^64 - 5), a time between
+  // whole nanoseconds (written back as another time), and a key the type
+  // never reads. Each error names its line.
+  for (const char* text :
+       {"seed 1\nlink4294967297 down 1us 2us\n", "seed 1\nlink0 down 1us 1e300s\n",
+        "seed 1\nlink0 down 1us infs\n", "seed 1\nlink0 down 1us nanus\n",
+        "seed 1\nlink0 duplicate 0us - p=nan\n",
+        "seed 1\nlink0 burst_loss 0us - p_gb=nan p_bg=0.3 loss_good=0 loss_bad=0.5\n",
+        "link0 down 0us -\nseed -5\n", "seed 1\nlink0 down 1.5ns 2us\n",
+        "seed 1\nlink0 down 0us 1ms p=0.5\n", "seed 1\nlink0 jitter 0us - max=2us p_gb=0.3\n",
+        "seed 1\ndma0 read_error 0us - p=0.1 max=5us\n"}) {
+    const Result<FaultPlan> plan = FaultPlan::Parse(text);
+    ASSERT_FALSE(plan.ok()) << text;
+    EXPECT_NE(plan.status().message().find("line 2: "), std::string::npos) << plan.status();
+  }
 }
 
 TEST(FaultPlan, EpisodeActivationWindow) {
@@ -181,11 +201,17 @@ TEST(FaultPlan, MakeRandomPlanIsDeterministicAndParses) {
   const FaultPlan c = MakeRandomPlan(43, Ms(10));
   EXPECT_NE(a.ToString(), c.ToString());
 
-  // Generated plans must survive the text round trip (CI artifacts are
-  // replayed from the dumped text form).
+  // Generated plans must survive the text round trip exactly, probabilities
+  // included: a reproducer is replayed from its text form.
   Result<FaultPlan> replay = FaultPlan::Parse(a.ToString());
   ASSERT_TRUE(replay.ok()) << replay.status();
   EXPECT_EQ(replay->ToString(), a.ToString());
+  ASSERT_EQ(replay->episodes.size(), a.episodes.size());
+  for (size_t i = 0; i < a.episodes.size(); ++i) {
+    EXPECT_EQ(replay->episodes[i].p, a.episodes[i].p);
+    EXPECT_EQ(replay->episodes[i].p_good_to_bad, a.episodes[i].p_good_to_bad);
+    EXPECT_EQ(replay->episodes[i].loss_bad, a.episodes[i].loss_bad);
+  }
 }
 
 // --- fault engine on a bare link -------------------------------------------
@@ -594,8 +620,7 @@ TEST(CrashE2e, ReconnectRacesSecondCrashOfSamePeer) {
       "nic1 crash 220us - restart_after=40us\n");
   ASSERT_TRUE(plan.ok()) << plan.status();
 
-  const CrashScenarioConfig cfg = CrashScenarioConfig::Small();
-  const CrashScenarioResult r = RunCrashScenario(cfg, *plan);
+  const RackScenarioResult r = RunRackScenario(RackScenarioConfig::Small(), *plan);
 
   EXPECT_FALSE(r.outcome.violation)
       << r.outcome.violation_kind << ": " << r.outcome.detail;

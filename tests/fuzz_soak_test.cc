@@ -3,6 +3,10 @@
 // directions under mixed traffic must still deliver everything correctly).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
+#include "src/faults/fault_plan.h"
 #include "src/kernels/traversal.h"
 #include "src/kvs/linked_list.h"
 #include "src/proto/packet.h"
@@ -95,6 +99,75 @@ TEST(ParserFuzz, TraversalParamsDecodeNeverCrashes) {
     (void)TraversalParams::Decode(raw);
   }
   SUCCEED();
+}
+
+// Fault plans are outside input (--fault-plan, chaosexplore --replay). Text
+// the parser accepts must mean what it says: every value in range, and every
+// field must come back the same through ToString.
+void ExpectPlanRejectedOrRoundTrips(const std::string& text) {
+  const Result<FaultPlan> plan = FaultPlan::Parse(text);
+  if (!plan.ok()) {
+    return;
+  }
+  SCOPED_TRACE("input:\n" + text);
+  for (const FaultEpisode& ep : plan->episodes) {
+    for (const double p : {ep.p, ep.p_good_to_bad, ep.p_bad_to_good, ep.loss_good, ep.loss_bad}) {
+      EXPECT_TRUE(p >= 0 && p <= 1) << p;
+    }
+    for (const SimTime t : {ep.start, ep.end, ep.delay, ep.restart_after}) {
+      EXPECT_TRUE(t >= 0 || t == -1) << t;
+    }
+    EXPECT_GE(ep.target, -1);
+  }
+  const std::string written = plan->ToString();
+  const Result<FaultPlan> again = FaultPlan::Parse(written);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->ToString(), written);
+  const auto fields = [](const FaultEpisode& e) {
+    return std::make_tuple(e.type, e.target, e.start, e.end, e.p_good_to_bad, e.p_bad_to_good,
+                           e.loss_good, e.loss_bad, e.p, e.delay, e.restart_after);
+  };
+  ASSERT_EQ(again->episodes.size(), plan->episodes.size());
+  for (size_t i = 0; i < plan->episodes.size(); ++i) {
+    EXPECT_TRUE(fields(again->episodes[i]) == fields(plan->episodes[i])) << written;
+  }
+}
+
+TEST(ParserFuzz, FaultPlanTextIsRejectedOrRoundTrips) {
+  Rng rng(5);
+  for (int i = 0; i < 5'000; ++i) {
+    const ByteBuffer raw = RandomBytes(rng.Below(80), rng.Next());
+    ExpectPlanRejectedOrRoundTrips(std::string(raw.begin(), raw.end()));
+  }
+  // Mutated generator output: bytes from the grammar's own alphabet swapped
+  // in, dropped or inserted, so most inputs stay close to valid plans.
+  const std::string alphabet = "0123456789.-+*=_ \nabcdefilmnoprstuxyz#eE";
+  int accepted = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    const uint64_t seed = rng.Below(64);
+    std::string text = (i % 2 == 0 ? MakeRandomPlan(seed, Ms(10))
+                                   : MakeCrashPlan(seed, Us(400), 3, 1))
+                           .ToString();
+    for (int m = 1 + int(rng.Below(3)); m > 0; --m) {
+      const size_t at = rng.Below(text.size());
+      const char c = alphabet[rng.Below(alphabet.size())];
+      switch (rng.Below(3)) {
+        case 0:
+          text[at] = c;
+          break;
+        case 1:
+          text.erase(at, 1);
+          break;
+        default:
+          text.insert(at, 1, c);
+          break;
+      }
+    }
+    accepted += FaultPlan::Parse(text).ok() ? 1 : 0;
+    ExpectPlanRejectedOrRoundTrips(text);
+  }
+  // Enough mutants must still parse, or the round trip goes untested.
+  EXPECT_GT(accepted, 500);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,52 +1,64 @@
-// chaosexplore: deterministic chaos-schedule explorer for the crash-recovery
-// failure domain.
+// chaosexplore: deterministic chaos-schedule explorer.
 //
-//   chaosexplore [--budget N] [--seed S] [--hosts N] [--duration-us U]
-//                [--shrink-runs N] [--out reproducer.plan]
-//   chaosexplore --replay plan-file [--hosts N] [--duration-us U]
+//   chaosexplore [--scenario cable|rack] [--profile 10g|100g] [--budget N]
+//                [--seed S] [--hosts N] [--duration-us U] [--shrink-runs N]
+//                [--out reproducer.plan]
+//   chaosexplore --replay plan-file [--scenario ...] [--profile ...]
+//                [--hosts N] [--duration-us U]
 //
-// Search mode enumerates seeded crash schedules (MakeCrashPlan seeds S,
-// S+1, ...), runs each against a YCSB-under-crash-recovery rack, and on the
-// first invariant violation shrinks the schedule to a minimal reproducer,
-// written to --out as a replayable fault-plan file. Switch crashes draw from
-// the rack's own switches.
+// Scenarios (src/workload/chaos_scenario.h), each with its own generator:
+//   rack  (default) YCSB with crash recovery on a small rack, searched with
+//         MakeCrashPlan over the rack's own hosts and switches; only the
+//         rack takes --hosts and --duration-us.
+//   cable WRITE / READ / StRoM-RPC ops with CRC64 payload checks on the
+//         two-node cable, searched with MakeRandomPlan network faults.
 //
-// Replay mode runs exactly one plan file through the same scenario and
-// reports the classification — the loop a developer runs while fixing the
-// bug a search found.
+// Search mode runs the schedules of seeds S, S+1, ... and shrinks the first
+// violating one to a minimal reproducer, written to --out as a replayable
+// plan file. Replay mode runs one plan file, which may come from either
+// scenario, and writes the run's pcapng captures and post-mortem bundle
+// beside it, under its name without the extension.
 //
 // Exit codes: 0 = no violation found, 2 = violation found (search) or
-// reproduced (replay), 1 = usage/config error, including a numeric flag
-// that is not a whole number in range ("2x", "-1", "300abc"). The
-// intentionally reintroducible recovery bug for demos:
-// STROM_CHAOS_BUG=no_fence (see YcsbEngine::EnableCrashRecovery).
+// reproduced (replay), 1 = usage/config error: a numeric flag that is not a
+// whole number in range ("2x", "-1", "300abc"), a rack flag given with
+// --scenario cable, or a replayed plan naming a component the scenario lacks.
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
-#include "src/faults/schedule_search.h"
-#include "src/workload/crash_scenario.h"
+#include "src/testbed/testbed.h"
+#include "src/workload/chaos_scenario.h"
 
 namespace strom {
 namespace {
 
 struct Options {
+  std::string scenario = "rack";
+  std::string profile = "10g";
   int budget = 24;
   uint64_t seed = 1;
   int hosts = 3;
   int64_t duration_us = 400;
+  std::string rack_flag;  // a rack-shaping flag that was given, if any
   int shrink_runs = 48;
   std::string out = "chaos_reproducer.plan";
   std::string replay;
+
+  bool cable() const { return scenario == "cable"; }
+  bool use_100g() const { return profile == "100g"; }
 };
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--budget N] [--seed S] [--hosts N] [--duration-us U]\n"
-               "          [--shrink-runs N] [--out file]\n"
-               "       %s --replay plan-file [--hosts N] [--duration-us U]\n",
+               "usage: %s [--scenario cable|rack] [--profile 10g|100g] [--budget N]\n"
+               "          [--seed S] [--hosts N] [--duration-us U] [--shrink-runs N]\n"
+               "          [--out file]\n"
+               "       %s --replay plan-file [--scenario cable|rack] [--profile 10g|100g]\n"
+               "          [--hosts N] [--duration-us U]\n",
                argv0, argv0);
 }
 
@@ -63,6 +75,17 @@ bool ParseNumber(const std::string& flag, const char* text, T* out) {
   return true;
 }
 
+// One of two words.
+bool ParseChoice(const std::string& flag, const std::string& text, const char* a,
+                 const char* b, std::string* out) {
+  if (text != a && text != b) {
+    std::fprintf(stderr, "invalid value for %s: '%s'\n", flag.c_str(), text.c_str());
+    return false;
+  }
+  *out = text;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, Options* opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -71,14 +94,20 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     };
     const char* v = nullptr;
     bool parsed = true;
-    if (arg == "--budget" && (v = next())) {
+    if (arg == "--scenario" && (v = next())) {
+      parsed = ParseChoice(arg, v, "cable", "rack", &opt->scenario);
+    } else if (arg == "--profile" && (v = next())) {
+      parsed = ParseChoice(arg, v, "10g", "100g", &opt->profile);
+    } else if (arg == "--budget" && (v = next())) {
       parsed = ParseNumber(arg, v, &opt->budget);
     } else if (arg == "--seed" && (v = next())) {
       parsed = ParseNumber(arg, v, &opt->seed);
     } else if (arg == "--hosts" && (v = next())) {
       parsed = ParseNumber(arg, v, &opt->hosts);
+      opt->rack_flag = arg;
     } else if (arg == "--duration-us" && (v = next())) {
       parsed = ParseNumber(arg, v, &opt->duration_us);
+      opt->rack_flag = arg;
     } else if (arg == "--shrink-runs" && (v = next())) {
       parsed = ParseNumber(arg, v, &opt->shrink_runs);
     } else if (arg == "--out" && (v = next())) {
@@ -93,6 +122,11 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       return false;
     }
   }
+  if (opt->cable() && !opt->rack_flag.empty()) {
+    std::fprintf(stderr, "%s shapes only the rack: it needs --scenario rack\n",
+                 opt->rack_flag.c_str());
+    return false;
+  }
   // The horizon becomes picoseconds: cap it well inside SimTime.
   if (opt->budget < 1 || opt->hosts < 2 || opt->duration_us < 50 ||
       opt->duration_us > 1'000'000'000 || opt->shrink_runs < 0) {
@@ -102,11 +136,22 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
   return true;
 }
 
-CrashScenarioConfig ScenarioFor(const Options& opt) {
-  CrashScenarioConfig config = CrashScenarioConfig::Small();
+RackScenarioConfig RackFor(const Options& opt) {
+  RackScenarioConfig config = RackScenarioConfig::Small();
   config.topo.num_hosts = opt.hosts;
   config.ycsb.duration = Us(opt.duration_us);
+  config.use_100g = opt.use_100g();
   return config;
+}
+
+// The flags that rerun a search's scenario.
+std::string ScenarioFlags(const Options& opt) {
+  std::string flags = " --scenario " + opt.scenario + " --profile " + opt.profile;
+  if (!opt.cable()) {
+    flags += " --hosts " + std::to_string(opt.hosts) + " --duration-us " +
+             std::to_string(opt.duration_us);
+  }
+  return flags;
 }
 
 int Replay(const Options& opt) {
@@ -116,30 +161,41 @@ int Replay(const Options& opt) {
                  plan.status().ToString().c_str());
     return 1;
   }
-  // A plan naming a component the rack lacks is a config error, not a run.
-  const CrashScenarioConfig scenario = ScenarioFor(opt);
-  const Status fits = Fabric(Profile10G(), scenario.topo).CheckFaultPlan(*plan);
+  // A plan naming a component the scenario lacks is a config error, not a run.
+  const RackScenarioConfig rack = RackFor(opt);
+  const Profile profile = opt.use_100g() ? Profile100G() : Profile10G();
+  const Status fits = opt.cable() ? Testbed(profile).CheckFaultPlan(*plan)
+                                  : Fabric(profile, rack.topo).CheckFaultPlan(*plan);
   if (!fits.ok()) {
     std::fprintf(stderr, "%s: %s\n", opt.replay.c_str(), fits.ToString().c_str());
     return 1;
   }
-  const CrashScenarioResult r = RunCrashScenario(scenario, *plan);
-  std::printf("replay: %s\n", opt.replay.c_str());
-  std::printf("  ops: arrived=%llu completed=%llu failed=%llu fenced=%llu "
-              "deadline_hit=%d\n",
-              (unsigned long long)r.report.ops_arrived,
-              (unsigned long long)r.report.ops_completed,
-              (unsigned long long)r.report.ops_failed,
-              (unsigned long long)r.report.ops_fenced, int(r.report.deadline_hit));
-  std::printf("  recovery: peers_dead=%llu reconnect_attempts=%llu "
-              "leases_acquired=%llu\n",
-              (unsigned long long)r.report.peers_declared_dead,
-              (unsigned long long)r.report.reconnect_attempts,
-              (unsigned long long)r.report.leases_acquired);
-  std::printf("  audit: checks=%llu violations=%llu frame_blocks_leaked=%lld\n",
-              (unsigned long long)r.audit_checks,
-              (unsigned long long)r.audit_violations,
-              (long long)r.frame_blocks_leaked);
+  const std::string stem = std::filesystem::path(opt.replay).replace_extension().string();
+  std::printf("replay: %s (%s, %s)\n", opt.replay.c_str(), opt.scenario.c_str(),
+              opt.profile.c_str());
+  using ull = unsigned long long;
+  ScenarioResult r;
+  if (opt.cable()) {
+    const CableScenarioResult c = RunCableScenario(opt.use_100g(), *plan, stem);
+    std::printf("  ops: ok=%d error=%d watchdog=%d crc_mismatches=%d double_completions=%d\n"
+                "  recovery: qp_errors=%d reconnects=%d\n",
+                c.completed_ok, c.completed_error, c.watchdog_timeouts, c.crc_mismatches,
+                c.double_completions, c.qp_error_events, c.reconnects);
+    r = c;
+  } else {
+    const RackScenarioResult k = RunRackScenario(rack, *plan, stem);
+    const YcsbReport& y = k.report;
+    std::printf("  ops: arrived=%llu completed=%llu failed=%llu fenced=%llu deadline_hit=%d\n"
+                "  recovery: peers_dead=%llu reconnect_attempts=%llu leases_acquired=%llu\n",
+                ull(y.ops_arrived), ull(y.ops_completed), ull(y.ops_failed), ull(y.ops_fenced),
+                int(y.deadline_hit), ull(y.peers_declared_dead), ull(y.reconnect_attempts),
+                ull(y.leases_acquired));
+    r = k;
+  }
+  std::printf("  audit: checks=%llu violations=%llu frame_blocks_leaked=%lld\n"
+              "  artifacts: %s.*\n",
+              ull(r.audit_checks), ull(r.audit_violations), (long long)r.frame_blocks_leaked,
+              stem.c_str());
   if (r.outcome.violation) {
     std::printf("VIOLATION [%s] %s\n", r.outcome.violation_kind.c_str(),
                 r.outcome.detail.c_str());
@@ -150,24 +206,17 @@ int Replay(const Options& opt) {
 }
 
 int Search(const Options& opt) {
-  const CrashScenarioConfig scenario = ScenarioFor(opt);
-  SearchConfig search;
-  search.base_seed = opt.seed;
-  search.budget = opt.budget;
-  search.horizon = Us(opt.duration_us);
-  // MakeCrashPlan draws its targets from the rack the schedules run on.
-  search.num_hosts = scenario.topo.num_hosts;
-  search.num_switches = scenario.topo.num_leaves + scenario.topo.num_spines;
-  search.max_shrink_runs = opt.shrink_runs;
+  const ChaosScenario scenario =
+      opt.cable() ? CableScenario(opt.use_100g()) : RackScenario(RackFor(opt));
+  const SearchConfig search{opt.seed, opt.budget, opt.shrink_runs};
 
   int runs = 0;
-  const ScheduleRunner base = MakeCrashScheduleRunner(scenario);
   const ScheduleRunner runner = [&](const FaultPlan& plan) {
     ++runs;
     std::printf("  run %3d: seeded schedule, %zu episode(s)...\n", runs,
                 plan.episodes.size());
     std::fflush(stdout);
-    const ScheduleOutcome out = base(plan);
+    const ScheduleOutcome out = scenario.run(plan);
     if (out.violation) {
       std::printf("  run %3d: VIOLATION [%s] %s\n", runs,
                   out.violation_kind.c_str(), out.detail.c_str());
@@ -175,10 +224,9 @@ int Search(const Options& opt) {
     return out;
   };
 
-  std::printf("chaosexplore: budget=%d base_seed=%llu hosts=%d horizon=%lldus\n",
-              opt.budget, (unsigned long long)opt.seed, opt.hosts,
-              (long long)opt.duration_us);
-  const SearchResult result = ExploreSchedules(search, runner);
+  std::printf("chaosexplore: budget=%d base_seed=%llu%s\n", opt.budget,
+              (unsigned long long)opt.seed, ScenarioFlags(opt).c_str());
+  const SearchResult result = ExploreSchedules(search, scenario.generate, runner);
   if (!result.found) {
     std::printf("no violating schedule in %d run(s)\n", result.schedules_run);
     return 0;
@@ -199,8 +247,7 @@ int Search(const Options& opt) {
   out << "# chaosexplore minimal reproducer\n"
       << "# violation: " << result.outcome.violation_kind << " — "
       << result.outcome.detail << "\n"
-      << "# replay: chaosexplore --replay " << opt.out << " --hosts "
-      << opt.hosts << " --duration-us " << opt.duration_us << "\n"
+      << "# replay: chaosexplore --replay " << opt.out << ScenarioFlags(opt) << "\n"
       << result.minimal.ToString();
   std::printf("wrote %s\n", opt.out.c_str());
   return 2;
