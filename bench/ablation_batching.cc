@@ -61,7 +61,7 @@ double RunBatchedWrites(int batch_size) {
   for (int i = 0; i < 8; ++i) {
     post_block();
   }
-  bed.sim().RunUntil([&] { return completed >= kMessages; });
+  bench::RunUntilDone(bed.sim(), "the batched WRITEs", [&] { return completed >= kMessages; });
   return static_cast<double>(kMessages) / ToSec(last - first) / 1e6;
 }
 

@@ -57,8 +57,7 @@ double RunShuffleStream(const Profile& profile) {
     *c.done = true;
   };
   bed.sim().Spawn(waiter(Ctx{bed, resp, &done}));
-  bed.sim().RunUntil([&] { return done; });
-  STROM_CHECK(done) << "shuffle stream never completed";
+  bench::RunUntilDone(bed.sim(), "the shuffle stream", [&] { return done; });
   // The data is not shuffled until it is in host memory: include the drain
   // of the queued random-access DMA writes (this is exactly where the
   // per-command PCIe overhead bites at 100 G, paper §7).
@@ -101,8 +100,7 @@ double RunHllStream(const Profile& profile) {
     *c.done = true;
   };
   bed.sim().Spawn(waiter(Ctx{bed, resp, &done}));
-  bed.sim().RunUntil([&] { return done; });
-  STROM_CHECK(done) << "HLL stream never completed";
+  bench::RunUntilDone(bed.sim(), "the HLL stream", [&] { return done; });
   return static_cast<double>(kStreamBytes) * 8 / ToSec(bed.sim().now() - start) / 1e9;
 }
 

@@ -335,8 +335,7 @@ LatencyStats MeasureWriteLatency(const Profile& profile, size_t payload, int rou
   // Each side's coroutine touches only its own node's memory and driver.
   bed.node(1).sim().Spawn(responder(ctx));
   bed.node(0).sim().Spawn(initiator(ctx));
-  bed.sim().RunUntil([&] { return finished; });
-  STROM_CHECK(finished) << "ping-pong stalled";
+  RunUntilDone(bed.sim(), "the write ping-pong", [&] { return finished; });
   return stats;
 }
 
@@ -369,8 +368,7 @@ LatencyStats MeasureReadLatency(const Profile& profile, size_t payload, int roun
     *c.finished = true;
   };
   bed.sim().Spawn(reader(Ctx{bed, payload, rounds, local, remote, &stats, &finished}));
-  bed.sim().RunUntil([&] { return finished; });
-  STROM_CHECK(finished);
+  RunUntilDone(bed.sim(), "the READ latency rounds", [&] { return finished; });
   return stats;
 }
 
@@ -430,8 +428,8 @@ Throughput MeasureThroughput(const Profile& profile, size_t payload, int message
   for (int i = 0; i < window; ++i) {
     post_next();
   }
-  bed.sim().RunUntil([&] { return completed >= messages; });
-  STROM_CHECK_EQ(completed, messages);
+  RunUntilDone(bed.sim(), is_read ? "the READ stream" : "the WRITE stream",
+               [&] { return completed >= messages; });
 
   const double elapsed_sec = ToSec(last_done - first_post);
   Throughput t;

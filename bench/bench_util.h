@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -114,9 +115,26 @@ const std::vector<double>& SweepResult(const std::string& key);
 
 // Completion check for a verb whose result the caller polls for instead (a
 // ping-pong WRITE, a StRoM RPC): a crash in a --fault-plan that fails it
-// stops the run here, not in a poll that spins forever on a word nobody
-// writes.
+// stops the run here, with the verb's error.
 void CheckWrite(Status st);
+
+// No deadline for RunUntilDone.
+inline constexpr SimTime kNoDeadline = std::numeric_limits<SimTime>::max();
+
+// Runs `sim` until `done()` holds, then checks that it does. A wait can end
+// without it: a crash in a --fault-plan can lose the response a poll waits
+// for, and a poll that nothing writes schedules no event, so the queue goes
+// idle. The check's message names the wait (`what`), says whether the queue
+// went idle or simulated time passed `deadline`, and gives the time.
+template <typename Pred>
+void RunUntilDone(Simulator& sim, const char* what, Pred&& done,
+                  SimTime deadline = kNoDeadline) {
+  const bool held = sim.RunUntil([&] { return done() || sim.now() >= deadline; });
+  STROM_CHECK(done()) << what << " did not finish: "
+                      << (held ? "simulated time passed its deadline"
+                               : "the event queue went idle")
+                      << " at " << ToUs(sim.now()) << " us of simulated time";
+}
 
 // Median latency of an RDMA WRITE, measured as RTT/2 of the paper's §6.1
 // ping-pong (initiator writes, remote polls and writes back, initiator

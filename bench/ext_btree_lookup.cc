@@ -53,12 +53,9 @@ LatencyStats RunStrom(int num_keys) {
     const SimTime start = tb.bed.sim().now();
     tb.bed.node(0).driver().PostRpc(kTraversalRpcOpcode, kQp,
                                     tb.tree->LookupParams(key, tb.resp).Encode());
-    bool done = false;
-    tb.bed.sim().RunUntil([&] {
-      done = tb.bed.node(0).driver().ReadHostU64(tb.resp + kValueSize) != 0;
-      return done;
+    bench::RunUntilDone(tb.bed.sim(), "the StRoM lookup", [&] {
+      return tb.bed.node(0).driver().ReadHostU64(tb.resp + kValueSize) != 0;
     });
-    STROM_CHECK(done);
     stats.Add(tb.bed.sim().now() - start);
   }
   return stats;
@@ -117,7 +114,7 @@ LatencyStats RunRdmaRead(int num_keys) {
     *c.finished = true;
   };
   tb.bed.sim().Spawn(walker(Ctx{tb, &stats, &finished}));
-  tb.bed.sim().RunUntil([&] { return finished; });
+  bench::RunUntilDone(tb.bed.sim(), "the RDMA READ descents", [&] { return finished; });
   return stats;
 }
 
@@ -163,7 +160,7 @@ LatencyStats RunTcpRpc(int num_keys) {
     *c.finished = true;
   };
   tb.bed.sim().Spawn(looker(Ctx{tb, *client, &stats, &finished}));
-  tb.bed.sim().RunUntil([&] { return finished; });
+  bench::RunUntilDone(tb.bed.sim(), "the TCP RPC lookups", [&] { return finished; });
   return stats;
 }
 

@@ -90,7 +90,7 @@ LatencyStats RunRdmaRead(int length) {
     *c.finished = true;
   };
   tb.bed.sim().Spawn(walker(Ctx{tb, &stats, &finished}));
-  tb.bed.sim().RunUntil([&] { return finished; });
+  bench::RunUntilDone(tb.bed.sim(), "the RDMA READ walks", [&] { return finished; });
   return stats;
 }
 
@@ -121,7 +121,7 @@ LatencyStats RunStrom(int length) {
     *c.finished = true;
   };
   tb.bed.sim().Spawn(lookup(Ctx{tb, &stats, &finished}));
-  tb.bed.sim().RunUntil([&] { return finished; });
+  bench::RunUntilDone(tb.bed.sim(), "the StRoM lookups", [&] { return finished; });
   return stats;
 }
 
@@ -180,7 +180,7 @@ LatencyStats RunTcpRpc(int length) {
     *c.finished = true;
   };
   tb.bed.sim().Spawn(lookup(Ctx{tb, *client, &stats, &finished}));
-  tb.bed.sim().RunUntil([&] { return finished; });
+  bench::RunUntilDone(tb.bed.sim(), "the TCP RPC lookups", [&] { return finished; });
   return stats;
 }
 

@@ -92,7 +92,7 @@ LatencyStats Run(Mode mode, uint32_t object_size) {
     *c.finished = true;
   };
   tb.bed.sim().Spawn(reader(Ctx{tb, mode, object_size, &stats, &finished}));
-  tb.bed.sim().RunUntil([&] { return finished; });
+  bench::RunUntilDone(tb.bed.sim(), "the consistent reads", [&] { return finished; });
   return stats;
 }
 

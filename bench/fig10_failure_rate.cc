@@ -82,7 +82,7 @@ double RunReadPlusSw(uint32_t size, double failure_rate) {
     *c.finished = true;
   };
   tb.bed.sim().Spawn(reader(Ctx{tb, size, failure_rate, &total_us, &finished}));
-  tb.bed.sim().RunUntil([&] { return finished; });
+  bench::RunUntilDone(tb.bed.sim(), "the software-retry reads", [&] { return finished; });
   return total_us / kReads;
 }
 
@@ -121,7 +121,7 @@ double RunStrom(uint32_t size, double failure_rate) {
     *c.finished = true;
   };
   tb.bed.sim().Spawn(reader(Ctx{tb, size, failure_rate, &total_us, &finished}));
-  tb.bed.sim().RunUntil([&] { return finished; });
+  bench::RunUntilDone(tb.bed.sim(), "the StRoM reads", [&] { return finished; });
   return total_us / kReads;
 }
 

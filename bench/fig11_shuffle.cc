@@ -81,7 +81,7 @@ double RunPlainWrite(size_t bytes) {
                                       STROM_CHECK(st.ok()) << st;
                                       done = true;
                                     });
-  tb.bed.sim().RunUntil([&] { return done; });
+  bench::RunUntilDone(tb.bed.sim(), "the software shuffle's stream", [&] { return done; });
   return ToSec(tb.bed.sim().now() - start);
 }
 
@@ -111,7 +111,7 @@ double RunStrom(size_t bytes) {
     *c.done = true;
   };
   tb.bed.sim().Spawn(waiter(Ctx{tb, &done}));
-  tb.bed.sim().RunUntil([&] { return done; });
+  bench::RunUntilDone(tb.bed.sim(), "the StRoM shuffle", [&] { return done; });
   const SimTime status_at = tb.bed.sim().now();
   // Count until the partitioned data has fully drained into host memory
   // (at 10 G the drain overlaps the stream; see ablation_pcie_ratio for the
@@ -169,7 +169,7 @@ double RunSwPlusWrite(size_t bytes) {
     *c.finished = true;
   };
   tb.bed.sim().Spawn(sender(Ctx{tb, bytes, &finished, &elapsed}));
-  tb.bed.sim().RunUntil([&] { return finished; });
+  bench::RunUntilDone(tb.bed.sim(), "the send/receive shuffle", [&] { return finished; });
   (void)drv;
   return ToSec(elapsed);
 }

@@ -40,7 +40,7 @@ double RunCpuHll(int threads, double* estimate_error) {
                                    STROM_CHECK(st.ok()) << st;
                                    write_done = true;
                                  });
-  bed.sim().RunUntil([&] { return write_done; });
+  bench::RunUntilDone(bed.sim(), "the ingest WRITE", [&] { return write_done; });
   const SimTime ingest_done = bed.sim().now();
 
   // The CPU threads chew through the received buffer at the calibrated

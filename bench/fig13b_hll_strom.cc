@@ -57,7 +57,7 @@ double RunWriteStream(size_t payload, bool with_hll, uint64_t* items_seen) {
   for (int i = 0; i < 128; ++i) {
     post_next();
   }
-  bed.sim().RunUntil([&] { return completed >= messages; });
+  bench::RunUntilDone(bed.sim(), "the WRITE stream", [&] { return completed >= messages; });
 
   if (kernel != nullptr) {
     bed.sim().RunUntilIdle();

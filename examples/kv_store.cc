@@ -188,11 +188,11 @@ int main() {
   bool t_done = false;
 
   d.bed.sim().Spawn(GetViaStrom(d, &strom_stats, &s_done));
-  d.bed.sim().RunUntil([&] { return s_done; });
+  STROM_CHECK(d.bed.sim().RunUntil([&] { return s_done; })) << "StRoM GETs did not finish";
   d.bed.sim().Spawn(GetViaRead(d, &read_stats, &r_done));
-  d.bed.sim().RunUntil([&] { return r_done; });
+  STROM_CHECK(d.bed.sim().RunUntil([&] { return r_done; })) << "READ GETs did not finish";
   d.bed.sim().Spawn(GetViaTcp(d, rpc_client, &tcp_stats, &t_done));
-  d.bed.sim().RunUntil([&] { return t_done; });
+  STROM_CHECK(d.bed.sim().RunUntil([&] { return t_done; })) << "TCP GETs did not finish";
 
   std::printf("\nGET latency over %d random keys (%u B values):\n", kGets, kValueSize);
   PrintStats("StRoM traversal kernel", strom_stats);
@@ -204,6 +204,7 @@ int main() {
   STROM_CHECK(store.WriteObject(0, 1).ok());
   bool c_done = false;
   d.bed.sim().Spawn(ConsistentReads(d, store, &c_done));
-  d.bed.sim().RunUntil([&] { return c_done; });
+  STROM_CHECK(d.bed.sim().RunUntil([&] { return c_done; }))
+      << "consistent reads did not finish";
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "src/host/driver.h"
 
+#include <algorithm>
 #include <coroutine>
 #include <utility>
 
@@ -78,8 +79,9 @@ Result<ByteBuffer> RoceDriver::ReadHost(VirtAddr addr, uint64_t len) const {
 }
 
 uint64_t RoceDriver::ReadHostU64(VirtAddr addr) const {
-  // Hot polling path (PollU64 spins on this): one translate, one in-place
-  // page read, no buffer. Words straddling a page take the general path.
+  // One translate and one in-place page read, no buffer: run-loop
+  // predicates call this after every event. Words straddling a page take
+  // the general path.
   if (HugePageOffset(addr) + 8 <= kHugePageSize) {
     Result<PhysAddr> phys = tlb_.Translate(addr);
     STROM_CHECK(phys.ok()) << phys.status();
@@ -216,47 +218,63 @@ ValueTask<Status> RoceDriver::Read(Qpn qpn, VirtAddr local, VirtAddr remote, uin
 
 namespace {
 
-// One PollU64 spin, parked on the simulator's poll lane; it lives in the
-// PollU64 frame while suspended. A tick re-reads the word in place and, if it
-// still holds the sentinel, re-arms at once: the next tick takes its seq
-// before anything else runs, so it orders exactly like a one-shot event that a
-// `co_await Delay(sim, kPollInterval)` loop would schedule at that point.
-class PollAwaiter final : public EventQueue::Poller {
+// One PollU64 wait, parked on its word; it lives in the PollU64 frame while
+// suspended. The host thread would re-read the word every kPollInterval from
+// the instant it started (its grid), so the first write that overlaps the
+// word schedules the wake at the first grid instant at or after the write
+// (DESIGN.md §13). A wake that finds the sentinel again re-arms the watch on
+// the same grid, and no event runs while nothing writes the word.
+class PollAwaiter final : public HostMemory::WordWatch {
  public:
-  PollAwaiter(RoceDriver& driver, VirtAddr addr, uint64_t sentinel)
-      : driver_(driver), addr_(addr), sentinel_(sentinel) {}
+  PollAwaiter(Simulator& sim, HostMemory& mem, PhysAddr addr, uint64_t sentinel)
+      : sim_(sim), mem_(mem), addr_(addr), sentinel_(sentinel) {}
 
   bool await_ready() {
-    value_ = driver_.ReadHostU64(addr_);
+    value_ = mem_.ReadU64(addr_);
     return value_ != sentinel_;
   }
   void await_suspend(std::coroutine_handle<> h) {
     waiter_ = h;
-    driver_.sim().SchedulePoll(kPollInterval, *this);
+    grid_ = sim_.now();
+    Arm(mem_, addr_);
   }
   uint64_t await_resume() const { return value_; }
 
-  void Tick() override {
-    value_ = driver_.ReadHostU64(addr_);
+ private:
+  void OnWrite() override {
+    const SimTime late = sim_.now() - grid_;
+    const SimTime ticks = std::max<SimTime>(1, (late + kPollInterval - 1) / kPollInterval);
+    sim_.ScheduleAt(grid_ + ticks * kPollInterval, [this] { Wake(); });
+  }
+
+  void Wake() {
+    value_ = mem_.ReadU64(addr_);
     if (value_ == sentinel_) {
-      driver_.sim().SchedulePoll(kPollInterval, *this);
+      grid_ = sim_.now();
+      Arm(mem_, addr_);
       return;
     }
     waiter_.resume();  // may destroy *this; nothing may follow
   }
 
- private:
-  RoceDriver& driver_;
-  VirtAddr addr_;
+  Simulator& sim_;
+  HostMemory& mem_;
+  PhysAddr addr_;
   uint64_t sentinel_;
   uint64_t value_ = 0;
+  SimTime grid_ = 0;  // the last instant the word was read
   std::coroutine_handle<> waiter_;
 };
 
 }  // namespace
 
 ValueTask<uint64_t> RoceDriver::PollU64(VirtAddr addr, uint64_t sentinel) {
-  co_return co_await PollAwaiter(*this, addr, sentinel);
+  STROM_CHECK_LE(HugePageOffset(addr) + 8, kHugePageSize)
+      << "PollU64 at 0x" << std::hex << addr
+      << ": the word straddles two huge pages, which are not physically adjacent";
+  Result<PhysAddr> phys = tlb_.Translate(addr);
+  STROM_CHECK(phys.ok()) << phys.status();
+  co_return co_await PollAwaiter(sim_, memory_, *phys, sentinel);
 }
 
 }  // namespace strom

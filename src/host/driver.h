@@ -97,8 +97,18 @@ class RoceDriver {
 
   // Spins on the 8-byte word at `addr` until it differs from `sentinel`;
   // returns the observed value (the paper's ping-pong completion detection).
-  // Re-checks every kPollInterval on the simulator's poll lane; a check that
-  // still finds `sentinel` re-arms the lane entry without resuming the caller.
+  // The host thread re-reads the word every kPollInterval, but only a write
+  // can change what it reads, so the poll parks on the word instead of
+  // ticking (DESIGN.md §13). The rule:
+  //  - A poll that starts at t0 and reads `sentinel` resumes at
+  //    t0 + k * kPollInterval, for the least k >= 1 at or after the instant
+  //    W of the first write that overlaps the word.
+  //  - That write schedules the wake, so the wake takes its seq at the
+  //    write, and same-instant ties order by the writes.
+  //  - The wake re-reads the word. If it holds `sentinel` again, the poll
+  //    parks once more on the same grid.
+  // A poll that nothing writes schedules no event, so it lets the queue go
+  // idle. The word must not straddle two huge pages (checked at the start).
   ValueTask<uint64_t> PollU64(VirtAddr addr, uint64_t sentinel);
 
   Simulator& sim() { return sim_; }

@@ -79,17 +79,61 @@ void HostMemory::WriteU64(PhysAddr addr, uint64_t value) {
 }
 
 uint64_t HostMemory::ReadU64(PhysAddr addr) const {
-  // Poll loops spin on this: for the common page-interior word, skip the
-  // visitor machinery and load straight from the page.
-  const uint64_t off = HugePageOffset(addr);
-  if (off + 8 <= kHugePageSize) {
-    const uint8_t* page = PageForRead(addr);
-    static constexpr uint8_t kZeros[8] = {};
-    return LoadLe64(page == nullptr ? kZeros : page + off);
-  }
   uint8_t buf[8];
   Read(addr, MutableByteSpan(buf, 8));
   return LoadLe64(buf);
+}
+
+HostMemory::~HostMemory() {
+  for (WordWatch* w : watches_) {
+    w->memory_ = nullptr;
+  }
+}
+
+void HostMemory::WordWatch::Arm(HostMemory& memory, PhysAddr word) {
+  STROM_CHECK(memory_ == nullptr) << "word watch armed twice";
+  memory_ = &memory;
+  word_ = word;
+  std::vector<WordWatch*>& list = memory.watches_;
+  list.insert(std::upper_bound(list.begin(), list.end(), word,
+                               [](PhysAddr a, const WordWatch* w) { return a < w->word_; }),
+              this);
+}
+
+void HostMemory::WordWatch::Disarm() {
+  if (memory_ == nullptr) {
+    return;
+  }
+  std::vector<WordWatch*>& list = memory_->watches_;
+  auto it = std::lower_bound(list.begin(), list.end(), word_, WordBefore);
+  while (*it != this) {  // past earlier watches on the same word
+    ++it;
+  }
+  list.erase(it);
+  memory_ = nullptr;
+}
+
+void HostMemory::FireWatches(PhysAddr addr, size_t len) {
+  if (len == 0) {
+    return;
+  }
+  // The word [w, w + 8) overlaps [addr, addr + len) when addr - 8 < w < addr + len.
+  const auto lo =
+      std::lower_bound(watches_.begin(), watches_.end(), addr < 7 ? 0 : addr - 7, WordBefore);
+  const auto hi = std::lower_bound(lo, watches_.end(), addr + len, WordBefore);
+  if (lo == hi) {
+    return;
+  }
+  // Drop every fired watch before any OnWrite runs, so one that an OnWrite
+  // arms waits for the next write.
+  const std::vector<WordWatch*> fired(lo, hi);
+  watches_.erase(lo, hi);
+  for (WordWatch* w : fired) {
+    w->memory_ = nullptr;
+  }
+  for (WordWatch* w : fired) {
+    w->OnWrite();
+  }
 }
 
 void HostMemory::Fill(PhysAddr addr, size_t len, uint8_t value) {

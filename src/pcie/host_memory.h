@@ -4,6 +4,9 @@
 // anonymous mapping, so the host OS commits only the 4 KiB pages the
 // simulation writes. A pinned page nothing writes costs address space, not
 // memory, and nothing is zeroed by hand.
+//
+// Every write goes through VisitWrite, which also fires the one-shot word
+// watches a parked poll leaves (RoceDriver::PollU64, DESIGN.md §13).
 #ifndef SRC_PCIE_HOST_MEMORY_H_
 #define SRC_PCIE_HOST_MEMORY_H_
 
@@ -26,7 +29,34 @@ inline constexpr uint64_t HugePageOffset(uint64_t addr) { return addr & kHugePag
 
 class HostMemory {
  public:
+  // A one-shot watch on the 8-byte word at a physical address, which must
+  // lie within one huge page. The first write that overlaps the word drops
+  // the watch, then calls OnWrite() from inside the write, after its bytes
+  // have landed and every watch it fired has been dropped. A watch disarms
+  // itself when destroyed, and host memory disarms its watches when it is
+  // destroyed first, so either may outlive the other.
+  class WordWatch {
+   public:
+    WordWatch() = default;
+    WordWatch(const WordWatch&) = delete;
+    WordWatch& operator=(const WordWatch&) = delete;
+
+    void Arm(HostMemory& memory, PhysAddr word);
+    void Disarm();
+    bool armed() const { return memory_ != nullptr; }
+
+   protected:
+    virtual ~WordWatch() { Disarm(); }
+    virtual void OnWrite() = 0;
+
+   private:
+    friend class HostMemory;
+    HostMemory* memory_ = nullptr;
+    PhysAddr word_ = 0;
+  };
+
   HostMemory() = default;
+  ~HostMemory();
   HostMemory(const HostMemory&) = delete;
   HostMemory& operator=(const HostMemory&) = delete;
 
@@ -53,7 +83,8 @@ class HostMemory {
 
   // Write-side counterpart: visits the same page decomposition with mutable
   // spans, materializing pages on first touch. visit must fill every byte of
-  // the span it is handed.
+  // the span it is handed. The one choke point of every write: it fires the
+  // watches on words the range overlaps.
   template <typename Fn>
   void VisitWrite(PhysAddr addr, size_t len, Fn&& visit) {
     size_t done = 0;
@@ -65,6 +96,9 @@ class HostMemory {
       visit(done, MutableByteSpan(page + off, chunk));
       done += chunk;
     }
+    if (!watches_.empty()) {
+      FireWatches(addr, len);
+    }
   }
 
   // Convenience scalar accessors (little-endian, matching x86 host layout).
@@ -75,6 +109,7 @@ class HostMemory {
   void Fill(PhysAddr addr, size_t len, uint8_t value);
 
   size_t materialized_pages() const { return pages_.size(); }
+  size_t armed_watches() const { return watches_.size(); }
 
   // Allocates a fresh, zero-reading physical huge page and returns its base
   // address.
@@ -96,6 +131,10 @@ class HostMemory {
   const uint8_t* PageForRead(PhysAddr addr) const;
   // Shared all-zero page backing reads of unmapped memory.
   static const uint8_t* ZeroPage();
+  static bool WordBefore(const WordWatch* w, PhysAddr word) { return w->word_ < word; }
+  // Drops, then fires in word order and arming order per word, every watch
+  // on a word that [addr, addr + len) overlaps.
+  void FireWatches(PhysAddr addr, size_t len);
 
   std::map<uint64_t, PagePtr> pages_;
   uint64_t next_page_index_ = 1;
@@ -105,6 +144,9 @@ class HostMemory {
   // not dangle. Only mapped pages are cached — a miss stays a map lookup.
   mutable uint64_t cached_base_ = ~uint64_t{0};
   mutable uint8_t* cached_page_ = nullptr;
+  // Armed watches sorted by word; equal words keep arming order. A poll
+  // parks one per waiting host thread, so the list stays short.
+  std::vector<WordWatch*> watches_;
 };
 
 }  // namespace strom

@@ -32,27 +32,6 @@ void EventQueue::Insert(uint32_t slot, SimTime when) {
   Place(slot);
 }
 
-void EventQueue::PushPoll(SimTime when, Poller* poller) {
-  const size_t cap = lane_.size();
-  if (lane_size_ == cap) {
-    // Full: unroll the ring into a buffer twice as large.
-    std::vector<LaneEntry> grown(std::max<size_t>(16, 2 * cap));
-    for (size_t i = 0; i < lane_size_; ++i) {
-      grown[i] = lane_[(lane_head_ + i) & (cap - 1)];
-    }
-    lane_.swap(grown);
-    lane_head_ = 0;
-  }
-  const size_t mask = lane_.size() - 1;
-  if (lane_size_ > 0) {
-    STROM_CHECK_GE(when, lane_[(lane_head_ + lane_size_ - 1) & mask].when)
-        << "poll lane entry pushed before the lane's back";
-  }
-  lane_[(lane_head_ + lane_size_) & mask] = LaneEntry{when, next_seq_++, poller};
-  ++lane_size_;
-  ++size_;
-}
-
 EventQueue::Node& EventQueue::CheckedTimer(TimerId id) {
   STROM_CHECK(id.idx < nodes_.size() && nodes_[id.idx].pos != kOneShot)
       << "stale or invalid timer handle";
@@ -192,30 +171,10 @@ uint32_t EventQueue::RingFront() const {
   return buckets_[(w << 6) | std::countr_zero(bits)].head;
 }
 
-EventQueue::Source EventQueue::FrontSource(uint32_t ring_front) const {
-  const Node* ring = ring_front == kNone ? nullptr : &nodes_[ring_front];
-  const bool heap_first = !heap_.empty() && (ring == nullptr || Before(heap_.front(), *ring));
-  if (lane_size_ > 0) {
-    const LaneEntry& lane = lane_[lane_head_];
-    if (heap_first ? Before(lane, heap_.front()) : ring == nullptr || Before(lane, *ring)) {
-      return Source::kLane;
-    }
-  }
-  return heap_first ? Source::kHeap : Source::kRing;
-}
-
 SimTime EventQueue::NextTime() const {
   STROM_CHECK(!empty());
   const uint32_t ring_front = RingFront();
-  switch (FrontSource(ring_front)) {
-    case Source::kLane:
-      return lane_[lane_head_].when;
-    case Source::kHeap:
-      return heap_.front().when;
-    case Source::kRing:
-      break;
-  }
-  return nodes_[ring_front].when;
+  return HeapFirst(ring_front) ? heap_.front().when : nodes_[ring_front].when;
 }
 
 EventQueue::Event EventQueue::Pop() {
@@ -223,37 +182,21 @@ EventQueue::Event EventQueue::Pop() {
   const uint32_t ring_front = RingFront();
   Event out;
   uint32_t slot = ring_front;
-  switch (FrontSource(ring_front)) {
-    case Source::kLane: {
-      const LaneEntry& front = lane_[lane_head_];
-      out.when = front.when;
-      out.seq = front.seq;
-      out.poller = front.poller;
-      lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
-      --lane_size_;
-      --size_;
-      last_pop_ = out.when;
-      return out;
+  if (HeapFirst(ring_front)) {
+    const HeapEntry top = heap_.front();
+    const HeapEntry back = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      PlaceEntry(0, back);
+      SiftDown(0);
     }
-    case Source::kHeap: {
-      const HeapEntry top = heap_.front();
-      const HeapEntry back = heap_.back();
-      heap_.pop_back();
-      if (!heap_.empty()) {
-        PlaceEntry(0, back);
-        SiftDown(0);
-      }
-      out.when = top.when;
-      out.seq = top.seq;
-      slot = top.slot & ~kTimerBit;
-      break;
-    }
-    case Source::kRing: {
-      RingUnlink(slot);
-      out.when = nodes_[slot].when;
-      out.seq = nodes_[slot].seq;
-      break;
-    }
+    out.when = top.when;
+    out.seq = top.seq;
+    slot = top.slot & ~kTimerBit;
+  } else {
+    RingUnlink(slot);
+    out.when = nodes_[slot].when;
+    out.seq = nodes_[slot].seq;
   }
   Node& n = nodes_[slot];
   if (n.pos == kOneShot) {
@@ -276,9 +219,6 @@ void EventQueue::Clear() {
   chunks_.clear();
   nodes_.clear();
   free_slots_.clear();
-  lane_.clear();
-  lane_head_ = 0;
-  lane_size_ = 0;
   size_ = 0;
 }
 

@@ -7,9 +7,9 @@
 // occupancy bitmap finds the next non-empty one. An indexed 4-ary min-heap
 // is the overflow tier: it takes deadlines past the window and any push that
 // would walk back past more than kMaxShift entries of a dense bucket. Pop()
-// takes the earliest of the ring front, the overflow top and the poll-lane
-// front by one comparator, and every entry takes its seq when it is pushed,
-// so the pop order is that of a single heap over all entries.
+// takes the earlier of the ring front and the overflow top by one
+// comparator, and every entry takes its seq when it is pushed, so the pop
+// order is that of a single heap over all entries.
 //
 // Callables are built in place in a chunked slot slab whose addresses never
 // move. A popped event runs in its slot (Run) and the slot is freed after,
@@ -22,12 +22,6 @@
 // position the timer's node records) instead of letting tombstones pop
 // through the queue. Re-arming reuses the installed callable, so a timer that
 // is armed, cancelled, and re-armed millions of times never allocates.
-//
-// Poll lane: a FIFO beside the calendar for fixed-interval re-checks (a host
-// thread spinning on a word). Every entry is pushed at now + one interval
-// with the next seq, so the FIFO is already sorted by (when, seq) and Pop()
-// merges it by the same comparator: pop order, seqs and the event count are
-// exactly those of scheduling each tick as a one-shot event.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
@@ -57,16 +51,6 @@ class EventQueue {
     bool valid() const { return idx != kInvalidTimer; }
   };
 
-  // A poll-lane client. Tick() runs when its entry pops; a poller that
-  // keeps spinning pushes itself again with PushPoll.
-  class Poller {
-   public:
-    virtual void Tick() = 0;
-
-   protected:
-    ~Poller() = default;
-  };
-
   // Builds `fn` in a free slot and schedules it at `when`, which must be no
   // earlier than the last pop (checked).
   template <typename F>
@@ -75,11 +59,6 @@ class EventQueue {
     Slot(slot).Emplace(std::forward<F>(fn));
     Insert(slot, when);
   }
-
-  // Appends a poll-lane entry with the next seq. `when` must be no earlier
-  // than the last queued lane entry's (checked), which holds when every
-  // entry is pushed at now + one fixed interval.
-  void PushPoll(SimTime when, Poller* poller);
 
   // Builds `fn` as a persistent callable in a slot of its own and returns a
   // handle. The timer starts idle; ArmTimer schedules it. The callable is
@@ -99,21 +78,20 @@ class EventQueue {
   bool CancelTimer(TimerId id);
   bool TimerPending(TimerId id) const;
 
-  // Ring, overflow and poll-lane entries alike.
+  // Ring and overflow entries alike.
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
   // Timestamp of the earliest event. Precondition: !empty().
   SimTime NextTime() const;
-  // Entries in the overflow heap (the rest are in the ring or the lane).
+  // Entries in the overflow heap (the rest are in the ring).
   size_t overflow_size() const { return heap_.size(); }
 
   // A popped event. Its callable has not moved: it runs in its slot.
   struct Event {
     SimTime when;
     uint64_t seq;
-    SmallCallback* fn = nullptr;   // one-shot or timer callable
-    Poller* poller = nullptr;      // poll-lane entry
-    uint32_t free_slot = kNone;    // a one-shot's slot, freed after its run
+    SmallCallback* fn = nullptr;  // one-shot or timer callable
+    uint32_t free_slot = kNone;   // a one-shot's slot, freed after its run
   };
   // Takes the earliest event out of the order. Run() it exactly once before
   // the queue is cleared. Precondition: !empty().
@@ -121,10 +99,6 @@ class EventQueue {
   // Runs a popped event in place, then frees a one-shot's slot. A timer is
   // idle before its callable runs, so the callable can re-arm it.
   void Run(const Event& ev) {
-    if (ev.poller != nullptr) {
-      ev.poller->Tick();
-      return;
-    }
     (*ev.fn)();
     if (ev.free_slot != kNone) {
       ev.fn->Reset();
@@ -177,14 +151,6 @@ class EventQueue {
     uint32_t slot;  // kTimerBit set when the slot is a timer's
   };
 
-  struct LaneEntry {
-    SimTime when;
-    uint64_t seq;
-    Poller* poller;
-  };
-
-  enum class Source { kRing, kHeap, kLane };
-
   // Earlier time wins; same-time events fire in insertion (seq) order.
   template <typename A, typename B>
   static bool Before(const A& a, const B& b) {
@@ -216,7 +182,10 @@ class EventQueue {
   void RingUnlink(uint32_t slot);
   // Slot at the front of the earliest non-empty bucket, or kNone.
   uint32_t RingFront() const;
-  Source FrontSource(uint32_t ring_front) const;
+  // Whether the overflow top pops before the ring front.
+  bool HeapFirst(uint32_t ring_front) const {
+    return !heap_.empty() && (ring_front == kNone || Before(heap_.front(), nodes_[ring_front]));
+  }
 
   // Defined in the class so GCC inlines it into the sift loops.
   void PlaceEntry(size_t i, const HeapEntry& e) {
@@ -245,11 +214,6 @@ class EventQueue {
   std::vector<HeapEntry> heap_;  // overflow tier
   uint64_t next_seq_ = 0;
   size_t size_ = 0;
-
-  // Poll lane as a ring buffer; its capacity is zero or a power of two.
-  std::vector<LaneEntry> lane_;
-  size_t lane_head_ = 0;
-  size_t lane_size_ = 0;
 };
 
 }  // namespace strom

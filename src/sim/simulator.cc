@@ -16,11 +16,6 @@ Simulator::~Simulator() {
   tasks_.clear();
 }
 
-void Simulator::SchedulePoll(SimTime interval, EventQueue::Poller& poller) {
-  STROM_CHECK_GT(interval, 0);
-  queue_.PushPoll(now_ + interval, &poller);
-}
-
 bool Simulator::Cancel(TimerHandle h) { return queue_.CancelTimer(h); }
 
 void Simulator::Reschedule(TimerHandle h, SimTime delay) {

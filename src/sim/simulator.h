@@ -74,12 +74,6 @@ class Simulator {
   void RescheduleAt(TimerHandle h, SimTime when);
   bool TimerPending(TimerHandle h) const { return queue_.TimerPending(h); }
 
-  // Poll lane (DESIGN.md §13): runs `poller.Tick()` `interval` from now, in
-  // the order, and with the seq, that Schedule would give it at this point,
-  // but without a queue slot or a callable. Every poller must use the same
-  // interval, so the lane stays sorted; the queue checks that it does.
-  void SchedulePoll(SimTime interval, EventQueue::Poller& poller);
-
   // Runs a single event; returns false if the queue is empty.
   bool Step();
 
@@ -114,11 +108,11 @@ class Simulator {
   // Number of spawned tasks that have not yet completed.
   size_t pending_tasks() const;
 
-  // Number of events waiting in the queue, poll-lane ticks included (each
-  // tick is one event to events_processed()). The running event has already
-  // been popped, so a periodic callback (e.g. the telemetry sampler) can
-  // stop rescheduling itself when this hits zero without wedging
-  // RunUntilIdle().
+  // Number of events waiting in the queue. A parked poll is not one: it
+  // waits for a write, which only an event can make (DESIGN.md §13). The
+  // running event has already been popped, so a periodic callback (e.g. the
+  // telemetry sampler) can stop rescheduling itself when this hits zero
+  // without wedging RunUntilIdle().
   size_t pending_events() const { return queue_.size(); }
 
  private:

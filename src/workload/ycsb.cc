@@ -345,8 +345,8 @@ void YcsbEngine::Post(int host, const Op& op) {
       // In crash-recovery mode the RPC post's own completion feeds the fence:
       // a flushed/NAKed parameter send means the kernel never saw the
       // request, so the response will never come — poke the status word
-      // instead of polling forever. (Without the callback, a lost response
-      // is exactly the hang skip_fence_pokes_ demonstrates.)
+      // instead of leaving the poll parked for good. (Without the callback, a
+      // lost response is exactly the hang skip_fence_pokes_ demonstrates.)
       std::function<void(Status)> on_post;
       if (crash_recovery_ && !skip_fence_pokes_) {
         on_post = [this, host, slot](Status st) {
@@ -439,8 +439,9 @@ YcsbReport YcsbEngine::Run() {
     }
     ScheduleArrival(i);
   }
-  // Wedge guard: a lost GET response (possible under fault plans) would poll
-  // forever; bound the run instead of hanging.
+  // Wedge guard: a lost GET response (possible under fault plans) leaves its
+  // poll parked for good, and with crash recovery on the lease monitors renew
+  // forever, so the run would never end; bound it instead.
   fabric_.sim().ScheduleAt(config_.duration * 3, [this] { deadline_hit_ = true; });
   fabric_.sim().RunUntil([this] { return AllDone() || deadline_hit_; });
   // Leases renew forever by design; stop the monitors now that the workload

@@ -167,6 +167,99 @@ TEST(HostMemory, PagesPinnedAfterAFreeCommitOnlyWhatIsWritten) {
   }
 }
 
+// Counts the writes that fire it.
+class CountingWatch final : public HostMemory::WordWatch {
+ public:
+  int fired = 0;
+
+ private:
+  void OnWrite() override { ++fired; }
+};
+
+// The watch fires once, for the first write that overlaps any byte of its
+// word, whichever write path made it, and ignores writes beside the word.
+TEST(HostMemory, WordWatchFiresOnWritesThatOverlapTheWord) {
+  HostMemory mem;
+  const PhysAddr word = mem.AllocPage() + 4096;
+  auto fires = [&](const auto& write) {
+    CountingWatch w;
+    w.Arm(mem, word);
+    write();
+    EXPECT_EQ(w.armed(), w.fired == 0);
+    return w.fired;
+  };
+  const uint8_t byte = 1;
+  EXPECT_EQ(fires([&] { mem.Write(word, ByteBuffer(8, 1)); }), 1);
+  EXPECT_EQ(fires([&] { mem.Fill(word - 100, 200, 0xFF); }), 1);
+  EXPECT_EQ(fires([&] { mem.WriteU64(word, 7); }), 1);
+  EXPECT_EQ(fires([&] { mem.Write(word + 7, ByteSpan(&byte, 1)); }), 1);
+  EXPECT_EQ(fires([&] { mem.Write(word - 7, ByteSpan(&byte, 1)); }), 0);
+  EXPECT_EQ(fires([&] { mem.Write(word - 1, ByteSpan(&byte, 1)); }), 0);
+  EXPECT_EQ(fires([&] { mem.Write(word + 8, ByteSpan(&byte, 1)); }), 0);
+  EXPECT_EQ(fires([&] { mem.WriteU64(word - 8, 7); }), 0);
+  EXPECT_EQ(fires([&] { mem.WriteU64(word + 8, 7); }), 0);
+  EXPECT_EQ(fires([&] { mem.Write(word, ByteSpan(&byte, 0)); }), 0);
+  EXPECT_EQ(mem.armed_watches(), 0u);
+
+  // One-shot: a second write finds nothing armed.
+  CountingWatch once;
+  once.Arm(mem, word);
+  mem.WriteU64(word, 1);
+  mem.WriteU64(word, 2);
+  EXPECT_EQ(once.fired, 1);
+}
+
+// Two watches on one word both fire on one write; a watch that re-arms from
+// OnWrite waits for the next write.
+TEST(HostMemory, WordWatchesOnOneWordAllFire) {
+  struct Rearming final : HostMemory::WordWatch {
+    HostMemory* mem = nullptr;
+    PhysAddr word = 0;
+    int fired = 0;
+    void OnWrite() override {
+      ++fired;
+      Arm(*mem, word);
+    }
+  };
+  HostMemory mem;
+  const PhysAddr word = mem.AllocPage() + 64;
+  CountingWatch a;
+  Rearming b;
+  b.mem = &mem;
+  b.word = word;
+  a.Arm(mem, word);
+  b.Arm(mem, word);
+  mem.WriteU64(word, 1);
+  EXPECT_EQ(a.fired, 1);
+  EXPECT_EQ(b.fired, 1);
+  EXPECT_FALSE(a.armed());
+  EXPECT_TRUE(b.armed());
+  mem.WriteU64(word, 2);
+  EXPECT_EQ(b.fired, 2);
+}
+
+// Either may be destroyed first: a destroyed watch leaves its memory, and
+// destroyed memory detaches its watches.
+TEST(HostMemory, WordWatchAndMemoryOutliveEachOther) {
+  HostMemory mem;
+  const PhysAddr word = mem.AllocPage();
+  {
+    CountingWatch gone;
+    gone.Arm(mem, word);
+    EXPECT_EQ(mem.armed_watches(), 1u);
+  }
+  EXPECT_EQ(mem.armed_watches(), 0u);
+  mem.WriteU64(word, 1);  // must not reach the destroyed watch
+
+  CountingWatch w;
+  {
+    HostMemory dying;
+    w.Arm(dying, dying.AllocPage());
+    EXPECT_TRUE(w.armed());
+  }
+  EXPECT_FALSE(w.armed());  // and ~CountingWatch must not touch `dying`
+}
+
 TEST(Tlb, MapAndTranslate) {
   Tlb tlb(16);
   HostMemory mem;
@@ -272,6 +365,24 @@ TEST_F(DmaTest, WriteThenReadRoundTrip) {
   });
   sim_.RunUntilIdle();
   EXPECT_EQ(got, data);
+}
+
+// A DMA write fires the watch when it completes, not when it is issued, and
+// through each segment of a command split at a page boundary.
+TEST_F(DmaTest, CompletedWriteFiresTheWatchOnItsWord) {
+  CountingWatch inner;
+  CountingWatch second_page;
+  CountingWatch beside;
+  inner.Arm(mem_, *tlb_.Translate(1000));
+  second_page.Arm(mem_, *tlb_.Translate(kHugePageSize + 8));
+  beside.Arm(mem_, *tlb_.Translate(1008));
+  dma_.Write(996, FrameBuf::Copy(ByteBuffer(8, 0xAB)), nullptr);
+  dma_.Write(kHugePageSize - 16, FrameBuf::Copy(ByteBuffer(32, 0xCD)), nullptr);
+  EXPECT_EQ(inner.fired, 0);
+  sim_.RunUntilIdle();
+  EXPECT_EQ(inner.fired, 1);
+  EXPECT_EQ(second_page.fired, 1);
+  EXPECT_EQ(beside.fired, 0);
 }
 
 TEST_F(DmaTest, ReadLatencyMatchesModel) {

@@ -1,7 +1,7 @@
 // End-to-end tests of the RoCE v2 stack over the two-node testbed: writes,
 // reads, multi-packet messages, loss/corruption recovery, PSN handling,
 // outstanding-read limits, bidirectional traffic, and completion polling
-// (the poll lane against the heap-event poll loop it replaced).
+// (tests/poll_wake_test.cc checks the poll's wake rule).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -605,151 +605,6 @@ TEST(TxStaging, PacedLongMessageDoesNotHoldBackAnotherQpsFetch) {
   EXPECT_LT(short_done_at - posted, Us(50));
   EXPECT_FALSE(long_done);  // ~85 ms at the floor rate
   EXPECT_GT(stack.counters().pacing_deferrals, 0u);
-}
-
-// The poll loop PollU64 ran before the poll lane: one heap event per
-// kPollInterval re-check. The lane must reproduce it exactly.
-ValueTask<uint64_t> ReferencePollU64(RoceDriver& drv, VirtAddr addr, uint64_t sentinel) {
-  while (true) {
-    const uint64_t value = drv.ReadHostU64(addr);
-    if (value != sentinel) {
-      co_return value;
-    }
-    co_await Delay(drv.sim(), kPollInterval);
-  }
-}
-
-struct PollCompletion {
-  int poller;
-  SimTime at;
-  uint64_t value;
-};
-
-// Polls `addr` `rounds` times with sentinels 0, 1, ... and records each
-// completion in order.
-Task PollRounds(RoceDriver& drv, bool reference, int id, VirtAddr addr, int rounds,
-                std::vector<PollCompletion>* out) {
-  for (int r = 0; r < rounds; ++r) {
-    uint64_t value;
-    if (reference) {
-      value = co_await ReferencePollU64(drv, addr, r);
-    } else {
-      value = co_await drv.PollU64(addr, r);
-    }
-    out->push_back({id, drv.sim().now(), value});
-  }
-}
-
-struct PollRun {
-  std::vector<PollCompletion> completions;
-  uint64_t events = 0;
-};
-
-// Pollers on node 1 wait for host writes scripted against their tick grid
-// and for RDMA WRITEs from node 0. Grid A ticks at kGridA + n * kPollInterval.
-constexpr SimTime kGridA = Us(2) + Ps(123);
-constexpr SimTime TickA(int n) { return kGridA + n * kPollInterval; }
-
-PollRun RunPollScenario(bool reference) {
-  Testbed bed(Profile10G());
-  bed.ConnectQp(0, kQp, 1, kQp);
-  Simulator& sim = bed.sim();
-  RoceDriver& src = bed.node(0).driver();
-  RoceDriver& drv = bed.node(1).driver();
-  const VirtAddr local = src.AllocBuffer(MiB(1))->addr;
-  const VirtAddr words = drv.AllocBuffer(MiB(1))->addr;
-  drv.FillHost(words, 4096, 0);
-  auto word = [words](int id) { return words + 64 * static_cast<VirtAddr>(id); };
-
-  PollRun run;
-  auto spawn_at = [&](SimTime at, int id, int rounds) {
-    sim.ScheduleAt(at, [&sim, &drv, &run, reference, id, rounds, addr = word(id)] {
-      sim.Spawn(PollRounds(drv, reference, id, addr, rounds, &run.completions));
-    });
-  };
-  auto host_write_at = [&](SimTime at, int id, uint64_t value) {
-    sim.ScheduleAt(at, [&drv, addr = word(id), value] { drv.WriteHostU64(addr, value); });
-  };
-  // Takes the write's seq at `from`, for a write at `at`.
-  auto host_write_from = [&](SimTime from, SimTime at, int id, uint64_t value) {
-    sim.ScheduleAt(from, [&sim, &drv, at, addr = word(id), value] {
-      sim.ScheduleAt(at, [&drv, addr, value] { drv.WriteHostU64(addr, value); });
-    });
-  };
-  auto rdma_write_at = [&](SimTime at, int id, uint64_t value) {
-    sim.ScheduleAt(at, [&src, value, from = local + 64 * static_cast<VirtAddr>(id),
-                        to = word(id)] {
-      src.WriteHostU64(from, value);
-      src.PostWrite(kQp, from, to, 8);
-    });
-  };
-
-  // Grid A: pollers 0-5 start together, so their ticks share instants and
-  // pop in spawn order.
-  for (int id = 0; id <= 5; ++id) {
-    spawn_at(kGridA, id, 1);
-  }
-  host_write_at(TickA(3) + Ns(17), 0, 0xA0);       // between ticks: seen at tick 4
-  host_write_from(TickA(4) - Ns(10), TickA(5), 1, 0xA1);  // on tick 5, seq before its: tick 5
-  host_write_from(TickA(4) + Ns(10), TickA(5), 2, 0xA2);  // on tick 5, seq after its: tick 6
-  host_write_at(TickA(6), 3, 0xA3);                // seq taken at set-up: tick 6
-  host_write_at(TickA(8) - Ns(10), 4, 0xA4);       // written after poller 5's word,
-  host_write_at(TickA(8) - Ns(30), 5, 0xA5);       // both seen at tick 8 in grid order
-
-  // Poller 6 finds its word already written and never ticks.
-  host_write_at(kGridA - Ns(1), 6, 0xA6);
-  spawn_at(kGridA, 6, 1);
-
-  // Pollers 7 and 8 wait on RDMA WRITEs; poller 8 polls three rounds, fed by
-  // a host write, an RDMA WRITE, and a host write on its own tick instant.
-  const SimTime grid_b = kGridA + Ns(13);
-  spawn_at(grid_b, 7, 1);
-  spawn_at(grid_b, 8, 3);
-  rdma_write_at(Us(3), 7, 0xB7);
-  host_write_at(Us(4) + Ns(1), 8, 1);
-  rdma_write_at(Us(5), 8, 2);
-  host_write_at(grid_b + 300 * kPollInterval, 8, 3);
-
-  sim.RunUntilIdle();
-  run.events = sim.events_processed();
-  return run;
-}
-
-TEST(PollLaneDifferential, MatchesReferencePollLoop) {
-  const PollRun ref = RunPollScenario(/*reference=*/true);
-  const PollRun lane = RunPollScenario(/*reference=*/false);
-  ASSERT_EQ(ref.completions.size(), 11u);
-  ASSERT_EQ(lane.completions.size(), ref.completions.size());
-  for (size_t i = 0; i < ref.completions.size(); ++i) {
-    const PollCompletion& a = ref.completions[i];
-    const PollCompletion& b = lane.completions[i];
-    EXPECT_EQ(b.poller, a.poller) << "completion " << i;
-    EXPECT_EQ(b.at, a.at) << "completion " << i << ", poller " << a.poller;
-    EXPECT_EQ(b.value, a.value) << "completion " << i << ", poller " << a.poller;
-  }
-  EXPECT_EQ(lane.events, ref.events);
-
-  // The tie rules the scenario is built around, pinned on the reference.
-  std::vector<int> order;
-  for (const PollCompletion& c : ref.completions) {
-    order.push_back(c.poller);
-  }
-  EXPECT_EQ(order, (std::vector<int>{6, 0, 1, 2, 3, 4, 5, 8, 7, 8, 8}));
-  auto at = [&](int poller) {
-    for (const PollCompletion& c : ref.completions) {
-      if (c.poller == poller) {
-        return c.at;
-      }
-    }
-    return SimTime{-1};
-  };
-  EXPECT_EQ(at(0), TickA(4));
-  EXPECT_EQ(at(1), TickA(5));
-  EXPECT_EQ(at(2), TickA(6));
-  EXPECT_EQ(at(3), TickA(6));
-  EXPECT_EQ(at(4), TickA(8));
-  EXPECT_EQ(at(5), TickA(8));
-  EXPECT_EQ(at(6), kGridA);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Unit tests for the discrete-event simulator, coroutine tasks, and FIFOs.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -89,50 +88,20 @@ TEST(EventQueue, PopReturnsMonotoneSeqForSameTimestamp) {
   EXPECT_TRUE(q.empty());
 }
 
-// A poll-lane client for the tests: records its label on every tick and,
-// while `rearm` is set, pushes itself again one interval after `now`.
-class LanePoller final : public EventQueue::Poller {
- public:
-  LanePoller(EventQueue& q, const SimTime& now, SimTime interval, int label,
-             std::vector<int>& fired)
-      : q_(q), now_(now), interval_(interval), label_(label), fired_(fired) {}
-
-  void Tick() override {
-    fired_.push_back(label_);
-    if (rearm) {
-      q_.PushPoll(now_ + interval_, this);
-    }
-  }
-
-  bool rearm = false;
-
- private:
-  EventQueue& q_;
-  const SimTime& now_;
-  SimTime interval_;
-  int label_;
-  std::vector<int>& fired_;
-};
-
 // Cancellation stress: randomized arm/cancel/re-arm/pop churn against a
 // reference model (an ordered set of (when, seq, label) triples), with every
 // fire compared label-for-label.
 //  - kMixed: deadlines mix near, mid and far horizons (up to 2^14, 2^22 and
 //    2^38 ps out).
-//  - kPollLane: poll-lane entries join the churn, pushed at now + a fixed
-//    interval, some re-armed from their own tick, and one-shots land on
-//    exactly that instant to make ties; the model keys them like any other
-//    entry.
 //  - kCalendarEdges: deadlines cluster in the last pop's bucket and the next
 //    two and within two buckets either side of the window's far edge, so
 //    entries pushed past the window fall back inside it as time advances and
 //    the ring wraps many times. Descending runs of 12 into one bucket spill
 //    to the overflow heap, and timers are cancelled and re-armed from the
 //    middle of a bucket.
-enum class StressMode { kMixed, kPollLane, kCalendarEdges };
+enum class StressMode { kMixed, kCalendarEdges };
 
 void CancellationStress(uint64_t seed, StressMode mode = StressMode::kMixed) {
-  const bool lane = mode == StressMode::kPollLane;
   const bool calendar = mode == StressMode::kCalendarEdges;
   EventQueue q;
   Rng rng(seed);
@@ -150,9 +119,6 @@ void CancellationStress(uint64_t seed, StressMode mode = StressMode::kMixed) {
   std::set<Key> model;
   std::vector<std::optional<Key>> pending(kTimers);  // timer -> live key
   std::vector<int> model_fired;
-  int lane_heap_ties = 0;  // consecutive pops at one instant, one from each side
-  int prev_label = 0;
-  SimTime prev_when = -1;
   uint64_t next_seq = 0;
   int next_oneshot = kTimers;
   SimTime now = 0;
@@ -163,15 +129,6 @@ void CancellationStress(uint64_t seed, StressMode mode = StressMode::kMixed) {
   size_t spilled = 0;             // burst pushes that went to the overflow heap
   int fell_back = 0;              // pops of one-shots pushed past the window
   std::vector<bool> past_window;  // per one-shot label - kTimers
-
-  // Lane pollers carry labels -1 .. -kPollers.
-  constexpr int kPollers = 8;
-  constexpr SimTime kInterval = 5000;
-  std::vector<std::unique_ptr<LanePoller>> pollers;
-  for (int k = 0; k < kPollers; ++k) {
-    pollers.push_back(std::make_unique<LanePoller>(q, now, kInterval, -1 - k, fired));
-  }
-  auto poller_of = [&](int label) -> LanePoller& { return *pollers[-1 - label]; };
 
   auto random_when = [&]() -> SimTime {
     if (calendar) {
@@ -224,7 +181,7 @@ void CancellationStress(uint64_t seed, StressMode mode = StressMode::kMixed) {
       const uint64_t r = rng.Below(64);
       action = r < 10 ? 0 : r < 14 ? 3 : r < 20 ? 4 : r < 62 ? 6 : r == 62 ? 12 : 13;
     } else {
-      action = rng.Below(lane ? 12 : 10);
+      action = rng.Below(10);
     }
     switch (action) {
       case 0:
@@ -240,16 +197,6 @@ void CancellationStress(uint64_t seed, StressMode mode = StressMode::kMixed) {
       case 4:
       case 5:  // one-shot push
         push_oneshot(random_when());
-        break;
-      case 10: {  // poll-lane push
-        const int label = -1 - static_cast<int>(rng.Below(kPollers));
-        model.insert(Key{now + kInterval, next_seq, label});
-        q.PushPoll(now + kInterval, &poller_of(label));
-        ++next_seq;
-        break;
-      }
-      case 11:  // one-shot on the lane's instant: a tie, either side of it
-        push_oneshot(now + kInterval);
         break;
       case 12: {  // 12 descending deadlines into one bucket inside the window
         const SimTime bucket_end = ((now / kBucket) + 2 + SimTime(rng.Below(8))) * kBucket;
@@ -285,27 +232,14 @@ void CancellationStress(uint64_t seed, StressMode mode = StressMode::kMixed) {
         ASSERT_EQ(ev.seq, std::get<1>(expect));
         model.erase(model.begin());
         const int label = std::get<2>(expect);
-        if (label >= 0 && label < kTimers) {
+        if (label < kTimers) {
           pending[label].reset();
         }
         if (label >= kTimers && past_window[label - kTimers]) {
           ++fell_back;
         }
         model_fired.push_back(label);
-        if (ev.when == prev_when && (label < 0) != (prev_label < 0)) {
-          ++lane_heap_ties;
-        }
-        prev_when = ev.when;
-        prev_label = label;
         now = ev.when;
-        if (label < 0) {  // a lane tick: re-arm from inside it, sometimes
-          LanePoller& p = poller_of(label);
-          p.rearm = rng.Below(2) == 0;
-          if (p.rearm) {
-            model.insert(Key{now + kInterval, next_seq, label});
-            ++next_seq;
-          }
-        }
         q.Run(ev);
         ASSERT_EQ(fired.size(), model_fired.size());
         ASSERT_EQ(fired.back(), model_fired.back());
@@ -320,9 +254,6 @@ void CancellationStress(uint64_t seed, StressMode mode = StressMode::kMixed) {
     EXPECT_GT(fell_back, 100);
   }
   // Drain: every remaining entry fires in model order.
-  for (auto& p : pollers) {
-    p->rearm = false;
-  }
   while (!model.empty()) {
     const Key expect = *model.begin();
     model.erase(model.begin());
@@ -334,9 +265,6 @@ void CancellationStress(uint64_t seed, StressMode mode = StressMode::kMixed) {
     ASSERT_EQ(fired.back(), std::get<2>(expect));
   }
   EXPECT_TRUE(q.empty());
-  if (lane) {
-    EXPECT_GT(lane_heap_ties, 10) << "the lane case must exercise same-instant ties";
-  }
 }
 
 TEST(EventCoreCancellation, StressMatchesReferenceModelHeap) {
@@ -344,56 +272,10 @@ TEST(EventCoreCancellation, StressMatchesReferenceModelHeap) {
   CancellationStress(4242);
 }
 
-TEST(EventCoreCancellation, StressWithPollLaneMatchesReferenceModel) {
-  CancellationStress(17, StressMode::kPollLane);
-  CancellationStress(4242, StressMode::kPollLane);
-  CancellationStress(99, StressMode::kPollLane);
-}
-
 TEST(EventCoreCancellation, StressAtCalendarEdgesMatchesReferenceModel) {
   CancellationStress(17, StressMode::kCalendarEdges);
   CancellationStress(4242, StressMode::kCalendarEdges);
   CancellationStress(99, StressMode::kCalendarEdges);
-}
-
-// A lane tick and heap events at the same `when` pop in seq order, whichever
-// side took its seq first.
-TEST(EventQueue, PollLaneTiesWithHeapBreakBySeq) {
-  EventQueue q;
-  std::vector<int> fired;
-  const SimTime now = 0;
-  LanePoller first(q, now, 100, 10, fired);
-  LanePoller second(q, now, 100, 11, fired);
-  q.Push(100, [&fired] { fired.push_back(0); });  // heap before lane
-  q.PushPoll(100, &first);
-  q.Push(100, [&fired] { fired.push_back(1); });  // heap after lane, before lane
-  q.PushPoll(100, &second);
-  q.Push(100, [&fired] { fired.push_back(2); });  // heap after lane
-  q.Push(99, [&fired] { fired.push_back(-1); });  // earlier heap event
-  EXPECT_EQ(q.size(), 6u);
-  uint64_t prev_seq = 0;
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_FALSE(q.empty());
-    const SimTime next = q.NextTime();
-    EventQueue::Event ev = q.Pop();
-    EXPECT_EQ(ev.when, next);
-    if (i > 1) {
-      EXPECT_GT(ev.seq, prev_seq);
-    }
-    prev_seq = ev.seq;
-    q.Run(ev);
-  }
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(fired, (std::vector<int>{-1, 0, 10, 1, 11, 2}));
-}
-
-TEST(EventQueueDeathTest, PollLaneRejectsOutOfOrderPush) {
-  EventQueue q;
-  std::vector<int> fired;
-  const SimTime now = 0;
-  LanePoller p(q, now, 100, 0, fired);
-  q.PushPoll(200, &p);
-  EXPECT_DEATH(q.PushPoll(199, &p), "poll lane");
 }
 
 // The calendar's window starts at the last pop, so a push behind it could
@@ -406,33 +288,6 @@ TEST(EventQueueDeathTest, PushBehindLastPopDies) {
   EXPECT_DEATH(q.Push(Ns(5) - 1, [] {}), "behind the last pop");
   const EventQueue::TimerId t = q.CreateTimer([] {});
   EXPECT_DEATH(q.ArmTimer(t, Ns(4)), "behind the last pop");
-}
-
-// Lane ticks are events: each counts once, and a re-armed tick keeps
-// RunFor/pending_events honest.
-TEST(Simulator, PollLaneTicksCountAsEvents) {
-  Simulator sim;
-  struct Countdown final : EventQueue::Poller {
-    Simulator& sim;
-    int left;
-    std::vector<SimTime> ticks;
-    Countdown(Simulator& s, int n) : sim(s), left(n) {}
-    void Tick() override {
-      ticks.push_back(sim.now());
-      if (--left > 0) {
-        sim.SchedulePoll(Ns(50), *this);
-      }
-    }
-  } countdown(sim, 4);
-  sim.Schedule(Ns(10), [] {});
-  sim.SchedulePoll(Ns(50), countdown);
-  EXPECT_EQ(sim.pending_events(), 2u);
-  sim.RunFor(Ns(120));
-  EXPECT_EQ(sim.events_processed(), 3u);  // the one-shot and ticks at 50, 100
-  EXPECT_EQ(sim.pending_events(), 1u);
-  sim.RunUntilIdle();
-  EXPECT_EQ(sim.events_processed(), 5u);
-  EXPECT_EQ(countdown.ticks, (std::vector<SimTime>{Ns(50), Ns(100), Ns(150), Ns(200)}));
 }
 
 // A long equal-`when` run must fire in insertion order, interleaved
