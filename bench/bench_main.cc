@@ -1,7 +1,7 @@
 // Shared main for every bench binary. google/benchmark's BENCHMARK_MAIN
-// rejects flags it does not know, so the telemetry flags (--trace-out,
-// --metrics-out, --trace-sample) are stripped here before Initialize sees
-// argv.
+// rejects flags it does not know, so the observability flags (--out,
+// --record, --audit, --fault-plan, --paranoid) and --jobs are stripped here
+// before Initialize sees argv.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"

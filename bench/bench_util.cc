@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,7 +19,6 @@
 #include "src/faults/fault_plan.h"
 #include "src/sim/task.h"
 #include "src/telemetry/audit.h"
-#include "src/telemetry/flow_stats.h"
 #include "src/testbed/workload.h"
 
 namespace strom::bench {
@@ -28,13 +28,12 @@ void CheckWrite(Status st) { STROM_CHECK(st.ok()) << st; }
 namespace {
 constexpr Qpn kQp = 1;
 
-std::string g_trace_out;
-std::string g_metrics_out;
-std::string g_capture_out;
-SimTime g_sample_interval = 0;
+std::string g_out;  // --out: where the collector writes; empty = nowhere
 int g_jobs = 1;
 std::unique_ptr<Auditor> g_auditor;
-FlowStatsSink g_flow_sink;
+
+// What --record can turn on.
+constexpr const char* kSinks[] = {"trace", "capture", "series", "flows", "postmortem"};
 
 // Consumes "--name=value" from argv; returns true and sets *value on match.
 template <typename S>
@@ -47,13 +46,30 @@ bool TakeFlag(const char* arg, const char* name, S* value) {
   return true;
 }
 
-// A flag that only shapes what another flag writes is a usage error without
-// it: the run would write nothing.
-void RequireFlag(bool given, const char* flag, const std::string& needed_value,
-                 const char* needed) {
-  if (given && needed_value.empty()) {
-    std::fprintf(stderr, "%s needs %s: without it nothing is written\n", flag, needed);
-    std::exit(2);
+[[noreturn]] void UsageError(const std::string& what) {
+  std::fprintf(stderr, "%s\n", what.c_str());
+  std::exit(2);
+}
+
+// The comma-separated sinks of --record, each known and named once.
+std::vector<std::string> ParseSinks(const std::string& list) {
+  std::vector<std::string> sinks;
+  size_t begin = 0;
+  while (true) {
+    const size_t end = std::min(list.find(',', begin), list.size());
+    const std::string sink = list.substr(begin, end - begin);
+    if (std::find(std::begin(kSinks), std::end(kSinks), sink) == std::end(kSinks)) {
+      UsageError("--record: unknown sink '" + sink +
+                 "' (expected trace, capture, series, flows or postmortem)");
+    }
+    if (std::find(sinks.begin(), sinks.end(), sink) != sinks.end()) {
+      UsageError("--record: sink '" + sink + "' named twice");
+    }
+    sinks.push_back(sink);
+    if (end == list.size()) {
+      return sinks;
+    }
+    begin = end + 1;
   }
 }
 
@@ -136,27 +152,18 @@ const std::vector<double>& SweepResult(const std::string& key) {
 }
 
 void InitBenchTelemetry(int* argc, char** argv) {
-  std::optional<std::string> sample;
-  std::optional<std::string> capture_runs;
-  std::optional<std::string> sample_interval_us;
+  std::optional<std::string> out_dir;
+  std::optional<std::string> record;
   std::string jobs = "1";
   std::string fault_plan_path;
   std::string audit_mode;
-  std::string postmortem_stem;
   bool audit = false;
-  bool flow_stats = false;
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
-    if (TakeFlag(argv[i], "--trace-out", &g_trace_out) ||
-        TakeFlag(argv[i], "--metrics-out", &g_metrics_out) ||
-        TakeFlag(argv[i], "--trace-sample", &sample) ||
-        TakeFlag(argv[i], "--capture-out", &g_capture_out) ||
-        TakeFlag(argv[i], "--capture-runs", &capture_runs) ||
-        TakeFlag(argv[i], "--sample-interval-us", &sample_interval_us) ||
+    if (TakeFlag(argv[i], "--out", &out_dir) || TakeFlag(argv[i], "--record", &record) ||
         TakeFlag(argv[i], "--jobs", &jobs) ||
-        TakeFlag(argv[i], "--fault-plan", &fault_plan_path) ||
-        TakeFlag(argv[i], "--postmortem-out", &postmortem_stem)) {
-      continue;  // telemetry flag: keep it away from google/benchmark
+        TakeFlag(argv[i], "--fault-plan", &fault_plan_path)) {
+      continue;  // our flag: keep it away from google/benchmark
     }
     if (std::strcmp(argv[i], "--paranoid") == 0) {
       SetParanoidMode(true);  // disable fast-path caches, cross-check them
@@ -167,32 +174,41 @@ void InitBenchTelemetry(int* argc, char** argv) {
       audit = true;
       continue;
     }
-    if (std::strcmp(argv[i], "--flow-stats") == 0) {
-      flow_stats = true;
-      continue;
-    }
     argv[out++] = argv[i];
   }
   *argc = out;
   g_jobs = ParseIntFlag("--jobs", jobs, 1);
-  const int sample_every = ParseIntFlag("--trace-sample", sample.value_or("1"), 1);
-  const int capture_run_count = ParseIntFlag("--capture-runs", capture_runs.value_or("1"), 1);
-  g_sample_interval =
-      Us(ParseIntFlag("--sample-interval-us", sample_interval_us.value_or("0"), 0));
-  RequireFlag(sample.has_value(), "--trace-sample", g_trace_out, "--trace-out");
-  RequireFlag(capture_runs.has_value(), "--capture-runs", g_capture_out, "--capture-out");
-  RequireFlag(sample_interval_us.has_value(), "--sample-interval-us", g_metrics_out,
-              "--metrics-out");
-  RequireFlag(flow_stats, "--flow-stats", g_metrics_out, "--metrics-out");
+  const std::vector<std::string> sinks = record.has_value() ? ParseSinks(*record)
+                                                            : std::vector<std::string>{};
+  if (record.has_value() && !out_dir.has_value()) {
+    UsageError("--record needs --out: the sinks write their files there");
+  }
+  const auto recorded = [&sinks](const char* sink) {
+    return std::find(sinks.begin(), sinks.end(), sink) != sinks.end();
+  };
 
   TestbedTelemetryDefaults& defaults = Testbed::telemetry_defaults;
-  defaults.enable_trace = !g_trace_out.empty();
-  defaults.sample_every = sample_every;
-  defaults.capture_prefix = g_capture_out;
-  defaults.capture_runs = capture_run_count;
-  defaults.sample_interval = g_sample_interval;
-  if (!g_trace_out.empty() || !g_metrics_out.empty()) {
+  if (out_dir.has_value()) {
+    std::error_code ec;
+    std::filesystem::create_directories(*out_dir, ec);
+    if (out_dir->empty() || !std::filesystem::is_directory(*out_dir)) {
+      UsageError("--out: cannot create directory '" + *out_dir + "'" +
+                 (ec ? ": " + ec.message() : ""));
+    }
+    g_out = *out_dir;
+    const std::string at = g_out + "/";
     defaults.collector = &Collector();
+    defaults.enable_trace = recorded("trace");
+    if (recorded("capture")) {
+      defaults.capture_prefix = at + "capture";
+    }
+    if (recorded("series")) {
+      defaults.sample_interval = Us(1);
+    }
+    defaults.flow_stats = recorded("flows");
+    if (recorded("postmortem") || audit) {
+      defaults.postmortem_stem = at + "postmortem";
+    }
   }
   if (!fault_plan_path.empty()) {
     Result<FaultPlan> plan = FaultPlan::Load(fault_plan_path);
@@ -209,54 +225,15 @@ void InitBenchTelemetry(int* argc, char** argv) {
     // post-mortem bundle behind, not just a log line.
     defaults.flight_recorder = true;
   }
-  if (flow_stats) {
-    defaults.flow_sink = &g_flow_sink;
-  }
-  defaults.postmortem_stem = postmortem_stem;
-  if (!postmortem_stem.empty()) {
-    defaults.flight_recorder = true;
-  }
 }
 
 int ExportBenchTelemetry() {
   int rc = 0;
-  if (!g_trace_out.empty()) {
-    Status st = Collector().WriteChromeTrace(g_trace_out);
+  if (!g_out.empty()) {
+    const Status st = Collector().WriteFiles(g_out);
     if (!st.ok()) {
-      STROM_LOG(kError) << "trace export failed: " << st;
+      STROM_LOG(kError) << "telemetry export failed: " << st;
       rc = 1;
-    }
-  }
-  if (!g_metrics_out.empty()) {
-    Status st = Collector().WriteMetrics(g_metrics_out);
-    if (!st.ok()) {
-      STROM_LOG(kError) << "metrics export failed: " << st;
-      rc = 1;
-    }
-    if (g_sample_interval > 0) {
-      // Derive the sibling file: strip a trailing .csv/.json before appending.
-      std::string stem = g_metrics_out;
-      const size_t dot = stem.rfind('.');
-      if (dot != std::string::npos && stem.find('/', dot) == std::string::npos) {
-        stem.resize(dot);
-      }
-      st = Collector().WriteTimeSeries(stem + ".timeseries.csv");
-      if (!st.ok()) {
-        STROM_LOG(kError) << "time-series export failed: " << st;
-        rc = 1;
-      }
-    }
-    if (!g_flow_sink.empty()) {
-      std::string stem = g_metrics_out;
-      const size_t dot = stem.rfind('.');
-      if (dot != std::string::npos && stem.find('/', dot) == std::string::npos) {
-        stem.resize(dot);
-      }
-      st = g_flow_sink.WriteCsv(stem + ".flows.csv");
-      if (!st.ok()) {
-        STROM_LOG(kError) << "flow-stats export failed: " << st;
-        rc = 1;
-      }
     }
   }
   if (g_auditor != nullptr) {

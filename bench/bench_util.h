@@ -9,7 +9,6 @@
 
 #include <functional>
 #include <initializer_list>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,54 +19,54 @@
 
 namespace strom::bench {
 
-// --- telemetry export (every bench binary gets these for free) --------------
+// --- observability flags (every bench binary gets these for free) ---------
 // bench_main.cc strips these flags before google/benchmark sees argv:
-//   --trace-out=<file>     write a Chrome-trace (Perfetto-loadable) JSON of
-//                          every testbed built during the run; enables tracing
-//   --trace-sample=<N>     trace 1-in-N messages (default 1 = all); needs
-//                          --trace-out
-//   --metrics-out=<file>   write per-run metrics; .csv suffix -> CSV else JSON
-//   --capture-out=<prefix> tap wire + NIC boundaries into pcapng files named
-//                          "<prefix>[.runN].{wire,node<i>.nic}.pcapng"
-//                          (inspect with tools/stromtrace or Wireshark)
-//   --capture-runs=<N>     capture the first N testbeds built (default 1;
-//                          benches build one testbed per iteration); needs
-//                          --capture-out
-//   --sample-interval-us=<T>  sample queue depths / occupancy / utilization
-//                          every T simulated microseconds; rows land next to
-//                          --metrics-out as "<stem>.timeseries.csv", so it
-//                          needs --metrics-out
-//   --paranoid             disable the per-packet fast-path caches and
-//                          cross-check every cached value against the wire
-//                          bytes (equivalent to STROM_PARANOID=1; aborts on
-//                          divergence). Simulated output must be identical.
-//   --fault-plan=<file>    load a fault plan (see src/faults/fault_plan.h for
-//                          the grammar) and run it against every testbed's
-//                          links and DMA engines: burst loss, reordering,
-//                          duplication, jitter, link flaps, DMA errors.
-//                          Without the flag the fault machinery stays fully
-//                          unhooked and traffic is byte-identical.
+//   --out=<dir>            write the run's artifacts into <dir>, creating it:
+//                          metrics.csv (one row per metric of every testbed
+//                          built and every reported result) and the files
+//                          of the sinks --record selects
+//   --record=<sink>[,<sink>...]  turn sinks on; each writes fixed names
+//                          under <dir>, so it needs --out:
+//       trace       trace.json, a Chrome trace (Perfetto-loadable) of every
+//                   message of every testbed built
+//       capture     capture[.runN].{wire,fabric,node<i>.nic}.pcapng, taps on
+//                   the wire and the NIC boundaries of the first testbed
+//                   built (ycsb_rack: of each; inspect with tools/stromtrace
+//                   or Wireshark)
+//       series      timeseries.csv, queue depths / occupancy / utilization
+//                   sampled every simulated microsecond
+//       flows       flows.csv, per-QP flow stats (RTT/goodput/retransmit/
+//                   CNP counters + a sampled DCQCN timeline; decode:
+//                   stromtrace --flows)
+//       postmortem  postmortem.{flightrec.bin,metrics.csv,frames.pcapng}, a
+//                   flight recorder of recent protocol events dumped at
+//                   teardown, or at the first watchdog fire, fatal log,
+//                   audit violation or crash (decode: stromtrace
+//                   --postmortem <dir>/postmortem)
 //   --audit[=warn|abort]   run online conservation auditors on every testbed:
 //                          link/port frame conservation, PSN monotonicity,
 //                          the CE=>BECN=>CNP ladder, and a FrameBuf leak
 //                          sweep at exit. abort (the default) dumps a
 //                          post-mortem bundle and aborts on the first
 //                          violation; warn keeps running and exits non-zero.
-//   --flow-stats           collect per-QP flow stats (RTT/goodput/retransmit/
-//                          CNP counters + a sampled DCQCN timeline) per run;
-//                          rows land next to --metrics-out as
-//                          "<stem>.flows.csv" (decode: stromtrace --flows),
-//                          so it needs --metrics-out
-//   --postmortem-out=<stem> keep a flight recorder of recent protocol events
-//                          and dump "<stem>.{flightrec.bin,metrics.csv,
-//                          frames.pcapng}" at teardown — and automatically on
-//                          watchdog fire, fatal log, or audit violation
-//                          (decode: stromtrace --postmortem <stem>)
+//                          The bundle goes to ./postmortem.*, or with --out
+//                          to <dir>/postmortem.* as if postmortem were
+//                          recorded.
+//   --fault-plan=<file>    load a fault plan (see src/faults/fault_plan.h for
+//                          the grammar) and run it against every testbed's
+//                          links and DMA engines: burst loss, reordering,
+//                          duplication, jitter, link flaps, DMA errors.
+//                          Without the flag the fault machinery stays fully
+//                          unhooked and traffic is byte-identical.
+//   --paranoid             disable the per-packet fast-path caches and
+//                          cross-check every cached value against the wire
+//                          bytes (equivalent to STROM_PARANOID=1; aborts on
+//                          divergence). Simulated output must be identical.
 //
-// The numeric flags (--trace-sample, --capture-runs, --sample-interval-us,
-// --jobs) must be integers in range; anything else prints the flag and its
-// value and exits 2. A flag given without the flag it needs would run and
-// write nothing, so it also exits 2, naming both.
+// Every sink is off unless --record names it. A usage error prints what is
+// wrong and exits 2: --record without --out, a sink --record does not know or
+// names twice, an --out directory that cannot be created, and a --jobs
+// value that is not an integer in range.
 
 // Checked numeric flag values, shared with scenario runners (ycsb_rack) that
 // parse their own flags. A value that is not a whole number (int) or a
@@ -83,12 +82,13 @@ bool ParseBoolFlag(const char* name, const std::string& value);
 // Process-wide collector that testbeds and ReportLatency deposit into.
 TelemetryCollector& Collector();
 
-// Parses and removes telemetry flags from argv, then configures
-// Testbed::telemetry_defaults accordingly.
+// Parses and removes the observability flags (and --jobs) from argv, then
+// configures Testbed::telemetry_defaults accordingly.
 void InitBenchTelemetry(int* argc, char** argv);
 
-// Writes --trace-out / --metrics-out files if requested. Returns 0 on
-// success, 1 if a requested file could not be written.
+// Writes the collected files into the --out directory, if given, and
+// reports the audit. Returns 0 on success, 1 if a file could not be written
+// or an audit found a violation.
 int ExportBenchTelemetry();
 
 // --- deterministic parallel sweep runner ------------------------------------
@@ -118,22 +118,14 @@ const std::vector<double>& SweepResult(const std::string& key);
 // stops the run here, with the verb's error.
 void CheckWrite(Status st);
 
-// No deadline for RunUntilDone.
-inline constexpr SimTime kNoDeadline = std::numeric_limits<SimTime>::max();
-
 // Runs `sim` until `done()` holds, then checks that it does. A wait can end
 // without it: a crash in a --fault-plan can lose the response a poll waits
 // for, and a poll that nothing writes schedules no event, so the queue goes
-// idle. The check's message names the wait (`what`), says whether the queue
-// went idle or simulated time passed `deadline`, and gives the time.
+// idle. The check's message names the wait (`what`) and gives the time.
 template <typename Pred>
-void RunUntilDone(Simulator& sim, const char* what, Pred&& done,
-                  SimTime deadline = kNoDeadline) {
-  const bool held = sim.RunUntil([&] { return done() || sim.now() >= deadline; });
-  STROM_CHECK(done()) << what << " did not finish: "
-                      << (held ? "simulated time passed its deadline"
-                               : "the event queue went idle")
-                      << " at " << ToUs(sim.now()) << " us of simulated time";
+void RunUntilDone(Simulator& sim, const char* what, Pred&& done) {
+  STROM_CHECK(sim.RunUntil(done)) << what << " did not finish: the event queue went idle at "
+                                  << ToUs(sim.now()) << " us of simulated time";
 }
 
 // Median latency of an RDMA WRITE, measured as RTT/2 of the paper's §6.1
@@ -164,7 +156,7 @@ double IdealMsgRate(const Profile& profile, size_t payload);
 
 // Registers median/p1/p99 (in microseconds) plus any extra counters as
 // benchmark counters, and deposits the same row into the collector so it
-// lands in the --metrics-out file. `name` labels the row (call sites pass
+// lands in <--out>/metrics.csv. `name` labels the row (call sites pass
 // __func__); parameterized runs are distinguished by their extras columns.
 void ReportLatency(benchmark::State& state, const char* name, const LatencyStats& stats,
                    std::initializer_list<std::pair<const char*, double>> extras = {});

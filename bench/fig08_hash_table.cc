@@ -20,7 +20,6 @@ constexpr Qpn kQp = 1;
 constexpr int kLookups = 100;
 constexpr uint32_t kNumKeys = 64;
 constexpr uint16_t kRpcPort = 9000;
-constexpr SimTime kStromDeadline = Ms(100);
 
 struct TableBed {
   explicit TableBed(uint32_t value_size) : bed(Profile10G()) {
@@ -116,11 +115,8 @@ LatencyStats RunStrom(uint32_t value_size) {
   tb.bed.sim().Spawn(getter(Ctx{tb, value_size, &stats, &finished}));
   // A crash in a --fault-plan can kill the responder's kernel after it
   // acknowledged the RPC: no completion fails, and the response the poll
-  // waits for never comes. The parked poll then lets the queue go idle; the
-  // deadline bounds a run that other events keep busy. A clean run takes
-  // about 1 ms of simulated time.
-  bench::RunUntilDone(tb.bed.sim(), "the StRoM GETs", [&] { return finished; },
-                      tb.bed.sim().now() + kStromDeadline);
+  // waits for never comes. The parked poll then lets the queue go idle.
+  bench::RunUntilDone(tb.bed.sim(), "the StRoM GETs", [&] { return finished; });
   return stats;
 }
 

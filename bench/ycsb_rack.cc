@@ -3,11 +3,12 @@
 // multiplexed onto QP lanes, open-loop arrivals, p50/p99/p999 reporting.
 //
 // Unlike the fig* benches this binary does not use google/benchmark — it is a
-// scenario runner with its own flags — but it shares the telemetry plumbing
-// (--metrics-out, --capture-out, --fault-plan, --audit, ... are all
-// honored via InitBenchTelemetry).
+// scenario runner with its own flags — but it shares the observability
+// plumbing (--out, --record, --fault-plan and --audit are all honored via
+// InitBenchTelemetry). --record=capture captures every run it builds, so
+// --compare writes capture.* and capture.run1.*.
 //
-//   ycsb_rack [telemetry flags] [--hosts=4] [--leaves=1] [--spines=0]
+//   ycsb_rack [observability flags] [--hosts=4] [--leaves=1] [--spines=0]
 //             [--sessions=100000] [--zipf=0.99] [--value-bytes=512]
 //             [--qps-per-peer=4] [--ops-rate=200000] [--duration-us=2000]
 //             [--outstanding=64] [--seed=42] [--read-frac=0.5]
@@ -98,11 +99,9 @@ void PrintPercentiles(const char* label, const LatencyStats& s) {
 }
 
 // Deposits per-op-class latency percentiles into the metrics collector so
-// --metrics-out CSVs carry READ/WRITE/kernel-GET p50/p99/p999 per scenario.
-// Gated on --flow-stats: default metrics dumps stay byte-identical.
+// metrics.csv carries READ/WRITE/kernel-GET p50/p99/p999 per scenario.
 void DepositOpClassRow(const std::string& label, const YcsbReport& r) {
-  if (Testbed::telemetry_defaults.collector == nullptr ||
-      Testbed::telemetry_defaults.flow_sink == nullptr) {
+  if (Testbed::telemetry_defaults.collector == nullptr) {
     return;
   }
   MetricsRegistry::Snapshot row;
@@ -193,6 +192,7 @@ int Main(int argc, char** argv) {
   }
 
   if (opt.compare) {
+    Testbed::telemetry_defaults.capture_runs = 2;
     Options stress = opt;
     stress.ycsb.incast = true;
     // Incast stress preset: drive the victim port well past line rate with a

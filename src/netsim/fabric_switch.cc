@@ -99,13 +99,6 @@ void FabricSwitch::AttachSampler(Telemetry* telemetry, const std::string& proces
                                 [&p](SimTime) { return double(p.counters.ce_marked); });
     telemetry->sampler.AddProbe(prefix + "tail_drops",
                                 [&p](SimTime) { return double(p.counters.tail_drops); });
-  }
-}
-
-void FabricSwitch::AttachFlowSampler(Telemetry* telemetry, const std::string& process) {
-  for (size_t port = 0; port < ports_.size(); ++port) {
-    const std::string prefix = process + ".port" + std::to_string(port) + ".";
-    const Port& p = ports_[port];
     telemetry->sampler.AddProbe(prefix + "frames_enqueued", [&p](SimTime) {
       return double(p.counters.frames_enqueued);
     });

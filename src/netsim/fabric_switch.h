@@ -84,12 +84,9 @@ class FabricSwitch {
   // Per-port gauges under "<process>.port<i>.*".
   void AttachTelemetry(Telemetry* telemetry, const std::string& process);
   // Per-port sampler probes: instantaneous queue_bytes plus cumulative
-  // ce_marked / tail_drops, so timeseries show the congestion dynamics.
+  // ce_marked / tail_drops / frames_enqueued / frames_dequeued, so
+  // timeseries show the congestion dynamics.
   void AttachSampler(Telemetry* telemetry, const std::string& process);
-  // Extended per-port probes for --flow-stats runs: enqueue/dequeue counts on
-  // top of the basic AttachSampler set. A separate method so default runs
-  // keep their sampler output byte-identical.
-  void AttachFlowSampler(Telemetry* telemetry, const std::string& process);
 
   // Per-port frame conservation: every frame enqueued was either dequeued or
   // is still sitting in the FIFO (tail drops never enter the queue and are

@@ -57,7 +57,7 @@ void PointToPointLink::AttachSampler(Telemetry* telemetry, const std::string& pr
           }
           return double(bytes) * 8.0 / (double(rate_bps) * ToSec(elapsed));
         });
-    // Cumulative fault counters, so chaos runs show up in .timeseries.csv.
+    // Cumulative fault counters, so chaos runs show up in timeseries.csv.
     const std::string prefix = process + ".link" + std::to_string(side) + ".";
     const LinkCounters& c = s.counters;
     telemetry->sampler.AddProbe(prefix + "frames_dropped",

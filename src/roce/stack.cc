@@ -1092,6 +1092,13 @@ void RoceStack::HandleAck(const RocePacket& pkt, QpState& qp) {
     case AckSyndrome::kNakStaleEpoch:
       ++counters_.rx_naks;
       ++counters_.rx_stale_naks;
+      // A NAK answering a packet of the pair's previous incarnation can
+      // arrive after the reconnect; its PSN lies outside the window this
+      // incarnation has sent, so it says nothing about the live pair.
+      if (PsnDistance(qp.state.oldest_unacked, pkt.bth.psn) < 0 ||
+          PsnDistance(pkt.bth.psn, qp.state.next_psn) <= 0) {
+        return;
+      }
       // The peer crashed and restarted: our QP pair and any memory
       // registrations we hold are from a dead epoch. Fence immediately —
       // retransmitting can only draw the same NAK. Liveness-driven
@@ -1152,8 +1159,10 @@ void RoceStack::HandleReadResponse(const RocePacket& pkt, QpState& qp) {
   }
 
   if (!pkt.payload.empty()) {
-    Status wst = dma_.Write(target, pkt.payload, [this, read_wr, last](Status st) {
-      if (last && read_wr) {
+    QpState* rec = &qp;  // records never move
+    Status wst = dma_.Write(target, pkt.payload, [this, rec, read_wr](Status st) {
+      if (read_wr) {
+        std::erase(rec->reads_landing, read_wr);
         CompleteWr(read_wr, st);
       }
       PumpTx();  // multi-queue slot freed: retry blocked reads
@@ -1167,7 +1176,12 @@ void RoceStack::HandleReadResponse(const RocePacket& pkt, QpState& qp) {
       ErrorQp(qpn, wst);
       return;
     }
-  } else if (last && read_wr) {
+    if (read_wr) {
+      // Out of `reads` but not complete until the write lands: a flush in
+      // between (a crash fences the write's completion) completes it.
+      qp.reads_landing.push_back(read_wr);
+    }
+  } else if (read_wr) {
     CompleteWr(read_wr, Status::Ok());
   }
 }
@@ -1299,6 +1313,13 @@ void RoceStack::FlushQp(Qpn qpn, QpState& qp, const Status& status) {
     }
   }
   qp.awaiting_ack.clear();
+  for (const WrPtr& wr : qp.reads_landing) {
+    if (!wr->completed) {
+      ++counters_.wrs_flushed;
+      CompleteWr(wr, status);
+    }
+  }
+  qp.reads_landing.clear();
 
   // Outstanding reads: drain this QP's multi-queue list and complete their
   // work requests in error.

@@ -206,6 +206,8 @@ class RoceStack {
     RetransTimer::Entry timer;   // Retransmission Timer; survives resets
     std::deque<OutstandingPacket> outstanding;  // PSN order
     std::deque<WrPtr> awaiting_ack;             // fully sent writes/RPCs
+    // READs whose last response is still being written to memory.
+    std::vector<WrPtr> reads_landing;
     // Retransmission timeouts since the last sign of responder life (any
     // ACK/NAK or read-response progress). Exceeding RoceConfig::retry_limit
     // transitions the QP to Error.

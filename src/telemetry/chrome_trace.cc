@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 
 #include "src/common/logging.h"
@@ -155,19 +154,6 @@ std::string ChromeTraceJson(const std::vector<TraceRun>& runs) {
   out += "  {\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"trace_export_done\",\"args\":{}}\n";
   out += "]\n}\n";
   return out;
-}
-
-Status WriteChromeTraceFile(const std::string& path, const std::vector<TraceRun>& runs) {
-  std::ofstream f(path, std::ios::out | std::ios::trunc);
-  if (!f) {
-    return UnavailableError("cannot open trace output file: " + path);
-  }
-  f << ChromeTraceJson(runs);
-  f.close();
-  if (!f) {
-    return UnavailableError("failed writing trace output file: " + path);
-  }
-  return Status::Ok();
 }
 
 }  // namespace strom

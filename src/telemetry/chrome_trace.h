@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/telemetry/trace.h"
 
 namespace strom {
@@ -28,8 +27,6 @@ struct TraceRun {
 
 // Serializes runs to a single Chrome-trace JSON object.
 std::string ChromeTraceJson(const std::vector<TraceRun>& runs);
-
-Status WriteChromeTraceFile(const std::string& path, const std::vector<TraceRun>& runs);
 
 }  // namespace strom
 

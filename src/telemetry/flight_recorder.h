@@ -12,8 +12,9 @@
 // trigger a dump from another sweep worker's thread.
 //
 // On a trigger — watchdog fire, paranoid-mode divergence (via the logging
-// fatal hook), auditor violation, or an explicit --postmortem-out — the
-// recorder dumps a deterministic post-mortem bundle:
+// fatal hook), auditor violation, or an explicit dump at teardown (a bench
+// run's --record=postmortem) — the recorder dumps a deterministic
+// post-mortem bundle:
 //
 //   <stem>.flightrec.bin   ring contents, oldest-first, fixed little-endian
 //                          encoding (magic "STRMFREC", version 1)

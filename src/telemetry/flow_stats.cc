@@ -1,7 +1,6 @@
 #include "src/telemetry/flow_stats.h"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "src/sim/time.h"
@@ -136,46 +135,6 @@ void FlowStats::AppendCsv(const std::string& label, std::string* out) const {
                 std::to_string(ev.qpn) + "," + FormatDouble(ToUs(ev.t)) + "," + kind + "," +
                 FormatDouble(ev.rate_gbps) + "," + FormatDouble(ev.alpha) + "\n");
   }
-}
-
-void FlowStatsSink::Deposit(const std::string& label, const FlowStats& stats, int64_t order) {
-  std::string rows;
-  stats.AppendCsv(label, &rows);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (order < 0) {
-    order = next_serial_order_++;
-  }
-  runs_.emplace_back(order, std::move(rows));
-}
-
-bool FlowStatsSink::empty() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return runs_.empty();
-}
-
-std::string FlowStatsSink::Csv() const {
-  std::vector<std::pair<int64_t, std::string>> sorted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sorted = runs_;
-  }
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::string out = "kind,label,host,qpn,fields...\n";
-  for (const auto& [order, rows] : sorted) {
-    (void)order;
-    out += rows;
-  }
-  return out;
-}
-
-Status FlowStatsSink::WriteCsv(const std::string& path) const {
-  const std::string csv = Csv();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out || !out.write(csv.data(), std::streamsize(csv.size()))) {
-    return InternalError("cannot write flow stats '" + path + "'");
-  }
-  return Status::Ok();
 }
 
 }  // namespace strom

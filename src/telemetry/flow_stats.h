@@ -3,11 +3,11 @@
 // events), fed by lightweight hooks in the RoCE stack. One FlowStats lives
 // per simulation (the topology core, src/testbed/topology.h, owns it
 // alongside the Telemetry bundle on the cable and the rack alike), so
-// updates are single-threaded and lock-free; finished runs deposit into a
-// process-wide FlowStatsSink (mutex-guarded, order-keyed like the
-// TelemetryCollector) so parallel sweeps export deterministically.
+// updates are single-threaded and lock-free; a finished run deposits its
+// rows in the TelemetryCollector with its metrics, under the same label and
+// order key.
 //
-// Export: AppendCsv() writes tidy rows for the standalone .flows.csv that
+// Export: AppendCsv() writes tidy rows for the flows.csv that
 // `stromtrace --flows` decodes:
 //   flow,<label>,<host>,<qpn>,<metric>,<value>
 //   dcqcn,<label>,<host>,<qpn>,<time_us>,<event>,<rate_gbps>,<alpha>
@@ -16,11 +16,9 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/sim/time.h"
 
 namespace strom {
@@ -93,23 +91,6 @@ class FlowStats {
   uint64_t timeline_dropped_ = 0;
   std::map<uint64_t, QpFlow> flows_;
   std::vector<DcqcnEvent> timeline_;
-};
-
-// Process-wide sink for finished runs (the flow-stats analogue of the
-// TelemetryCollector): deposits are mutex-serialized and ordered by the
-// sweep ordinal so --jobs=N output is byte-identical to --jobs=1.
-class FlowStatsSink {
- public:
-  void Deposit(const std::string& label, const FlowStats& stats, int64_t order = -1);
-
-  bool empty() const;
-  std::string Csv() const;
-  Status WriteCsv(const std::string& path) const;
-
- private:
-  mutable std::mutex mu_;
-  int64_t next_serial_order_ = int64_t{1} << 40;
-  std::vector<std::pair<int64_t, std::string>> runs_;  // (order, csv rows)
 };
 
 }  // namespace strom

@@ -89,107 +89,13 @@ MetricsRegistry::Snapshot MetricsRegistry::Snap() const {
 
 namespace {
 
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendDouble(double v, std::string* out) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   *out += buf;
 }
 
-void Indent(int n, std::string* out) { out->append(static_cast<size_t>(n), ' '); }
-
 }  // namespace
-
-std::string MetricsSnapshotToJson(const MetricsRegistry::Snapshot& snap, int indent) {
-  std::string out;
-  Indent(indent, &out);
-  out += "{\n";
-  Indent(indent + 2, &out);
-  out += "\"counters\": {";
-  for (size_t i = 0; i < snap.counters.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    Indent(indent + 4, &out);
-    AppendJsonString(snap.counters[i].first, &out);
-    out += ": " + std::to_string(snap.counters[i].second);
-  }
-  if (!snap.counters.empty()) {
-    out += "\n";
-    Indent(indent + 2, &out);
-  }
-  out += "},\n";
-  Indent(indent + 2, &out);
-  out += "\"gauges\": {";
-  for (size_t i = 0; i < snap.gauges.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    Indent(indent + 4, &out);
-    AppendJsonString(snap.gauges[i].first, &out);
-    out += ": ";
-    AppendDouble(snap.gauges[i].second, &out);
-  }
-  if (!snap.gauges.empty()) {
-    out += "\n";
-    Indent(indent + 2, &out);
-  }
-  out += "},\n";
-  Indent(indent + 2, &out);
-  out += "\"histograms\": {";
-  for (size_t i = 0; i < snap.histograms.size(); ++i) {
-    const MetricsRegistry::HistogramSnapshot& h = snap.histograms[i];
-    out += i == 0 ? "\n" : ",\n";
-    Indent(indent + 4, &out);
-    AppendJsonString(h.name, &out);
-    out += ": {\"bounds\": [";
-    for (size_t j = 0; j < h.bounds.size(); ++j) {
-      if (j != 0) {
-        out += ", ";
-      }
-      AppendDouble(h.bounds[j], &out);
-    }
-    out += "], \"counts\": [";
-    for (size_t j = 0; j < h.counts.size(); ++j) {
-      if (j != 0) {
-        out += ", ";
-      }
-      out += std::to_string(h.counts[j]);
-    }
-    out += "], \"count\": " + std::to_string(h.count) + ", \"sum\": ";
-    AppendDouble(h.sum, &out);
-    out += "}";
-  }
-  if (!snap.histograms.empty()) {
-    out += "\n";
-    Indent(indent + 2, &out);
-  }
-  out += "}\n";
-  Indent(indent, &out);
-  out += "}";
-  return out;
-}
 
 void MetricsSnapshotToCsv(const std::string& label, const MetricsRegistry::Snapshot& snap,
                           std::string* out) {
@@ -212,6 +118,10 @@ void MetricsSnapshotToCsv(const std::string& label, const MetricsRegistry::Snaps
       *out += label + ",histogram," + h.name + "[" + bound + "]," + std::to_string(h.counts[i]) +
               "\n";
     }
+    *out += label + ",histogram," + h.name + "[count]," + std::to_string(h.count) + "\n";
+    *out += label + ",histogram," + h.name + "[sum],";
+    AppendDouble(h.sum, out);
+    *out += "\n";
   }
 }
 

@@ -8,7 +8,7 @@
 //   * Histogram  — fixed upper-bound buckets (+inf implicit), Observe() is a
 //                  linear scan over a handful of bounds plus two adds.
 //
-// Snapshots serialize to JSON or CSV at end of run.
+// Snapshots serialize to CSV at end of run.
 #ifndef SRC_TELEMETRY_METRICS_H_
 #define SRC_TELEMETRY_METRICS_H_
 
@@ -93,9 +93,10 @@ class MetricsRegistry {
   std::deque<std::pair<std::string, Histogram>> histograms_;
 };
 
-// Serialization of one labeled snapshot set (see telemetry.h for the
-// multi-run collector that feeds these).
-std::string MetricsSnapshotToJson(const MetricsRegistry::Snapshot& snap, int indent = 0);
+// Appends one labeled snapshot as "label,kind,name,value" rows (see
+// telemetry.h for the multi-run collector that feeds this). A histogram
+// writes one row per bucket ("name[le=<bound>]", the last "le=+inf"), then
+// "name[count]" and "name[sum]".
 void MetricsSnapshotToCsv(const std::string& label, const MetricsRegistry::Snapshot& snap,
                           std::string* out);
 

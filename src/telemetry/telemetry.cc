@@ -2,98 +2,64 @@
 
 #include <algorithm>
 #include <fstream>
-#include <numeric>
 #include <utility>
+
+#include "src/telemetry/flow_stats.h"
 
 namespace strom {
 
-namespace {
-
-// Index order that sorts `orders` ascending, stable in arrival order.
-std::vector<size_t> SortedIndex(const std::vector<int64_t>& orders) {
-  std::vector<size_t> idx(orders.size());
-  std::iota(idx.begin(), idx.end(), size_t{0});
-  std::stable_sort(idx.begin(), idx.end(),
-                   [&](size_t a, size_t b) { return orders[a] < orders[b]; });
-  return idx;
-}
-
-}  // namespace
-
-int64_t TelemetryCollector::ResolveOrder(int64_t order) {
-  return order >= 0 ? order : next_serial_order_++;
-}
-
 void TelemetryCollector::Collect(const std::string& label, Telemetry& telemetry,
-                                 int64_t order) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const int64_t key = ResolveOrder(order);
-  runs_.push_back(Run{label, telemetry.metrics.Snap(), key});
+                                 int64_t order, const FlowStats* flows) {
+  Run run;
+  run.label = label;
+  run.metrics = telemetry.metrics.Snap();
   if (!telemetry.tracer.events().empty()) {
-    TraceRun tr;
-    tr.label = label;
-    tr.tracks = telemetry.tracer.tracks();
-    tr.events = telemetry.tracer.events();
-    trace_runs_.push_back(std::move(tr));
-    trace_orders_.push_back(key);
+    run.trace.label = label;
+    run.trace.tracks = telemetry.tracer.tracks();
+    run.trace.events = telemetry.tracer.events();
     telemetry.tracer.Clear();
   }
   if (!telemetry.sampler.empty()) {
-    TimeSeriesRun ts;
-    ts.label = label;
-    ts.names = telemetry.sampler.names();
-    ts.rows = telemetry.sampler.rows();
-    timeseries_runs_.push_back(std::move(ts));
-    timeseries_orders_.push_back(key);
+    run.series_names = telemetry.sampler.names();
+    run.series = telemetry.sampler.rows();
     telemetry.sampler.ClearRows();
   }
+  if (flows != nullptr) {
+    flows->AppendCsv(label, &run.flow_rows);
+  }
+  Deposit(std::move(run), order);
 }
 
 void TelemetryCollector::Collect(const std::string& label,
                                  MetricsRegistry::Snapshot snapshot, int64_t order) {
-  std::lock_guard<std::mutex> lock(mu_);
-  runs_.push_back(Run{label, std::move(snapshot), ResolveOrder(order)});
+  Run run;
+  run.label = label;
+  run.metrics = std::move(snapshot);
+  Deposit(std::move(run), order);
 }
 
-Status TelemetryCollector::WriteChromeTrace(const std::string& path) const {
+void TelemetryCollector::Deposit(Run run, int64_t order) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TraceRun> sorted;
-  sorted.reserve(trace_runs_.size());
-  for (size_t i : SortedIndex(trace_orders_)) {
-    sorted.push_back(trace_runs_[i]);
-  }
-  return WriteChromeTraceFile(path, sorted);
+  run.order = order >= 0 ? order : next_serial_order_++;
+  runs_.push_back(std::move(run));
 }
 
-std::string TelemetryCollector::MetricsJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<int64_t> orders;
-  orders.reserve(runs_.size());
+std::vector<const TelemetryCollector::Run*> TelemetryCollector::Sorted() const {
+  std::vector<const Run*> sorted;
+  sorted.reserve(runs_.size());
   for (const Run& run : runs_) {
-    orders.push_back(run.order);
+    sorted.push_back(&run);
   }
-  const std::vector<size_t> idx = SortedIndex(orders);
-  std::string out = "{\n\"runs\": [\n";
-  for (size_t i = 0; i < idx.size(); ++i) {
-    out += "{\n  \"label\": \"" + runs_[idx[i]].label + "\",\n  \"metrics\": ";
-    out += MetricsSnapshotToJson(runs_[idx[i]].metrics, 2);
-    out += "\n}";
-    out += i + 1 == idx.size() ? "\n" : ",\n";
-  }
-  out += "]\n}\n";
-  return out;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const Run* a, const Run* b) { return a->order < b->order; });
+  return sorted;
 }
 
 std::string TelemetryCollector::MetricsCsv() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<int64_t> orders;
-  orders.reserve(runs_.size());
-  for (const Run& run : runs_) {
-    orders.push_back(run.order);
-  }
   std::string out = "run,kind,name,value\n";
-  for (size_t i : SortedIndex(orders)) {
-    MetricsSnapshotToCsv(runs_[i].label, runs_[i].metrics, &out);
+  for (const Run* run : Sorted()) {
+    MetricsSnapshotToCsv(run->label, run->metrics, &out);
   }
   return out;
 }
@@ -101,36 +67,62 @@ std::string TelemetryCollector::MetricsCsv() const {
 std::string TelemetryCollector::TimeSeriesCsv() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "run,time_us,metric,value\n";
-  for (size_t i : SortedIndex(timeseries_orders_)) {
-    const TimeSeriesRun& run = timeseries_runs_[i];
-    TimeSeriesToCsv(run.label, run.names, run.rows, &out);
+  for (const Run* run : Sorted()) {
+    TimeSeriesToCsv(run->label, run->series_names, run->series, &out);
   }
   return out;
 }
 
-Status TelemetryCollector::WriteTimeSeries(const std::string& path) const {
-  std::ofstream f(path, std::ios::out | std::ios::trunc);
-  if (!f) {
-    return UnavailableError("cannot open time-series output file: " + path);
+std::string TelemetryCollector::FlowsCsv() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::string out = "kind,label,host,qpn,fields...\n";
+  for (const Run* run : Sorted()) {
+    out += run->flow_rows;
   }
-  f << TimeSeriesCsv();
-  f.close();
-  if (!f) {
-    return UnavailableError("failed writing time-series output file: " + path);
-  }
-  return Status::Ok();
+  return out;
 }
 
-Status TelemetryCollector::WriteMetrics(const std::string& path) const {
-  const bool csv = path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  std::ofstream f(path, std::ios::out | std::ios::trunc);
-  if (!f) {
-    return UnavailableError("cannot open metrics output file: " + path);
+std::string TelemetryCollector::TraceJson() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<TraceRun> traced;
+  for (const Run* run : Sorted()) {
+    if (!run->trace.events.empty()) {
+      traced.push_back(run->trace);
+    }
   }
-  f << (csv ? MetricsCsv() : MetricsJson());
-  f.close();
-  if (!f) {
-    return UnavailableError("failed writing metrics output file: " + path);
+  return ChromeTraceJson(traced);
+}
+
+Status TelemetryCollector::WriteFiles(const std::string& dir) const {
+  bool traced = false;
+  bool sampled = false;
+  bool flows = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Run& run : runs_) {
+      traced |= !run.trace.events.empty();
+      sampled |= !run.series.empty();
+      flows |= !run.flow_rows.empty();
+    }
+  }
+  std::vector<std::pair<const char*, std::string>> files = {{"metrics.csv", MetricsCsv()}};
+  if (traced) {
+    files.emplace_back("trace.json", TraceJson());
+  }
+  if (sampled) {
+    files.emplace_back("timeseries.csv", TimeSeriesCsv());
+  }
+  if (flows) {
+    files.emplace_back("flows.csv", FlowsCsv());
+  }
+  for (const auto& [name, contents] : files) {
+    const std::string path = dir + "/" + name;
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(contents.data(), std::streamsize(contents.size()));
+    f.close();
+    if (!f) {
+      return UnavailableError("cannot write " + path);
+    }
   }
   return Status::Ok();
 }

@@ -1,7 +1,7 @@
 // Telemetry bundle: one per simulation (the topology owns one and attaches
 // it to every component), plus a process-wide collector that harvests
-// finished runs so bench binaries can export a single trace/metrics file
-// covering every topology they built.
+// finished runs so a bench binary writes one set of files covering every
+// topology it built.
 #ifndef SRC_TELEMETRY_TELEMETRY_H_
 #define SRC_TELEMETRY_TELEMETRY_H_
 
@@ -18,63 +18,64 @@
 
 namespace strom {
 
+class FlowStats;
+
 struct Telemetry {
   MetricsRegistry metrics;
   Tracer tracer;
   TimeSeriesSampler sampler;
 };
 
-// Accumulates the telemetry of completed simulation runs. Deposits are
-// serialized with an internal mutex so the parallel sweep runner's workers
-// can collect concurrently; exports order runs by the deposit `order` key
-// (sweep-point ordinal), not completion order, so the output is identical
-// whether the sweep ran on one thread or many.
+// Accumulates the telemetry of completed simulation runs: metrics, trace
+// events, sampler rows and per-QP flow stats. Deposits are serialized with
+// an internal mutex so the parallel sweep runner's workers can collect
+// concurrently; exports order runs by the deposit `order` key (sweep-point
+// ordinal), not completion order, so the output is identical whether the
+// sweep ran on one thread or many.
 class TelemetryCollector {
  public:
-  // Snapshots metrics and moves trace events out of `telemetry`. `order` < 0
-  // means "after every explicitly-ordered run, in arrival order".
-  void Collect(const std::string& label, Telemetry& telemetry, int64_t order = -1);
+  // One deposit. A part the run did not record is empty.
+  struct Run {
+    std::string label;
+    int64_t order = 0;
+    MetricsRegistry::Snapshot metrics;
+    TraceRun trace;
+    std::vector<std::string> series_names;
+    std::vector<TimeSeriesSampler::Row> series;
+    std::string flow_rows;  // FlowStats::AppendCsv rows
+  };
+
+  // Snapshots metrics and moves trace events and sampler rows out of
+  // `telemetry`; with `flows`, also takes its rows. `order` < 0 means "after
+  // every explicitly-ordered run, in arrival order".
+  void Collect(const std::string& label, Telemetry& telemetry, int64_t order = -1,
+               const FlowStats* flows = nullptr);
   // Deposits an already-built snapshot (e.g. one bench result row).
   void Collect(const std::string& label, MetricsRegistry::Snapshot snapshot,
                int64_t order = -1);
 
-  // One run's worth of periodic sampler rows (queue depths, occupancy...).
-  struct TimeSeriesRun {
-    std::string label;
-    std::vector<std::string> names;
-    std::vector<TimeSeriesSampler::Row> rows;
-  };
+  // Deposits in arrival order.
+  const std::vector<Run>& runs() const { return runs_; }
 
-  bool empty() const { return runs_.empty(); }
-  size_t run_count() const { return runs_.size(); }
-  const std::vector<TraceRun>& trace_runs() const { return trace_runs_; }
-  const std::vector<TimeSeriesRun>& timeseries_runs() const { return timeseries_runs_; }
+  // Each export covers the runs that recorded its part, in `order`.
+  std::string MetricsCsv() const;     // run,kind,name,value
+  std::string TimeSeriesCsv() const;  // run,time_us,metric,value
+  std::string FlowsCsv() const;       // flow and dcqcn rows (flow_stats.h)
+  std::string TraceJson() const;      // Chrome trace (chrome_trace.h)
 
-  Status WriteChromeTrace(const std::string& path) const;
-  Status WriteMetrics(const std::string& path) const;  // .csv suffix -> CSV, else JSON
-  Status WriteTimeSeries(const std::string& path) const;
-
-  std::string MetricsJson() const;
-  std::string MetricsCsv() const;
-  std::string TimeSeriesCsv() const;  // long format: label,time_us,metric,value
+  // Writes metrics.csv into `dir`, and trace.json, timeseries.csv and
+  // flows.csv when some run recorded their part.
+  Status WriteFiles(const std::string& dir) const;
 
  private:
-  struct Run {
-    std::string label;
-    MetricsRegistry::Snapshot metrics;
-    int64_t order = 0;
-  };
-  // Maps order = -1 to a monotonically increasing key past every sweep
-  // ordinal. Caller must hold mu_.
-  int64_t ResolveOrder(int64_t order);
+  // Appends `run`, mapping order = -1 to a key past every sweep ordinal.
+  void Deposit(Run run, int64_t order);
+  // The deposits, stably sorted by `order`. Caller must hold mu_.
+  std::vector<const Run*> Sorted() const;
 
   mutable std::mutex mu_;
   int64_t next_serial_order_ = int64_t{1} << 40;
   std::vector<Run> runs_;
-  std::vector<TraceRun> trace_runs_;
-  std::vector<int64_t> trace_orders_;  // parallel to trace_runs_
-  std::vector<TimeSeriesRun> timeseries_runs_;
-  std::vector<int64_t> timeseries_orders_;  // parallel to timeseries_runs_
 };
 
 }  // namespace strom

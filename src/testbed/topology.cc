@@ -74,17 +74,10 @@ void Topology::InitObservability() {
   if (d.fault_plan != nullptr) {
     ApplyFaultPlan(d.fault_plan);
   }
-  if (d.flow_sink != nullptr) {
+  if (d.flow_stats) {
     flow_stats_ = std::make_unique<FlowStats>();
     for (int i = 0; i < num_hosts(); ++i) {
       nodes_[i]->stack().AttachFlowStats(flow_stats_.get(), i);
-    }
-    // Flow-stats runs also want the switch-port congestion series; piggyback
-    // on the sampler when it is running.
-    if (d.sample_interval > 0) {
-      for (auto& sw : switches_) {
-        sw->AttachFlowSampler(telemetry_.get(), sw->name());
-      }
     }
   }
   if (d.flight_recorder || !d.postmortem_stem.empty()) {
@@ -93,7 +86,7 @@ void Topology::InitObservability() {
       nodes_[i]->stack().AttachFlightRecorder(flight_recorder_.get(), i);
     }
     // Auto-dump destination for the watchdog/fatal/audit paths; the default
-    // stem keeps audit aborts actionable even without --postmortem-out.
+    // stem keeps audit aborts actionable even without --out.
     flight_recorder_->set_auto_dump_stem(
         d.postmortem_stem.empty() ? "postmortem" : d.postmortem_stem);
     RegisterGlobalFlightRecorder(flight_recorder_.get());
@@ -326,20 +319,14 @@ Topology::~Topology() {
   if (d.auditor != nullptr) {
     RunTeardownAudits();
   }
-  if (d.collector != nullptr ||
-      (d.flow_sink != nullptr && flow_stats_ != nullptr)) {
+  if (d.collector != nullptr) {
     int64_t ordinal = run_ordinal;
     if (ordinal < 0) {
       static uint64_t run_counter = 0;
       ordinal = static_cast<int64_t>(run_counter++);
     }
     const std::string label = "run" + std::to_string(ordinal) + ":" + profile_.name;
-    if (d.collector != nullptr) {
-      d.collector->Collect(label, *telemetry_, run_ordinal);
-    }
-    if (d.flow_sink != nullptr && flow_stats_ != nullptr) {
-      d.flow_sink->Deposit(label, *flow_stats_, run_ordinal);
-    }
+    d.collector->Collect(label, *telemetry_, run_ordinal, flow_stats_.get());
   }
   if (flight_recorder_ != nullptr && !d.postmortem_stem.empty()) {
     const MetricsRegistry::Snapshot snap = telemetry_->metrics.Snap();

@@ -13,9 +13,8 @@
 //     switchS (leaves, then spines). A plan that names a component the
 //     topology lacks is rejected before anything is attached; wildcards match
 //     whatever exists;
-//   * teardown: the conservation audits, the collector and flow-stats
-//     deposits and the post-mortem dump, all run while every link and switch
-//     is still alive.
+//   * teardown: the conservation audits, the collector deposit and the
+//     post-mortem dump, all run while every link and switch is still alive.
 // A subclass supplies only its wiring and two hooks: how the wire is
 // captured and which wire probes the sampler reads.
 #ifndef SRC_TESTBED_TOPOLOGY_H_
@@ -39,17 +38,16 @@ namespace strom {
 class Auditor;
 class FlightRecorder;
 class FlowStats;
-class FlowStatsSink;
 
 // Process-wide telemetry defaults applied to every topology at construction.
-// bench_util sets them from its telemetry, capture, fault-plan, audit,
-// flow-stats and post-mortem flags, so every bench binary gains them without
-// per-bench changes.
+// bench_util sets them from its --out, --record, --fault-plan and --audit
+// flags, so every bench binary gains them without per-bench changes.
 struct TestbedTelemetryDefaults {
   bool enable_trace = false;
   uint32_t sample_every = 1;
   // When set, each destructed topology deposits its run here (metrics
-  // snapshot + trace events), labeled "run<N>:<profile name>".
+  // snapshot, trace events, sampler rows and flow stats), labeled
+  // "run<N>:<profile name>".
   TelemetryCollector* collector = nullptr;
   // When non-empty, the first `capture_runs` constructed topologies tap
   // their wire and NIC boundaries into pcapng files named
@@ -72,14 +70,15 @@ struct TestbedTelemetryDefaults {
   // leaves every check compiled out of the hot path behind a single null
   // test.
   Auditor* auditor = nullptr;
-  // When set (bench_util --flow-stats), each run collects per-QP flow stats
-  // and a sampled DCQCN timeline and deposits them here at teardown under
-  // the same "run<N>:<profile>" label as the metrics collector.
-  FlowStatsSink* flow_sink = nullptr;
-  // When true (bench_util --audit / --postmortem-out), every run keeps a
-  // flight recorder ring of recent protocol events. A non-empty
-  // postmortem_stem both (a) arms auto-dump on watchdog/fatal/audit events
-  // and (b) forces an explicit bundle dump at teardown.
+  // When true (bench_util --record=flows), each run collects per-QP flow
+  // stats and a sampled DCQCN timeline and deposits them with its metrics in
+  // `collector`.
+  bool flow_stats = false;
+  // When true (bench_util --audit), every run keeps a flight recorder ring of
+  // recent protocol events, which watchdog, fatal, audit and crash events
+  // dump to "postmortem.*". A non-empty postmortem_stem (bench_util
+  // --record=postmortem, or --audit with --out) keeps one too, sends those
+  // dumps to "<postmortem_stem>.*" instead and forces a dump at teardown.
   bool flight_recorder = false;
   std::string postmortem_stem;
   // Crash episodes are a first-class flight-recorder dump trigger: the first

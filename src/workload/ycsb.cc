@@ -102,9 +102,15 @@ void YcsbEngine::EnableCrashRecovery(const LivenessConfig& liveness) {
         continue;
       }
       // The probe models keepalive + response: it succeeds only while both
-      // NICs are up (a dead local NIC can't probe; a dead peer can't answer).
-      auto probe = [this, i, j] {
-        return fabric_.node(i).nic_alive() && fabric_.node(j).nic_alive();
+      // NICs are up (a dead local NIC can't probe; a dead peer can't answer)
+      // and the peer's NIC is the incarnation it saw last. A restart shorter
+      // than the lease gap moves the peer's epoch: that fails the probe once,
+      // and the next probe, taking the new epoch, drives the reconnect.
+      auto probe = [this, i, j, seen = fabric_.node(j).stack().mr_epoch()]() mutable {
+        const uint64_t epoch = fabric_.node(j).stack().mr_epoch();
+        const bool same_incarnation = epoch == seen;
+        seen = epoch;
+        return same_incarnation && fabric_.node(i).nic_alive() && fabric_.node(j).nic_alive();
       };
       // The lower-indexed end owns the out-of-band handshake so the two
       // monitors don't re-reset each other's freshly reconnected lanes; the

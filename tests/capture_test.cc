@@ -3,6 +3,7 @@
 // and fault-injected testbed runs, and the testbed's flow-stats deposit.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 
 #include "src/proto/packet.h"
@@ -125,8 +126,9 @@ TEST(Sampler, CollectorHarvestsTimeSeriesRuns) {
   TelemetryCollector collector;
   collector.Collect("runA", telemetry);
   EXPECT_TRUE(telemetry.sampler.empty());  // rows moved out
-  ASSERT_EQ(collector.timeseries_runs().size(), 1u);
-  EXPECT_EQ(collector.timeseries_runs()[0].label, "runA");
+  ASSERT_EQ(collector.runs().size(), 1u);
+  EXPECT_EQ(collector.runs()[0].label, "runA");
+  EXPECT_EQ(collector.runs()[0].series.size(), 1u);
   const std::string csv = collector.TimeSeriesCsv();
   EXPECT_NE(csv.find("run,time_us,metric,value\n"), std::string::npos);
   EXPECT_NE(csv.find("runA,10.000,x,1.5\n"), std::string::npos);
@@ -348,11 +350,13 @@ TEST(CaptureIntegration, InjectedFaultsAreFlaggedExactly) {
 }
 
 TEST(CaptureIntegration, CableFlowStatsCsvAccountsEveryCompletedWr) {
-  // bench --flow-stats on the cable: node 0 streams WRITEs and READs to
-  // node 1, and the run's .flows.csv must hold one completion per
-  // completed WR.
-  FlowStatsSink sink;
-  Testbed::telemetry_defaults.flow_sink = &sink;
+  // bench --record=flows on the cable: node 0 streams WRITEs and READs to
+  // node 1, and the run's flows.csv must hold one completion per completed
+  // WR.
+  TelemetryCollector collector;
+  const TestbedTelemetryDefaults saved = Testbed::telemetry_defaults;
+  Testbed::telemetry_defaults.collector = &collector;
+  Testbed::telemetry_defaults.flow_stats = true;
   constexpr int kOps = 16;
   uint64_t completed = 0;
   {
@@ -378,12 +382,13 @@ TEST(CaptureIntegration, CableFlowStatsCsvAccountsEveryCompletedWr) {
     }
     bed.sim().RunUntilIdle();
   }  // teardown deposits the flow stats
-  Testbed::telemetry_defaults.flow_sink = nullptr;
+  Testbed::telemetry_defaults = saved;
   EXPECT_EQ(completed, uint64_t(kOps));
 
-  const std::string path = TempPath("cable.flows.csv");
-  ASSERT_TRUE(sink.WriteCsv(path).ok());
-  Result<FlowCsvReport> csv = LoadFlowCsv(path);
+  const std::string dir = TempPath("cable_flows");
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(collector.WriteFiles(dir).ok());
+  Result<FlowCsvReport> csv = LoadFlowCsv(dir + "/flows.csv");
   ASSERT_TRUE(csv.ok()) << csv.status();
   EXPECT_EQ(csv->malformed_rows, 0u);
   ASSERT_FALSE(csv->flows.empty());

@@ -97,7 +97,6 @@ double RunPoint(int idx) {
 
 struct TrialOutput {
   std::vector<double> results;
-  std::string metrics_json;
   std::string metrics_csv;
   std::map<std::string, std::string> capture_digests;  // filename suffix -> sha256
 };
@@ -119,7 +118,6 @@ TrialOutput RunTrial(const std::string& tag, int jobs) {
   });
 
   Testbed::telemetry_defaults = saved;
-  out.metrics_json = collector.MetricsJson();
   out.metrics_csv = collector.MetricsCsv();
   // Capture files: run 0 has no suffix, later runs carry ".run<N>".
   for (int run = 0; run < kPoints; ++run) {
@@ -144,13 +142,11 @@ TEST(SweepDeterminism, SerialRerunAndParallelRunAreByteIdentical) {
 
   // Serial rerun: everything identical.
   EXPECT_EQ(serial_a.results, serial_b.results);
-  EXPECT_EQ(serial_a.metrics_json, serial_b.metrics_json);
   EXPECT_EQ(serial_a.metrics_csv, serial_b.metrics_csv);
   EXPECT_EQ(serial_a.capture_digests, serial_b.capture_digests);
 
   // --jobs 4: same simulated results, same merged dumps, same captures.
   EXPECT_EQ(serial_a.results, parallel.results);
-  EXPECT_EQ(serial_a.metrics_json, parallel.metrics_json);
   EXPECT_EQ(serial_a.metrics_csv, parallel.metrics_csv);
   EXPECT_EQ(serial_a.capture_digests, parallel.capture_digests);
 }

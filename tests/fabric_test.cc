@@ -8,11 +8,12 @@
 //   * fault-plan link flaps on fabric links route through the same QP
 //     Error -> flush -> ReconnectQp -> resume path as 2-node links,
 //   * the opt-in telemetry: switch-port sampler series, per-QP flow stats
-//     through the .flows.csv loader, and crash/restart flight records.
+//     through the flows.csv loader, and crash/restart flight records.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -367,15 +368,14 @@ struct DefaultsGuard {
 };
 
 // The column `name` of a collected sampler run; empty when absent.
-std::vector<double> Series(const TelemetryCollector::TimeSeriesRun& run,
-                           const std::string& name) {
+std::vector<double> Series(const TelemetryCollector::Run& run, const std::string& name) {
   std::vector<double> out;
-  const auto it = std::find(run.names.begin(), run.names.end(), name);
-  if (it == run.names.end()) {
+  const auto it = std::find(run.series_names.begin(), run.series_names.end(), name);
+  if (it == run.series_names.end()) {
     return out;
   }
-  const size_t col = size_t(it - run.names.begin());
-  for (const TimeSeriesSampler::Row& row : run.rows) {
+  const size_t col = size_t(it - run.series_names.begin());
+  for (const TimeSeriesSampler::Row& row : run.series) {
     out.push_back(row.values[col]);
   }
   return out;
@@ -390,8 +390,8 @@ TEST(FabricTelemetry, SamplerSeriesShowVictimQueueAndCeMarks) {
   ASSERT_FALSE(on.deadline_hit);
   ASSERT_GT(on.ce_marked, 0u);
 
-  ASSERT_EQ(collector.timeseries_runs().size(), 1u);
-  const TelemetryCollector::TimeSeriesRun& run = collector.timeseries_runs()[0];
+  ASSERT_EQ(collector.runs().size(), 1u);
+  const TelemetryCollector::Run& run = collector.runs()[0];
   // Host 0 is the incast victim, so leaf0's port 0 is the congested egress.
   const std::vector<double> queue = Series(run, "leaf0.port0.queue_bytes");
   const std::vector<double> marks = Series(run, "leaf0.port0.ce_marked");
@@ -407,17 +407,19 @@ TEST(FabricTelemetry, SamplerSeriesShowVictimQueueAndCeMarks) {
   EXPECT_NE(collector.TimeSeriesCsv().find(",leaf0.port0.ce_marked,"), std::string::npos);
 }
 
-// Runs the incast with --flow-stats and returns the .flows.csv as loaded by
-// `stromtrace --flows`.
-FlowCsvReport RunIncastFlowCsv(bool cc_enabled, const std::string& name, YcsbReport* report) {
-  FlowStatsSink sink;
-  Testbed::telemetry_defaults.flow_sink = &sink;
+// Runs the incast with flow stats on, deposits it in `collector`, writes the
+// collector's files into the directory `name` and returns its flows.csv as
+// loaded by `stromtrace --flows`.
+FlowCsvReport RunIncastFlowCsv(bool cc_enabled, TelemetryCollector& collector,
+                               const std::string& name, YcsbReport* report) {
+  Testbed::telemetry_defaults.collector = &collector;
+  Testbed::telemetry_defaults.flow_stats = true;
   *report = RunIncast(cc_enabled);
-  Testbed::telemetry_defaults.flow_sink = nullptr;
   EXPECT_FALSE(report->deadline_hit);
-  const std::string path = ::testing::TempDir() + "/" + name + ".flows.csv";
-  EXPECT_TRUE(sink.WriteCsv(path).ok());
-  Result<FlowCsvReport> csv = LoadFlowCsv(path);
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::create_directories(dir);
+  EXPECT_TRUE(collector.WriteFiles(dir).ok());
+  Result<FlowCsvReport> csv = LoadFlowCsv(dir + "/flows.csv");
   if (!csv.ok()) {
     ADD_FAILURE() << csv.status();
     return FlowCsvReport{};
@@ -442,13 +444,12 @@ double SumFlowMetric(const FlowCsvReport& csv, const std::string& metric) {
 
 TEST(FabricTelemetry, FlowStatsCsvAccountsEveryCompletionAndRateCut) {
   DefaultsGuard guard;
-  // With the sampler on, --flow-stats also records the per-port
-  // enqueue/dequeue series.
+  // The sampler's per-port series include the enqueue/dequeue counts.
   TelemetryCollector collector;
-  Testbed::telemetry_defaults.collector = &collector;
   Testbed::telemetry_defaults.sample_interval = Us(5);
   YcsbReport on;
-  const FlowCsvReport csv = RunIncastFlowCsv(/*cc_enabled=*/true, "fabric_incast_cc_on", &on);
+  const FlowCsvReport csv =
+      RunIncastFlowCsv(/*cc_enabled=*/true, collector, "fabric_incast_cc_on", &on);
   ASSERT_GT(on.rate_cuts, 0u);
 
   EXPECT_EQ(SumFlowMetric(csv, "completions"), double(on.ops_completed))
@@ -463,11 +464,11 @@ TEST(FabricTelemetry, FlowStatsCsvAccountsEveryCompletionAndRateCut) {
   EXPECT_GT(timeline_cuts, 0u) << "a DCQCN-on incast timeline must hold rate cuts";
   EXPECT_LE(timeline_cuts, on.rate_cuts);
 
-  ASSERT_EQ(collector.timeseries_runs().size(), 1u);
-  const TelemetryCollector::TimeSeriesRun& run = collector.timeseries_runs()[0];
+  ASSERT_EQ(collector.runs().size(), 1u);
+  const TelemetryCollector::Run& run = collector.runs()[0];
   const std::vector<double> enqueued = Series(run, "leaf0.port0.frames_enqueued");
   const std::vector<double> dequeued = Series(run, "leaf0.port0.frames_dequeued");
-  ASSERT_FALSE(enqueued.empty()) << "--flow-stats runs add the per-port flow series";
+  ASSERT_FALSE(enqueued.empty()) << "the switch probes include the per-port frame counts";
   ASSERT_EQ(dequeued.size(), enqueued.size());
   EXPECT_GT(enqueued.back(), 0.0);
   EXPECT_EQ(dequeued.back(), enqueued.back()) << "the victim queue drains by the last row";
@@ -475,8 +476,10 @@ TEST(FabricTelemetry, FlowStatsCsvAccountsEveryCompletionAndRateCut) {
 
 TEST(FabricTelemetry, FlowStatsCsvRecordsRecoveryOfAnUncontrolledIncast) {
   DefaultsGuard guard;
+  TelemetryCollector collector;
   YcsbReport off;
-  const FlowCsvReport csv = RunIncastFlowCsv(/*cc_enabled=*/false, "fabric_incast_cc_off", &off);
+  const FlowCsvReport csv =
+      RunIncastFlowCsv(/*cc_enabled=*/false, collector, "fabric_incast_cc_off", &off);
   ASSERT_GT(off.tail_drops, 0u);
   EXPECT_EQ(SumFlowMetric(csv, "completions"), double(off.ops_completed));
   // Tail drops are recovered by go-back-N, which the flows record; without

@@ -636,5 +636,33 @@ TEST(CrashE2e, ReconnectRacesSecondCrashOfSamePeer) {
   EXPECT_EQ(r.audit_violations, 0u);
 }
 
+TEST(CrashE2e, LeaseProbeNoticesARestartShorterThanTheLeaseGap) {
+  // nic1 is down for 1 us, between two of host 0's probes 10 us apart, so
+  // no probe finds it dead. Its epoch moved, though: host 0's next probe
+  // fails once, and the one after reconnects the 0<->1 lanes (host 0, the
+  // lower index, owns that handshake).
+  Result<FaultPlan> plan =
+      FaultPlan::Parse("seed 22\nnic1 crash 104500ns - restart_after=1us\n");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const RackScenarioConfig config = RackScenarioConfig::Small();
+  Profile profile = Profile10G();
+  profile.roce.max_qps = uint32_t(config.topo.num_hosts) * config.ycsb.qps_per_peer + 8;
+  Fabric fabric(profile, config.topo);
+  fabric.ApplyFaultPlan(std::make_shared<const FaultPlan>(std::move(*plan)));
+  YcsbEngine engine(fabric, config.ycsb);
+  engine.Setup();
+  engine.EnableCrashRecovery(config.liveness);
+  const YcsbReport r = engine.Run();
+
+  const LivenessCounters& host0 = engine.liveness(0)->counters();
+  EXPECT_EQ(host0.peers_declared_dead, 1u);
+  EXPECT_EQ(host0.leases_acquired, 1u);
+  // ReconnectQp reset each of host 0's lanes toward host 1; host 1's side
+  // were crash tombstones, which a reset does not count.
+  EXPECT_EQ(fabric.node(0).stack().counters().qp_resets, config.ycsb.qps_per_peer);
+  EXPECT_EQ(r.ops_arrived, r.ops_completed + r.ops_failed + r.ops_fenced);
+  EXPECT_FALSE(r.deadline_hit);
+}
+
 }  // namespace
 }  // namespace strom

@@ -87,7 +87,6 @@ double RunShuffleSlice(Testbed& bed) {
 struct TrialOutput {
   double ping_us = 0;
   double shuffle_us = 0;
-  std::string metrics_json;
   std::string metrics_csv;
   std::map<std::string, std::string> capture_digests;
 };
@@ -118,7 +117,6 @@ TrialOutput RunTrial(const std::string& tag, bool paranoid) {
   SetParanoidMode(false);
 
   Testbed::telemetry_defaults = saved;
-  out.metrics_json = collector.MetricsJson();
   out.metrics_csv = collector.MetricsCsv();
   for (int run = 0; run < 2; ++run) {
     const std::string run_part = run == 0 ? "" : ".run" + std::to_string(run);
@@ -142,7 +140,6 @@ TEST(ParanoidIdentity, FastPathAndParanoidOutputsAreByteIdentical) {
   // caches are disabled: the fast path is memoization, not behavior.
   EXPECT_EQ(fast.ping_us, paranoid.ping_us);
   EXPECT_EQ(fast.shuffle_us, paranoid.shuffle_us);
-  EXPECT_EQ(fast.metrics_json, paranoid.metrics_json);
   EXPECT_EQ(fast.metrics_csv, paranoid.metrics_csv);
   EXPECT_EQ(fast.capture_digests, paranoid.capture_digests);
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/frame_buf.h"
+#include "src/proto/packet.h"
 #include "src/sim/task.h"
 #include "src/testbed/calibration.h"
 #include "src/testbed/testbed.h"
@@ -498,6 +499,104 @@ TEST_F(FlushReentrancyTest, ResetQpRejectsSameQpPostFromSentWriteAndOutstandingR
   bed_.sim().RunUntilIdle();
 
   ExpectOneCompletionEach(2, StatusCode::kUnavailable, 2);
+}
+
+// A stale-epoch NAK answering a packet of the pair's previous incarnation
+// can reach the requester after the reconnect. Only a NAK whose PSN lies in
+// what the live incarnation has sent, [oldest_unacked, next_psn), errors the
+// QP.
+class StaleNakTest : public RoceStackTest {
+ protected:
+  // Runs one WRITE on the first incarnation (PSN 1000), reconnects with
+  // fresh PSNs (2000 on node 0) and leaves a second WRITE's one packet on
+  // the wire, unacknowledged.
+  void ReconnectWithAWriteInFlight() {
+    bool first = false;
+    bed_.node(0).driver().PostWrite(kQp, local_, remote_, 64, [&](Status st) {
+      EXPECT_TRUE(st.ok()) << st;
+      first = true;
+    });
+    RunUntilDone(&first);
+    bed_.sim().RunUntilIdle();
+    bed_.ReconnectQp(0, kQp, 1, kQp);
+    bed_.node(0).driver().PostWrite(kQp, local_, remote_, 64, [this](Status st) {
+      second_ = st;
+      ++completions_;
+    });
+    const RoceCounters& c = bed_.node(0).stack().counters();
+    const uint64_t sent = c.tx_packets;
+    while (c.tx_packets == sent && bed_.sim().Step()) {
+    }
+    ASSERT_EQ(completions_, 0);
+  }
+
+  // Delivers a NAK(stale epoch) for `psn` to node 0, as if node 1 had sent
+  // it, and runs to idle.
+  void DeliverStaleNak(Psn psn) {
+    RocePacket nak;
+    nak.src_ip = bed_.node(1).ip();
+    nak.dst_ip = bed_.node(0).ip();
+    nak.bth.opcode = IbOpcode::kAck;
+    nak.bth.dest_qp = kQp;
+    nak.bth.psn = psn;
+    AethHeader aeth;
+    aeth.syndrome = AckSyndrome::kNakStaleEpoch;
+    aeth.msn = 1;
+    nak.aeth = aeth;
+    bed_.node(0).stack().OnFrame(
+        EncodeRoceFrame(bed_.node(1).mac(), bed_.node(0).mac(), nak));
+    bed_.sim().RunUntilIdle();
+  }
+
+  QpPhase Phase() { return bed_.node(0).stack().FindQp(kQp)->state.phase; }
+
+  Status second_;
+  int completions_ = 0;
+};
+
+TEST_F(StaleNakTest, NakForThePreviousIncarnationLeavesTheQpReady) {
+  ReconnectWithAWriteInFlight();
+  DeliverStaleNak(1000);
+
+  EXPECT_EQ(bed_.node(0).stack().counters().rx_stale_naks, 1u);
+  EXPECT_EQ(Phase(), QpPhase::kReady);
+  ASSERT_EQ(completions_, 1);
+  EXPECT_TRUE(second_.ok()) << second_;
+}
+
+TEST_F(StaleNakTest, NakInsideTheLiveWindowErrorsTheQp) {
+  ReconnectWithAWriteInFlight();
+  DeliverStaleNak(2000);
+
+  EXPECT_EQ(Phase(), QpPhase::kError);
+  ASSERT_EQ(completions_, 1);
+  EXPECT_EQ(second_.code(), StatusCode::kFailedPrecondition) << second_;
+}
+
+// A READ leaves the Multi-Queue when its last response arrives and completes
+// when that response's DMA write lands. A NIC crash in between fences the
+// write's completion, so the crash's flush must complete the READ.
+TEST_F(RoceStackTest, CrashWhileAReadsLastResponseLandsCompletesItOnceInError) {
+  bed_.node(0).dma().EnableCrashFaults();
+  int completions = 0;
+  Status result;
+  bed_.node(0).driver().PostRead(kQp, local_, remote_, 256, [&](Status st) {
+    ++completions;
+    result = st;
+  });
+  const RoceStack& stack = bed_.node(0).stack();
+  while (stack.FindQp(kQp)->reads.count == 0 && bed_.sim().Step()) {
+  }
+  while (stack.FindQp(kQp)->reads.count == 1 && bed_.sim().Step()) {
+  }
+  ASSERT_EQ(stack.FindQp(kQp)->reads.count, 0u);
+  ASSERT_EQ(completions, 0) << "the response's DMA write has not landed yet";
+
+  bed_.node(0).Crash(FaultTargetKind::kNic);
+  bed_.sim().RunUntilIdle();
+
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(result.code(), StatusCode::kUnavailable) << result;
 }
 
 TEST_F(RoceStackTest, PollingSeesWrittenValue) {

@@ -49,7 +49,6 @@ struct DefaultsGuard {
 
 struct TrialOutput {
   std::map<std::string, std::string> capture_digests;  // basename -> sha256
-  std::string metrics_json;
   std::string metrics_csv;
   SimTime end_time = 0;
   uint64_t ok = 0;
@@ -145,7 +144,6 @@ TrialOutput RunPingTrial(const std::string& tag, bool faults, bool audit) {
   if (auditor) {
     out.audit_checks = auditor->checks();
   }
-  out.metrics_json = collector.MetricsJson();
   out.metrics_csv = collector.MetricsCsv();
   return out;
 }
@@ -210,7 +208,6 @@ TrialOutput RunYcsbTrial(const std::string& tag, bool crash) {
     }
   }
   HashCaptures(capture_paths, prefix, &out);
-  out.metrics_json = collector.MetricsJson();
   out.metrics_csv = collector.MetricsCsv();
   return out;
 }
@@ -222,7 +219,6 @@ TrialOutput RunYcsbTrial(const std::string& tag, bool crash) {
 void ExpectIdentical(const TrialOutput& first, const TrialOutput& rerun) {
   SCOPED_TRACE("rerun vs first run");
   EXPECT_EQ(first.capture_digests, rerun.capture_digests);
-  EXPECT_EQ(first.metrics_json, rerun.metrics_json);
   EXPECT_EQ(first.metrics_csv, rerun.metrics_csv);
   EXPECT_EQ(first.end_time, rerun.end_time);
   EXPECT_EQ(first.ok, rerun.ok);

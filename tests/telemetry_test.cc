@@ -1,11 +1,13 @@
 // Unit tests for the telemetry subsystem: metrics registry semantics,
-// histogram bucket boundaries, span recording (nesting, monotonicity,
-// sampling, disabled == zero events), and the Chrome-trace / metrics JSON
-// exporters validated with a minimal JSON parser (parse + round-trip the
-// counts back out).
+// histogram bucket boundaries, the metrics CSV, span recording (nesting,
+// monotonicity, sampling, disabled == zero events), the Chrome-trace
+// exporter validated with a minimal JSON parser (parse + round-trip the
+// counts back out), and the collector's one file writer.
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -244,19 +246,21 @@ TEST(Metrics, HistogramBucketBoundsAreInclusiveUpper) {
   EXPECT_DOUBLE_EQ(h->sum(), 0.5 + 1.0 + 1.001 + 10.0 + 99.0);
 }
 
-TEST(Metrics, JsonExportParsesAndRoundTrips) {
+TEST(Metrics, CsvExportKeepsHistogramCountAndSum) {
   MetricsRegistry reg;
-  reg.AddCounter("pkts")->Inc(3);
-  reg.AddGauge("load", [] { return 0.5; });
-  reg.AddHistogram("lat", {1.0, 2.0})->Observe(1.5);
+  Histogram* lat = reg.AddHistogram("lat", {1.0, 2.0});
+  lat->Observe(1.5);
+  lat->Observe(0.25);
+  lat->Observe(7.0);
 
-  const JsonValue root = ParseJsonOrDie(MetricsSnapshotToJson(reg.Snap()));
-  EXPECT_DOUBLE_EQ(root.at("counters").at("pkts").number, 3.0);
-  EXPECT_DOUBLE_EQ(root.at("gauges").at("load").number, 0.5);
-  const JsonValue& lat = root.at("histograms").at("lat");
-  EXPECT_DOUBLE_EQ(lat.at("count").number, 1.0);
-  ASSERT_EQ(lat.at("counts").array.size(), 3u);
-  EXPECT_DOUBLE_EQ(lat.at("counts").array[1].number, 1.0);
+  std::string out;
+  MetricsSnapshotToCsv("runX", reg.Snap(), &out);
+  EXPECT_EQ(out,
+            "runX,histogram,lat[le=1],1\n"
+            "runX,histogram,lat[le=2],1\n"
+            "runX,histogram,lat[le=+inf],1\n"
+            "runX,histogram,lat[count],3\n"
+            "runX,histogram,lat[sum],8.75\n");
 }
 
 TEST(Metrics, CsvExportHasOneRowPerMetric) {
@@ -407,6 +411,11 @@ TEST(ChromeTrace, OverlappingSpansGetDistinctLanes) {
 // Collector.
 // ---------------------------------------------------------------------------
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
 TEST(Collector, HarvestsMetricsAndMovesTraceEventsOut) {
   Telemetry telemetry;
   telemetry.metrics.AddCounter("pkts")->Inc(5);
@@ -417,17 +426,40 @@ TEST(Collector, HarvestsMetricsAndMovesTraceEventsOut) {
   TelemetryCollector collector;
   collector.Collect("runA", telemetry);
 
-  EXPECT_EQ(collector.run_count(), 1u);
-  ASSERT_EQ(collector.trace_runs().size(), 1u);
-  EXPECT_EQ(collector.trace_runs()[0].label, "runA");
-  EXPECT_EQ(collector.trace_runs()[0].events.size(), 1u);
+  ASSERT_EQ(collector.runs().size(), 1u);
+  EXPECT_EQ(collector.runs()[0].trace.label, "runA");
+  EXPECT_EQ(collector.runs()[0].trace.events.size(), 1u);
   EXPECT_TRUE(telemetry.tracer.events().empty());  // moved out
 
-  const JsonValue root = ParseJsonOrDie(collector.MetricsJson());
-  ASSERT_EQ(root.at("runs").array.size(), 1u);
-  const JsonValue& run = root.at("runs").array[0];
-  EXPECT_EQ(run.at("label").str, "runA");
-  EXPECT_DOUBLE_EQ(run.at("metrics").at("counters").at("pkts").number, 5.0);
+  EXPECT_EQ(collector.MetricsCsv(), "run,kind,name,value\nrunA,counter,pkts,5\n");
+  const JsonValue root = ParseJsonOrDie(collector.TraceJson());
+  EXPECT_FALSE(root.at("traceEvents").array.empty());
+}
+
+// Runs deposited out of order export in `order`, in every file, and a part
+// no run recorded writes no file.
+TEST(Collector, WritesEachPartInDepositOrder) {
+  TelemetryCollector collector;
+  for (const int64_t order : {1, 0}) {
+    Telemetry telemetry;
+    telemetry.metrics.AddCounter("pkts")->Inc(uint64_t(order));
+    telemetry.sampler.AddProbe("x", [order](SimTime) { return double(order); });
+    telemetry.sampler.Sample(Us(1));
+    collector.Collect("run" + std::to_string(order), telemetry, order);
+  }
+  collector.Collect("row", MetricsRegistry::Snapshot{});
+
+  const std::string dir = ::testing::TempDir() + "/collector_files";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(collector.WriteFiles(dir).ok());
+  EXPECT_EQ(ReadFile(dir + "/metrics.csv"),
+            "run,kind,name,value\nrun0,counter,pkts,0\nrun1,counter,pkts,1\n");
+  EXPECT_EQ(ReadFile(dir + "/timeseries.csv"),
+            "run,time_us,metric,value\nrun0,1.000,x,0\nrun1,1.000,x,1\n");
+  EXPECT_FALSE(std::filesystem::exists(dir + "/trace.json"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/flows.csv"));
+  EXPECT_FALSE(collector.WriteFiles(dir + "/missing").ok());
 }
 
 }  // namespace

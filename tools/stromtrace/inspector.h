@@ -191,8 +191,8 @@ void CheckEcnFeedback(EcnReport* report);
 std::string FormatEcnReport(const EcnReport& report);
 
 // --- flow-stats decoding (stromtrace --flows) -------------------------------
-// Aggregated view of a "<stem>.flows.csv" written by a bench run with
-// --flow-stats (see src/telemetry/flow_stats.h for the row grammar):
+// Aggregated view of a flows.csv written by a bench run with
+// --record=flows (see src/telemetry/flow_stats.h for the row grammar):
 // per-(label, host, QP) counters plus a DCQCN timeline summary.
 struct FlowCsvReport {
   struct Flow {

@@ -1,5 +1,5 @@
 // stromtrace: decode and conformance-check pcapng captures produced by the
-// simulator's wire taps (--capture-out on any bench, or
+// simulator's wire taps (--record=capture on any bench, or
 // Testbed::EnableCapture).
 //
 //   stromtrace [--strict] [--mtu=N] [--timeline] [--faults] [--ecn]
@@ -25,11 +25,11 @@
 //               are visible)
 //   --retry-limit=N  retry budget the run was configured with, for the
 //               exhaustion check (default 7 = RoceConfig default)
-//   --flows     arguments are "<stem>.flows.csv" files written by a bench run
-//               with --flow-stats; print per-QP flow counters and the DCQCN
+//   --flows     arguments are flows.csv files written by a bench run with
+//               --record=flows; print per-QP flow counters and the DCQCN
 //               timeline summary (malformed rows are errors)
-//   --postmortem  arguments are flight-recorder bundle stems (a run's
-//               --postmortem-out value): decode "<stem>.flightrec.bin",
+//   --postmortem  arguments are flight-recorder bundle stems ("<dir>/postmortem"
+//               for a bench run with --out): decode "<stem>.flightrec.bin",
 //               cross-check it against "<stem>.frames.pcapng", and print the
 //               dump reason, per-host event rings, and the QPs the ring
 //               localizes the failure to; cross-check failures are errors.
